@@ -11,9 +11,9 @@ Subcommands::
 Every command reads a single self-describing JSON config (``--config``,
 defaulting to the bundled example configuration) and writes its artifacts
 into ``--out``.  Outputs embed a metadata block — the SHA-256 of the
-effective config and the tool version — as a ``"metadata"`` key in JSON
-files and as leading ``#`` comment lines in CSV files, so every artifact
-records what produced it.  Commands are deterministic: the same config and
+effective config, the tool version and the sampler's random-stream version
+— as a ``"metadata"`` key in JSON files and as leading ``#`` comment lines
+in CSV files, so every artifact records what produced it.  Commands are deterministic: the same config and
 seed reproduce byte-identical files.
 
 Times are seconds inside the library; CSV columns and config keys carry
@@ -38,6 +38,7 @@ from .discrimination import OptimizationGrid, optimize, write_error_surface_csv
 from .error_budget import combine, read_budget_json, write_report_json
 from .mle_fit import fit, write_fit_json
 from .monte_carlo import (
+    RNG_STREAM,
     CountHistogram,
     DecayTimeLaw,
     Prepared,
@@ -116,6 +117,7 @@ def _metadata(config: dict, command: str) -> dict:
         "version": __version__,
         "command": command,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "rng_stream": RNG_STREAM,
     }
 
 

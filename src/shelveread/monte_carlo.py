@@ -1,9 +1,10 @@
 """Monte Carlo shelving-readout shots with reproducible per-shot streams.
 
-Each shot draws its randomness from a counter-based generator keyed by
-(seed, shot index), so ``simulate_shot(i)`` reproduces row ``i`` of a batch
-bit for bit, batches may be sharded across threads without changing any
-outcome, and no generator state is carried between shots.
+Each shot draws its randomness from numpy's Philox4x64-10 keyed by the seed,
+at counters (shot index, block, 0, 0), so ``simulate_shot(i)`` reproduces
+row ``i`` of a batch bit for bit, batches may be sharded across threads
+without changing any outcome, and no generator state is carried between
+shots.
 
 A shot is simulated as: (1) flip the prepared state with the corresponding
 preparation error probability, (2) if the effective state is dark, draw the
@@ -17,6 +18,7 @@ count distributions when the decay instant is uniform in the window.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +27,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ._philox import philox4x64, to_uniform
 from .photon_statistics import (
     ZERO_ERRORS,
     DetectionModel,
@@ -190,43 +191,50 @@ class CountHistogram:
 # ---------------------------------------------------------------------------
 # Per-shot randomness
 
-# Within a shot, 256-bit block b supplies uniforms 4b..4b+3 of the shot's
-# stream.  Block 0 is reserved for the four state draws (flip, decay, decay
-# position, total count); blocks 1.. feed arrival-time placement.
+# numpy's Philox4x64-10 keyed by (seed, 0).  A generator built at counter
+# (shot, block, 0, 0) emits 256-bit block ``block`` of shot ``shot`` at its
+# first step (numpy increments the counter before each block, so shot i is
+# Philox counter i + 1).  Block 0 supplies the four state draws (flip,
+# decay, decay position, total count); blocks 1.. supply arrival-time
+# placement, four photons per block.  Shot index is counter word 0, so one
+# generator walks a block for consecutive shots.  RNG_STREAM names this
+# layout in every CLI artifact; change it whenever any shot's values change.
+RNG_STREAM = "philox4x64-10/shot-major/2"
 
 
-def _shot_uniforms(seed: int, shot_indices: np.ndarray):
-    w = philox4x64(0, 0, 0, shot_indices, key=seed)
-    return tuple(to_uniform(x) for x in w)
+def _uniforms(seed: int, block: int, lo: int, n: int) -> np.ndarray:
+    """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array on [0, 1)."""
+    bits = np.random.Philox(
+        counter=np.array([lo, block, 0, 0], dtype=np.uint64),
+        key=np.array([seed, 0], dtype=np.uint64),
+    )
+    words = bits.random_raw(4 * n).reshape(n, 4)
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _event_uniforms(seed: int, shot_indices: np.ndarray, n_events: np.ndarray) -> np.ndarray:
-    """First ``n_events[i]`` uniforms of each shot's event stream, flattened."""
-    n_events = np.asarray(n_events, dtype=np.int64)
-    n_blocks = (n_events + 3) // 4
-    total_blocks = int(n_blocks.sum())
-    if total_blocks == 0:
-        return np.empty(0)
-    block_shot = np.repeat(shot_indices, n_blocks)
-    starts = np.concatenate([[0], np.cumsum(n_blocks)[:-1]])
-    block_no = np.arange(total_blocks, dtype=np.int64) - np.repeat(starts, n_blocks) + 1
-    words = philox4x64(block_no.astype(np.uint64), 0, 0, block_shot, key=seed)
-    u = np.stack([to_uniform(w) for w in words], axis=1).reshape(-1)
-    lane_counts = 4 * n_blocks
-    lane_starts = np.concatenate([[0], np.cumsum(lane_counts)[:-1]])
-    within = np.arange(u.size, dtype=np.int64) - np.repeat(lane_starts, lane_counts)
-    return u[within < np.repeat(n_events, lane_counts)]
+def _event_uniforms(seed: int, lo: int, n_events: np.ndarray) -> np.ndarray:
+    """First ``n_events[i]`` event uniforms of shot ``lo + i``, flattened shot-major."""
+    starts = np.cumsum(n_events) - n_events
+    u = np.empty(int(n_events.sum()))
+    for block in range(1, (int(n_events.max(initial=0)) + 3) // 4 + 1):
+        first = 4 * (block - 1)
+        need = np.flatnonzero(n_events > first)
+        span = _uniforms(seed, block, lo + int(need[0]), int(need[-1] - need[0]) + 1)
+        lanes = np.arange(4) < np.minimum(n_events[need] - first, 4)[:, None]
+        dest = (starts[need] + first)[:, None] + np.arange(4)
+        u[dest[lanes]] = span[need - need[0]][lanes]
+    return u
 
 
-def _window_profile(prepared: Prepared, config: SimConfig, shot_indices: np.ndarray):
-    """Rate-switch instant T and window mean for each shot.
+def _window_profile(prepared: Prepared, config: SimConfig, lo: int, hi: int):
+    """Rate-switch instant T and window mean for shots ``lo..hi-1``.
 
     Every window is modeled as dark rate on [0, T) and bright rate on
     [T, t_det]: an effectively bright shot has T = 0, an undecayed dark shot
-    T = t_det.  Returns ``(T, mu, u_count, effective_dark, decayed)`` where
-    ``u_count`` is the reserved uniform for the total-count draw.
+    T = t_det.  Returns ``(T, mu, u_count)`` where ``u_count`` is the
+    reserved uniform for the total-count draw.
     """
-    u_flip, u_decay, u_pos, u_count = _shot_uniforms(config.seed, shot_indices)
+    u_flip, u_decay, u_pos, u_count = _uniforms(config.seed, 0, lo, hi - lo).T
     model = config.model
     t_det = model.t_det
     eps = (
@@ -240,13 +248,10 @@ def _window_profile(prepared: Prepared, config: SimConfig, shot_indices: np.ndar
         decayed = u_decay < model.decay_fraction
         t_switch = np.where(decayed, u_pos * t_det, t_det)
     else:
-        t_raw = -model.lifetime * np.log1p(-u_decay)
-        decayed = t_raw < t_det
-        t_switch = np.minimum(t_raw, t_det)
+        t_switch = np.minimum(-model.lifetime * np.log1p(-u_decay), t_det)
     t_switch = np.where(effective_dark, t_switch, 0.0)
-    decayed = decayed & effective_dark
     mu = model.rate_dark * t_switch + model.rate_bright * (t_det - t_switch)
-    return t_switch, mu, u_count, effective_dark, decayed
+    return t_switch, mu, u_count
 
 
 def _sampling_support_max(mean: float) -> int:
@@ -308,31 +313,40 @@ def _event_times(u: np.ndarray, t_switch: np.ndarray, mu: np.ndarray, model: Det
     return np.where(mass < mass_dark, before, after)
 
 
+def _shard_bounds(shots: int, threads: int, chunk: int) -> list[tuple[int, int]]:
+    """Split ``0..shots`` into at most min(threads, CPUs, ceil(shots/chunk)) shards."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    n = min(threads, os.cpu_count() or 1, -(-shots // chunk))
+    bounds = np.linspace(0, shots, n + 1).astype(int)
+    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _run_sharded(work, shots: int, threads: int, chunk: int) -> list:
+    """``work(lo, hi)`` over each shard, in shard order, one thread per shard."""
+    shards = _shard_bounds(shots, threads, chunk)
+    if len(shards) == 1:
+        return [work(*shards[0])]
+    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+        return list(pool.map(lambda bounds: work(*bounds), shards))
+
+
 def _shard_counts(prepared: Prepared, config: SimConfig, lo: int, hi: int, out: np.ndarray):
     for start in range(lo, hi, _COUNT_CHUNK):
         stop = min(start + _COUNT_CHUNK, hi)
-        ids = np.arange(start, stop, dtype=np.uint64)
-        _, mu, u_count, _, _ = _window_profile(prepared, config, ids)
+        _, mu, u_count = _window_profile(prepared, config, start, stop)
         out[start:stop] = _poisson_quantile(u_count, mu)
 
 
 def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> np.ndarray:
     """Photon counts of shots ``0..shots-1``, independent of ``threads``."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     out = np.empty(config.shots, dtype=np.int64)
-    if threads == 1 or config.shots < 2 * _COUNT_CHUNK:
-        _shard_counts(prepared, config, 0, config.shots, out)
-        return out
-    bounds = np.linspace(0, config.shots, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_shard_counts, prepared, config, int(a), int(b), out)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        for f in futures:
-            f.result()
+    _run_sharded(
+        lambda lo, hi: _shard_counts(prepared, config, lo, hi, out),
+        config.shots,
+        threads,
+        _COUNT_CHUNK,
+    )
     return out
 
 
@@ -346,10 +360,9 @@ def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int):
     counts_parts = []
     for start in range(lo, hi, _TRACE_CHUNK):
         stop = min(start + _TRACE_CHUNK, hi)
-        ids = np.arange(start, stop, dtype=np.uint64)
-        t_switch, mu, u_count, _, _ = _window_profile(prepared, config, ids)
+        t_switch, mu, u_count = _window_profile(prepared, config, start, stop)
         n = _poisson_quantile(u_count, mu)
-        u_ev = _event_uniforms(config.seed, ids, n)
+        u_ev = _event_uniforms(config.seed, start, n)
         t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), config.model)
         shot_ev = np.repeat(np.arange(n.size), n)
         order = np.lexsort((t_ev, shot_ev))
@@ -366,19 +379,12 @@ def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     ``simulate_counts``; the count is then distributed over the window by
     inverse-CDF placement of each photon.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if threads == 1 or config.shots < 2 * _TRACE_CHUNK:
-        shards = [_shard_traces(prepared, config, 0, config.shots)]
-    else:
-        bounds = np.linspace(0, config.shots, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_shard_traces, prepared, config, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
-            shards = [f.result() for f in futures]
+    shards = _run_sharded(
+        lambda lo, hi: _shard_traces(prepared, config, lo, hi),
+        config.shots,
+        threads,
+        _TRACE_CHUNK,
+    )
     times = np.concatenate([s[0] for s in shards])
     counts = np.concatenate([s[1] for s in shards])
     offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -394,12 +400,8 @@ def simulate_shot(prepared: Prepared, config: SimConfig, shot_index: int) -> Pho
     """
     if not 0 <= shot_index < config.shots:
         raise ValueError(f"shot_index must lie in [0, {config.shots}), got {shot_index}")
-    ids = np.array([shot_index], dtype=np.uint64)
-    t_switch, mu, u_count, _, _ = _window_profile(prepared, config, ids)
-    n = _poisson_quantile(u_count, mu)
-    u_ev = _event_uniforms(config.seed, ids, n)
-    t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), config.model)
-    return PhotonTrace(np.sort(t_ev), config.model.t_det)
+    times, _ = _shard_traces(prepared, config, shot_index, shot_index + 1)
+    return PhotonTrace(times, config.model.t_det)
 
 
 # ---------------------------------------------------------------------------

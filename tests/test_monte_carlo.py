@@ -62,6 +62,28 @@ def test_traces_independent_of_threads_and_chunking(measured_model, monkeypatch)
         np.testing.assert_array_equal(again.offsets, reference.offsets)
 
 
+@pytest.mark.parametrize(
+    "shots,threads,chunk,cpus,expected",
+    [
+        (10, 1, 4, 8, 1),
+        (10, 8, 4, 8, 3),  # ceil(10 / 4) chunks
+        (100, 8, 4, 2, 2),  # CPU count
+        (100, 3, 4, 8, 3),  # requested threads
+        (10**6, 10**9, 1, 4, 4),  # a huge request is capped, not honored
+        (1, 4, 1 << 20, 4, 1),
+    ],
+)
+def test_shard_bounds(monkeypatch, shots, threads, chunk, cpus, expected):
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    shards = mc._shard_bounds(shots, threads, chunk)
+    assert len(shards) == expected
+    assert shards[0][0] == 0 and shards[-1][1] == shots
+    assert all(a < b for a, b in shards)
+    assert all(b == a2 for (_, b), (a2, _) in zip(shards[:-1], shards[1:]))
+    with pytest.raises(ValueError):
+        mc._shard_bounds(shots, 0, chunk)
+
+
 def test_trace_counts_match_count_mode(optimum_model, measured_errors, big_ensembles):
     config = _config(
         optimum_model, errors=measured_errors, shots=big_ensembles["shots"], seed=42
