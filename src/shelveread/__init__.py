@@ -30,7 +30,6 @@ from .discrimination import (
     classify_traces,
     mean_error,
     optimize,
-    total_error,
 )
 from .monte_carlo import (
     CountHistogram,
@@ -89,7 +88,6 @@ __all__ = [
     "classify_traces",
     "mean_error",
     "optimize",
-    "total_error",
     # monte carlo
     "CountHistogram",
     "DecayTimeLaw",

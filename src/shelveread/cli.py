@@ -81,6 +81,9 @@ def _load_config(path: str | None) -> dict:
     config = json.loads(text)
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
+    for name, section in config.items():
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {name} must be a JSON object")
     return config
 
 
@@ -137,6 +140,8 @@ def cmd_optimize(config: dict, out: Path) -> None:
     t_min = float(_require(config, "optimize", "t_min_us"))
     t_max = float(_require(config, "optimize", "t_max_us"))
     t_step = float(_require(config, "optimize", "t_step_us"))
+    if not t_step > 0.0:
+        raise ValueError(f"optimize.t_step_us must be positive, got {t_step}")
     n_max = int(_require(config, "optimize", "n_th_max"))
     grid = OptimizationGrid(
         t_values=np.arange(t_min, t_max + 0.5 * t_step, t_step) * 1e-6,
@@ -224,6 +229,7 @@ def cmd_fit(config: dict, out: Path, seed_override: int | None) -> None:
     hist_down = read_histogram_csv(hist_down_path)
     hist_up = read_histogram_csv(hist_up_path)
     bootstrap = int(section.get("bootstrap", 0) or 0)
+    seed = 0 if seed_override is None else seed_override
     result = fit(
         hist_down,
         hist_up,
@@ -231,9 +237,9 @@ def cmd_fit(config: dict, out: Path, seed_override: int | None) -> None:
         lifetime=model.lifetime,
         mode=str(section.get("mode", "joint")),
         bootstrap=bootstrap,
-        bootstrap_seed=0 if seed_override is None else seed_override,
+        bootstrap_seed=seed,
     )
-    write_fit_json(result, out / "fit.json", metadata=_metadata(config, "fit"))
+    write_fit_json(result, out / "fit.json", metadata=dict(_metadata(config, "fit"), seed=seed))
     print(f"converged: {result.converged} (log-likelihood {result.log_likelihood:.3f})")
     for name in ("mean_bright", "mean_dark", "eps_down_tot", "eps_up_tot"):
         print(

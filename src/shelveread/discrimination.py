@@ -26,9 +26,11 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .photon_statistics import (
+    ZERO_ERRORS,
     CountPMF,
     DetectionModel,
     ErrorRates,
+    _observed_pmfs,
     bright_pdf,
     dark_pdf,
 )
@@ -41,7 +43,6 @@ __all__ = [
     "OptimizationResult",
     "classify",
     "mean_error",
-    "total_error",
     "optimize",
     "classify_time_resolved",
     "classify_traces",
@@ -152,17 +153,6 @@ def mean_error(
     return ErrorReport(eps_b, eps_d, eps_mean, eps_mean + extra)
 
 
-def total_error(eps_mean: float, errors: ErrorRates) -> float:
-    """Mean readout error including preparation/shelving errors.
-
-    Preparation mistakes flip the qubit before the window, so to first order
-    they add their mean on top of the detection error.
-    """
-    if not 0.0 <= eps_mean <= 1.0:
-        raise ValueError(f"eps_mean must lie in [0, 1], got {eps_mean}")
-    return eps_mean + errors.mean
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     """Grid minimum of the mean readout error.
@@ -202,8 +192,9 @@ def optimize(
     surface = np.empty((t_values.size, n_values.size))
     for i, t in enumerate(t_values):
         model = DetectionModel(rate_bright, rate_dark, lifetime, float(t))
-        cdf_b = np.cumsum(bright_pdf(model).probs)
-        cdf_d = np.cumsum(dark_pdf(model).probs)
+        # bright_pdf and dark_pdf of this window from one model evaluation
+        p_bright, p_dark, _, _ = _observed_pmfs(model, ZERO_ERRORS)
+        cdf_b, cdf_d = np.cumsum(p_bright), np.cumsum(p_dark)
         idx = np.minimum(n_values, cdf_b.size - 1)
         surface[i] = 0.5 * (cdf_b[idx] + (1.0 - cdf_d[idx]))
 
@@ -308,20 +299,24 @@ def _log_ratio_dark_bright(
     return out
 
 
-def _validate_trace_times(times: np.ndarray, t_det: float) -> np.ndarray:
+def _validate_trace_times(times, offsets: np.ndarray, t_det: float) -> np.ndarray:
+    """Check concatenated traces: 1-D, inside the window, sorted within each trace."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("arrival times must be a 1-D array")
     if times.size and (times.min() < 0.0 or times.max() > t_det):
         raise ValueError("arrival times must lie within [0, t_det]")
-    if np.any(np.diff(times) < 0.0):
+    # A boolean comparison, not a float diff: a batch holds millions of
+    # events.  Times may drop from the end of one trace to the next.
+    backwards = times[1:] < times[:-1]
+    starts = offsets[1:-1]
+    backwards[starts[(starts > 0) & (starts < times.size)] - 1] = False
+    if np.any(backwards):
         raise ValueError("arrival times must be sorted")
     return times
 
 
-def classify_time_resolved(
-    trace, model: DetectionModel, errors: ErrorRates | None = None
-) -> State:
+def classify_time_resolved(trace, model: DetectionModel) -> State:
     """Maximum-likelihood state call from the photon arrival times.
 
     ``trace`` is anything with ``timestamps`` (sorted arrival times in
@@ -331,33 +326,24 @@ def classify_time_resolved(
 
     Preparation errors mix the same two likelihoods into both hypotheses
     with weights (1-eps) and eps, so they cancel from the equal-prior ratio
-    and never change the decision; ``errors`` is accepted and validated for
-    interface symmetry with the count classifier.
+    and never change the decision.
     """
-    if errors is not None and errors.eps_up_tot + model.decay_fraction > 1.0:
-        raise ValueError("eps_up_tot + t_det/lifetime must not exceed 1")
-    times = getattr(trace, "timestamps", trace)
-    times = _validate_trace_times(times, model.t_det)
+    times = np.asarray(getattr(trace, "timestamps", trace), dtype=float)
     offsets = np.array([0, times.size])
+    times = _validate_trace_times(times, offsets, model.t_det)
     log_ratio = _log_ratio_dark_bright(times, offsets, model)[0]
     return State.DARK if log_ratio >= 0.0 else State.BRIGHT
 
 
-def classify_traces(
-    batch, model: DetectionModel, errors: ErrorRates | None = None
-) -> np.ndarray:
+def classify_traces(batch, model: DetectionModel) -> np.ndarray:
     """Vectorized ``classify_time_resolved`` over a ``TraceBatch``.
 
     Returns a boolean array, True where the trace is called bright.  The
     decisions are identical to calling ``classify_time_resolved`` on each
-    trace individually.
+    trace individually, and the same inputs are rejected.
     """
-    if errors is not None and errors.eps_up_tot + model.decay_fraction > 1.0:
-        raise ValueError("eps_up_tot + t_det/lifetime must not exceed 1")
-    flat = np.asarray(batch.timestamps, dtype=float)
     offsets = np.asarray(batch.offsets)
-    if flat.size and (flat.min() < 0.0 or flat.max() > model.t_det):
-        raise ValueError("arrival times must lie within [0, t_det]")
+    flat = _validate_trace_times(batch.timestamps, offsets, model.t_det)
     log_ratio = _log_ratio_dark_bright(flat, offsets, model)
     return log_ratio < 0.0
 

@@ -3,15 +3,16 @@
 Given one histogram per prepared state, the fit extracts the bright and dark
 mean photon numbers and the two combined preparation/shelving error
 probabilities by maximizing the multinomial log-likelihood under the
-error-corrected count distributions.  The detection window and the
+error-corrected count distributions of ``photon_statistics`` (the same model
+the Monte Carlo sampler draws from).  The detection window and the
 metastable lifetime are held fixed (they are measured independently); only
 their ratio enters, as the in-window decay weight.
 
 The optimizer works on a transformed parameter vector (log mean gap, log
 dark mean, scaled logits of the error rates) so box constraints are never
 active, and uses the analytic likelihood gradient.  Uncertainties come from
-the inverse observed-information matrix, with an optional multinomial
-bootstrap as a cross-check.
+the inverse expected (Fisher) information matrix, built in closed form from
+the same gradient, with an optional multinomial bootstrap as a cross-check.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from .monte_carlo import CountHistogram
-from .photon_statistics import (
-    MAX_DECAY_FRACTION,
-    _decay_mixture_from_means,
-    poisson_pmf,
-)
+from .photon_statistics import MAX_DECAY_FRACTION, _readout_pmfs, count_support_max
 
 __all__ = [
     "ReadoutParams",
@@ -80,8 +77,8 @@ class FitResult:
     """Fitted readout parameters with uncertainties and diagnostics.
 
     ``std_errors`` maps each parameter name to its standard error from the
-    inverse observed-information matrix (NaN where the information matrix
-    could not be inverted).  ``details`` carries optimizer diagnostics and,
+    inverse expected (Fisher) information matrix at the estimate (NaN where
+    that matrix could not be inverted).  ``details`` carries optimizer diagnostics and,
     in independent mode, the two per-ensemble parameter sets.
     """
 
@@ -151,48 +148,46 @@ def _bins(hist: CountHistogram) -> np.ndarray:
     return np.asarray(hist.counts_per_bin, dtype=float)
 
 
-def _model_pmfs(theta: np.ndarray, n: np.ndarray, f: float):
-    """Model PMFs p_down, p_up on the grid plus their parameter gradients.
+def _ll_and_score(
+    theta: np.ndarray, h_down: np.ndarray | None, h_up: np.ndarray | None, f: float
+) -> tuple[float, np.ndarray]:
+    """Log-likelihood and its gradient in the natural parameters.
 
-    Returns (p_down, p_up, grad_down, grad_up) where the grads have shape
-    (4, len(n)) ordered as (mean_bright, mean_dark, eps_down_tot, eps_up_tot).
+    A zero-probability bin holding counts makes the log-likelihood -inf;
+    the gradient then clips that probability at 1e-300.
     """
-    mb, md, ed, eu = theta
-    pb = poisson_pmf(n, mb)
-    pd = poisson_pmf(n, md)
-    g = _decay_mixture_from_means(n, mb, md)
-
-    # d Poiss(n, mu) / d mu = Poiss * (n/mu - 1); safe at small mu because
-    # Poiss carries mu^n.
-    dpb = pb * (n / mb - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dpd = np.where(md > 0, pd * (n / np.where(md > 0, md, 1.0) - 1.0), 0.0)
-    if abs(mb - md) < 1e-8 * mb:
-        # Analytic limit of the decay-mixture derivatives at equal means.
-        dg_dmb = 0.5 * dpb
-        dg_dmd = 0.5 * dpd
-    else:
-        dg_dmb = (pb - g) / (mb - md)
-        dg_dmd = (g - pd) / (mb - md)
-
-    p_down = (1.0 - ed) * pb + ed * pd
-    p_up = (1.0 - eu - f) * pd + f * g + eu * pb
-
-    grad_down = np.stack(
-        [(1.0 - ed) * dpb, ed * dpd, pd - pb, np.zeros_like(pb)]
-    )
-    grad_up = np.stack(
-        [f * dg_dmb + eu * dpb, (1.0 - eu - f) * dpd + f * dg_dmd,
-         np.zeros_like(pb), pb - pd]
-    )
-    return p_down, p_up, grad_down, grad_up
+    n = np.arange(max(h.size for h in (h_down, h_up) if h is not None), dtype=float)
+    p_down, p_up, grad_down, grad_up = _readout_pmfs(n, *theta, f)
+    ll, score = 0.0, np.zeros(4)
+    for h, p, grad in ((h_down, p_down, grad_down), (h_up, p_up, grad_up)):
+        if h is None:
+            continue
+        idx = np.flatnonzero(h)
+        p_act = p[idx]
+        ll = -np.inf if np.any(p_act <= 0.0) else ll + float(h[idx] @ np.log(p_act))
+        score += grad[:, idx] @ (h[idx] / np.clip(p_act, 1e-300, None))
+    return ll, score
 
 
-def _ll_terms(h: np.ndarray, p: np.ndarray) -> float:
-    active = h > 0
-    if np.any(p[active] <= 0.0):
-        return -np.inf
-    return float(h[active] @ np.log(p[active]))
+def _information(
+    theta: np.ndarray, h_down: np.ndarray | None, h_up: np.ndarray | None, f: float
+) -> tuple[np.ndarray, list[int]]:
+    """Expected (Fisher) information ``sum_s N_s sum_n dp dp^T / p``.
+
+    Summed over the full count support of the model, in the natural
+    parameters, and restricted to the ones the given histograms constrain
+    (both means, and the error rate of each state present).  Returns the
+    matrix and the indices of those parameters.
+    """
+    n = np.arange(count_support_max(theta[0]) + 1, dtype=float)
+    p_down, p_up, grad_down, grad_up = _readout_pmfs(n, *theta, f)
+    info = np.zeros((4, 4))
+    for h, p, grad in ((h_down, p_down, grad_down), (h_up, p_up, grad_up)):
+        if h is not None:
+            keep = p > 0.0
+            info += h.sum() * (grad[:, keep] / p[keep]) @ grad[:, keep].T
+    active = [0, 1] + [2] * (h_down is not None) + [3] * (h_up is not None)
+    return info[np.ix_(active, active)], active
 
 
 def log_likelihood(
@@ -208,12 +203,7 @@ def log_likelihood(
     not raised): the parameter point is simply impossible.
     """
     f = _check_constants(t_det, lifetime)
-    h_down, h_up = _bins(hist_down), _bins(hist_up)
-    n = np.arange(max(h_down.size, h_up.size), dtype=float)
-    p_down, p_up, _, _ = _model_pmfs(params.as_array(), n, f)
-    return _ll_terms(h_down, p_down[: h_down.size]) + _ll_terms(
-        h_up, p_up[: h_up.size]
-    )
+    return _ll_and_score(params.as_array(), _bins(hist_down), _bins(hist_up), f)[0]
 
 
 def log_likelihood_grad(
@@ -231,28 +221,7 @@ def log_likelihood_grad(
     if params.mean_dark <= 0.0:
         raise ValueError("gradient requires mean_dark > 0")
     f = _check_constants(t_det, lifetime)
-    h_down, h_up = _bins(hist_down), _bins(hist_up)
-    n = np.arange(max(h_down.size, h_up.size), dtype=float)
-    return _grad_natural(params.as_array(), h_down, h_up, n, f)
-
-
-def _grad_natural(
-    theta: np.ndarray,
-    h_down: np.ndarray | None,
-    h_up: np.ndarray | None,
-    n: np.ndarray,
-    f: float,
-) -> np.ndarray:
-    p_down, p_up, grad_down, grad_up = _model_pmfs(theta, n, f)
-    total = np.zeros(4)
-    for h, p, grad in ((h_down, p_down, grad_down), (h_up, p_up, grad_up)):
-        if h is None:
-            continue
-        active = h > 0
-        idx = np.nonzero(active)[0]
-        p_act = np.clip(p[idx], 1e-300, None)
-        total += grad[:, idx] @ (h[idx] / p_act)
-    return total
+    return _ll_and_score(params.as_array(), _bins(hist_down), _bins(hist_up), f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +280,6 @@ def _initial_guess(h_down: np.ndarray, h_up: np.ndarray, f: float) -> np.ndarray
 def _maximize(
     h_down: np.ndarray | None,
     h_up: np.ndarray | None,
-    n: np.ndarray,
     f: float,
     theta0: np.ndarray,
 ):
@@ -319,16 +287,10 @@ def _maximize(
 
     def objective(v):
         theta = _from_vector(v)
-        p_down, p_up, _, _ = _model_pmfs(theta, n, f)
-        ll = 0.0
-        for h, p in ((h_down, p_down), (h_up, p_up)):
-            if h is not None:
-                ll += _ll_terms(h, p[: h.size])
+        ll, score = _ll_and_score(theta, h_down, h_up, f)
         if not np.isfinite(ll):
             return np.inf, np.zeros(4)
-        grad_nat = _grad_natural(theta, h_down, h_up, n, f)
-        grad_v = grad_nat @ _vector_jacobian(theta)
-        return -ll / n_total, -grad_v / n_total
+        return -ll / n_total, -(score @ _vector_jacobian(theta)) / n_total
 
     result = minimize(
         objective,
@@ -337,46 +299,37 @@ def _maximize(
         method="L-BFGS-B",
         options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-8},
     )
-    theta = _from_vector(result.x)
-    ll = -result.fun * n_total
+    v, fun, jac = result.x, result.fun, result.jac
+    # L-BFGS-B can stop on its relative-decrease test while the per-shot
+    # score is still ~1e-6, below what the objective resolves in floating
+    # point.  One Fisher-scoring step in the transformed coordinates (which
+    # keep every parameter in its domain) removes that remainder; it is
+    # kept when it shrinks the score.
+    theta = _from_vector(v)
+    info, active = _information(theta, h_down, h_up, f)
+    dtheta_dv = _vector_jacobian(theta)[np.ix_(active, active)]
+    try:
+        v_new = v.copy()
+        v_new[active] -= np.linalg.solve(dtheta_dv.T @ info @ dtheta_dv, jac[active] * n_total)
+        fun_new, jac_new = objective(v_new)
+        if np.isfinite(fun_new) and np.max(np.abs(jac_new)) <= np.max(np.abs(jac)):
+            v, fun, jac = v_new, fun_new, jac_new
+    except np.linalg.LinAlgError:
+        pass
     # L-BFGS-B sometimes aborts its line search once no float-representable
     # improvement is left; a vanishing per-shot score still means converged.
-    ok = bool(result.success) or float(np.max(np.abs(result.jac))) < 1e-6
-    return theta, float(ll), ok, int(result.nit), str(result.message)
+    ok = bool(result.success) or float(np.max(np.abs(jac))) < 1e-6
+    return _from_vector(v), float(-fun * n_total), ok, int(result.nit), str(result.message)
 
 
-def _observed_information_se(
-    theta: np.ndarray,
-    h_down: np.ndarray | None,
-    h_up: np.ndarray | None,
-    n: np.ndarray,
-    f: float,
-    active: list[int],
+def _standard_errors(
+    theta: np.ndarray, h_down: np.ndarray | None, h_up: np.ndarray | None, f: float
 ) -> np.ndarray:
-    """Standard errors from central differences of the analytic gradient."""
-    k = len(active)
-    hessian = np.zeros((k, k))
-    steps = []
-    for j in active:
-        step = max(1e-6 * abs(theta[j]), 1e-10)
-        if j >= 2:
-            # Error rates sit near 0; keep theta - step inside [0, 0.5).
-            step = max(min(1e-7, theta[j] / 2.0), 1e-12)
-        steps.append(step)
-    for col, j in enumerate(active):
-        step = steps[col]
-        plus = theta.copy()
-        minus = theta.copy()
-        plus[j] += step
-        minus[j] -= step
-        g_plus = _grad_natural(plus, h_down, h_up, n, f)[active]
-        g_minus = _grad_natural(minus, h_down, h_up, n, f)[active]
-        hessian[:, col] = (g_plus - g_minus) / (2.0 * step)
-    info = -0.5 * (hessian + hessian.T)
+    """Standard errors from the inverse expected information (NaN if singular)."""
+    info, active = _information(theta, h_down, h_up, f)
     se = np.full(4, np.nan)
     try:
-        cov = np.linalg.inv(info)
-        diag = np.diag(cov)
+        diag = np.diag(np.linalg.inv(info))
         if np.all(diag > 0.0):
             se[active] = np.sqrt(diag)
     except np.linalg.LinAlgError:
@@ -411,7 +364,7 @@ def fit(
 
     ``bootstrap > 0`` additionally estimates uncertainties from that many
     multinomial resamples (``details["bootstrap"]``), as a cross-check on
-    the observed-information standard errors.
+    the expected-information standard errors.
     """
     f = _check_constants(t_det, lifetime)
     if mode not in ("joint", "independent"):
@@ -425,19 +378,18 @@ def fit(
             raise ValueError(f"{name} is degenerate: all counts in a single bin")
 
     h_down, h_up = _bins(hist_down), _bins(hist_up)
-    n = np.arange(max(h_down.size, h_up.size), dtype=float)
     theta0 = init.as_array() if init is not None else _initial_guess(h_down, h_up, f)
 
     details: dict = {}
     if mode == "joint":
-        theta, ll, ok, nit, message = _maximize(h_down, h_up, n, f, theta0)
-        se = _observed_information_se(theta, h_down, h_up, n, f, [0, 1, 2, 3])
+        theta, ll, ok, nit, message = _maximize(h_down, h_up, f, theta0)
+        se = _standard_errors(theta, h_down, h_up, f)
         details["optimizer"] = message
     else:
-        th_d, ll_d, ok_d, nit_d, msg_d = _maximize(h_down, None, n, f, theta0)
-        th_u, ll_u, ok_u, nit_u, msg_u = _maximize(None, h_up, n, f, theta0)
-        se_d = _observed_information_se(th_d, h_down, None, n, f, [0, 1, 2])
-        se_u = _observed_information_se(th_u, None, h_up, n, f, [0, 1, 3])
+        th_d, ll_d, ok_d, nit_d, msg_d = _maximize(h_down, None, f, theta0)
+        th_u, ll_u, ok_u, nit_u, msg_u = _maximize(None, h_up, f, theta0)
+        se_d = _standard_errors(th_d, h_down, None, f)
+        se_u = _standard_errors(th_u, None, h_up, f)
         theta = np.array([th_d[0], th_u[1], th_d[2], th_u[3]])
         se = np.array([se_d[0], se_u[1], se_d[2], se_u[3]])
         ll, ok, nit = ll_d + ll_u, ok_d and ok_u, nit_d + nit_u
@@ -455,10 +407,10 @@ def fit(
             hb_down = _resample(hist_down, rng)
             hb_up = _resample(hist_up, rng)
             if mode == "joint":
-                th_b, _, _, _, _ = _maximize(hb_down, hb_up, n, f, guess)
+                th_b, _, _, _, _ = _maximize(hb_down, hb_up, f, guess)
             else:
-                tb_d, _, _, _, _ = _maximize(hb_down, None, n, f, guess)
-                tb_u, _, _, _, _ = _maximize(None, hb_up, n, f, guess)
+                tb_d, _, _, _, _ = _maximize(hb_down, None, f, guess)
+                tb_u, _, _, _, _ = _maximize(None, hb_up, f, guess)
                 th_b = np.array([tb_d[0], tb_u[1], tb_d[2], tb_u[3]])
             samples.append(th_b)
         spread = np.std(np.array(samples), axis=0, ddof=1)

@@ -11,8 +11,10 @@ preparation error probability, (2) if the effective state is dark, draw the
 in-window decay instant under the configured law, (3) draw the total photon
 count from a Poisson at the window's integrated rate, and, in trace mode,
 (4) place the photons by inverting the cumulative rate profile and sorting.
-Step 3 makes the simulated counts marginalize exactly to the closed-form
-count distributions when the decay instant is uniform in the window.
+With the decay instant uniform in the window, the simulated counts
+marginalize exactly to the closed-form count distributions
+``photon_statistics.observed_pdf_down``/``observed_pdf_up``, which both come
+from the one readout model in ``photon_statistics._readout_pmfs``.
 """
 
 from __future__ import annotations
@@ -93,8 +95,6 @@ class SimConfig:
             raise ValueError(f"shots must be a positive integer, got {self.shots}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.errors.eps_up_tot + self.model.decay_fraction > 1.0:
-            raise ValueError("eps_up_tot + t_det/lifetime must not exceed 1")
 
 
 @dataclass(frozen=True)

@@ -224,8 +224,9 @@ def decay_mixture_pmf(model: DetectionModel) -> np.ndarray:
 
     with P the regularized lower incomplete gamma -- i.e. the flat-in-mean
     average of Poisson PMFs between the dark and bright means.  When the two
-    means coincide to within 1e-8 relative the difference quotient is
-    replaced by its analytic limit, a plain Poisson at the common mean.
+    means lie less than one count apart that difference quotient cancels
+    catastrophically, and the average is taken by Gauss-Legendre quadrature
+    over the line of means instead.
     """
     return _decay_mixture_from_means(
         _support(model), model.mean_bright, model.mean_dark
@@ -233,12 +234,8 @@ def decay_mixture_pmf(model: DetectionModel) -> np.ndarray:
 
 
 def _decay_mixture_from_means(n, mean_bright: float, mean_dark: float):
-    if abs(mean_bright - mean_dark) < 1e-8 * mean_bright:
-        return poisson_pmf(n, 0.5 * (mean_bright + mean_dark))
-    return (
-        reg_lower_gamma(mean_bright, np.asarray(n) + 1.0)
-        - reg_lower_gamma(mean_dark, np.asarray(n) + 1.0)
-    ) / (mean_bright - mean_dark)
+    # A shelved qubit that surely decays (f = 1) counts as the mixture itself.
+    return _readout_pmfs(n, mean_bright, mean_dark, 0.0, 0.0, 1.0)[1]
 
 
 def bright_pdf(model: DetectionModel) -> CountPMF:
@@ -254,45 +251,88 @@ def dark_pdf(model: DetectionModel) -> CountPMF:
     distribution ``decay_mixture_pmf``; otherwise they are Poisson at the
     background mean.
     """
-    f = model.decay_fraction
-    n = _support(model)
-    return CountPMF(
-        (1.0 - f) * poisson_pmf(n, model.mean_dark) + f * decay_mixture_pmf(model)
-    )
+    return observed_pdf_up(model, ZERO_ERRORS)
 
 
 def observed_pdf_down(model: DetectionModel, errors: ErrorRates) -> CountPMF:
     """Count distribution for a qubit prepared bright, with shelving errors.
 
-    A fraction ``eps_down_tot`` is erroneously shelved and contributes
-    background counts; decay of that (already small) fraction is second
-    order and neglected.
+    A fraction ``eps_down_tot`` is erroneously shelved and counts like a
+    shelved qubit, in-window decay included (``dark_pdf``).
     """
-    n = _support(model)
-    probs = (1.0 - errors.eps_down_tot) * poisson_pmf(n, model.mean_bright) + (
-        errors.eps_down_tot
-    ) * poisson_pmf(n, model.mean_dark)
-    return CountPMF(probs)
+    return CountPMF(_observed_pmfs(model, errors)[0])
 
 
 def observed_pdf_up(model: DetectionModel, errors: ErrorRates) -> CountPMF:
     """Count distribution for a qubit prepared dark, with shelving errors.
 
-    The shelved population decays in-window with probability
-    ``t_det/lifetime``; a fraction ``eps_up_tot`` never shelved and
-    fluoresces at the full bright rate.
+    A fraction ``eps_up_tot`` is never shelved and fluoresces at the full
+    bright rate; the rest counts like ``dark_pdf``.
     """
-    f = model.decay_fraction
-    w_dark = 1.0 - errors.eps_up_tot - f
-    if w_dark < 0.0:
-        raise ValueError(
-            "eps_up_tot + t_det/lifetime must not exceed 1; got "
-            f"{errors.eps_up_tot} + {f:.3g}"
-        )
-    n = _support(model)
-    probs = (
-        w_dark * poisson_pmf(n, model.mean_dark)
-        + f * decay_mixture_pmf(model)
-        + errors.eps_up_tot * poisson_pmf(n, model.mean_bright)
+    return CountPMF(_observed_pmfs(model, errors)[1])
+
+
+def _observed_pmfs(model: DetectionModel, errors: ErrorRates):
+    return _readout_pmfs(
+        _support(model), model.mean_bright, model.mean_dark,
+        errors.eps_down_tot, errors.eps_up_tot, model.decay_fraction,
     )
-    return CountPMF(probs)
+
+
+# Eight-point Gauss-Legendre rule on [0, 1]: exact to rounding for the
+# decay-mixture average whenever the two means are less than a count apart.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+
+
+def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
+    """The observed-count model of both prepared states, with its gradient.
+
+    A shot whose effective state is dark counts as
+    ``dark = (1 - f)*Poisson(mean_dark) + f*g`` (``g`` the in-window decay
+    mixture of ``decay_mixture_pmf``, ``f = t_det/lifetime``); every other
+    shot counts as ``Poisson(mean_bright)``.  A fraction ``eps_down`` of
+    bright-prepared shots and ``1 - eps_up`` of dark-prepared shots are
+    effectively dark.  The Monte Carlo sampler draws from exactly this model.
+
+    Returns ``(p_down, p_up, grad_down, grad_up)`` on the counts ``n``; the
+    gradients have shape ``(4, len(n))`` and are taken with respect to
+    (mean_bright, mean_dark, eps_down, eps_up).  At ``mean_dark == 0`` the
+    dark-mean derivatives are set to 0 (the true derivative is one-sided).
+    """
+    n = np.asarray(n)
+    pb = poisson_pmf(n, mean_bright)
+    pd = poisson_pmf(n, mean_dark)
+    # d Poisson(n, mu)/d mu = Poisson * (n/mu - 1); safe at small mu because
+    # the Poisson factor carries mu^n.
+    dpb = pb * (n / mean_bright - 1.0)
+    dpd = pd * (n / mean_dark - 1.0) if mean_dark > 0.0 else np.zeros_like(pd)
+    gap = mean_bright - mean_dark
+    if gap < 1.0:
+        # g = int_0^1 Poisson(mean_dark + u*gap) du, and its mean derivatives
+        # are the same average of the Poisson slope weighted by u and 1 - u.
+        # The incomplete-gamma form below would cancel catastrophically here
+        # (derivative error ~1e-16/gap**2).
+        mu = (mean_dark + gap * _GL_NODES)[:, None]
+        p = poisson_pmf(n, mu)
+        slope = p * (n / mu - 1.0)
+        g = _GL_WEIGHTS @ p
+        dg_db = (_GL_WEIGHTS * _GL_NODES) @ slope
+        dg_dd = (_GL_WEIGHTS * (1.0 - _GL_NODES)) @ slope
+    else:
+        g = (reg_lower_gamma(mean_bright, n + 1.0) - reg_lower_gamma(mean_dark, n + 1.0)) / gap
+        dg_db, dg_dd = (pb - g) / gap, (g - pd) / gap
+    dark = (1.0 - f) * pd + f * g
+    ddark_db = f * dg_db
+    ddark_dd = (1.0 - f) * dpd + f * dg_dd
+
+    p_down = (1.0 - eps_down) * pb + eps_down * dark
+    p_up = (1.0 - eps_up) * dark + eps_up * pb
+    zero = np.zeros_like(pb)
+    grad_down = np.stack(
+        [(1.0 - eps_down) * dpb + eps_down * ddark_db, eps_down * ddark_dd, dark - pb, zero]
+    )
+    grad_up = np.stack(
+        [(1.0 - eps_up) * ddark_db + eps_up * dpb, (1.0 - eps_up) * ddark_dd, zero, pb - dark]
+    )
+    return p_down, p_up, grad_down, grad_up

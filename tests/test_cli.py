@@ -78,8 +78,10 @@ def test_simulate_then_fit_recovers_config_truth(tmp_path, capsys):
     assert mean_down == pytest.approx(73.5e3 * 280e-6, abs=0.15)
     assert mean_up == pytest.approx(1.75e3 * 280e-6, abs=0.15)
 
-    assert main(["fit", "--config", config, "--out", str(tmp_path)]) == 0
+    assert main(["fit", "--config", config, "--out", str(tmp_path), "--seed", "7"]) == 0
     assert "converged: True" in capsys.readouterr().out
+    # the bootstrap seed is recorded even though no bootstrap ran
+    assert json.loads((tmp_path / "fit.json").read_text())["metadata"]["seed"] == 7
     result = read_fit_json(tmp_path / "fit.json")
     assert result.converged
     truth = {
@@ -206,6 +208,16 @@ def test_error_exit_codes(tmp_path, capsys):
     bad_mode = _write_config(tmp_path, {"tomo": {"mode": "both"}}, "mode.json")
     assert main(["tomo", "--config", bad_mode, "--out", str(tmp_path)]) == 2
     assert "tomo.mode" in capsys.readouterr().err
+
+    not_object = _write_config(tmp_path, dict(PIPELINE_CONFIG, fit="x"), "section.json")
+    assert main(["fit", "--config", not_object, "--out", str(tmp_path)]) == 2
+    assert "fit" in capsys.readouterr().err
+
+    zero_step = {"model": PIPELINE_CONFIG["model"],
+                 "optimize": {"t_min_us": 50.0, "t_max_us": 600.0, "t_step_us": 0, "n_th_max": 30}}
+    zero_step = _write_config(tmp_path, zero_step, "step.json")
+    assert main(["optimize", "--config", zero_step, "--out", str(tmp_path)]) == 2
+    assert "optimize.t_step_us" in capsys.readouterr().err
 
 
 def test_module_runs_as_subprocess(tmp_path):

@@ -19,10 +19,10 @@ from shelveread.discrimination import (
     mean_error,
     optimize,
     read_error_surface_csv,
-    total_error,
     write_error_surface_csv,
 )
 from shelveread.discrimination import _log_ratio_dark_bright
+from shelveread.monte_carlo import TraceBatch
 from shelveread.photon_statistics import (
     DetectionModel,
     ErrorRates,
@@ -74,7 +74,6 @@ def test_total_error(measured_model):
     assert report.eps_total_mean == pytest.approx(
         report.eps_mean + 8e-4, rel=1e-12
     )
-    assert total_error(3e-4, errors) == pytest.approx(3e-4 + 8e-4, rel=1e-12)
     assert report.eps_total_mean == pytest.approx(1.113944220009726e-3, abs=1e-15)
 
 
@@ -196,16 +195,6 @@ def test_time_resolved_uses_arrival_times(optimum_model):
     assert classify(6, policy) is State.BRIGHT  # counts alone cannot tell
 
 
-def test_time_resolved_error_rates_do_not_change_decisions(optimum_model):
-    rng = np.random.default_rng(11)
-    errors = ErrorRates(6e-4, 10e-4)
-    for n in range(0, 12):
-        times = np.sort(rng.uniform(0, optimum_model.t_det, n))
-        assert classify_time_resolved(times, optimum_model) is classify_time_resolved(
-            times, optimum_model, errors
-        )
-
-
 def test_time_resolved_validation(optimum_model):
     with pytest.raises(ValueError):
         classify_time_resolved(np.array([-1e-6]), optimum_model)
@@ -213,6 +202,21 @@ def test_time_resolved_validation(optimum_model):
         classify_time_resolved(np.array([optimum_model.t_det + 1e-9]), optimum_model)
     with pytest.raises(ValueError):
         classify_time_resolved(np.array([2e-4, 1e-4]), optimum_model)
+
+
+def test_classify_traces_rejects_unsorted_trace(optimum_model):
+    # empty traces around the unsorted one put trace boundaries at both ends
+    unsorted = TraceBatch(np.array([2e-4, 1e-4]), np.array([0, 0, 2, 2]), optimum_model.t_det)
+    with pytest.raises(ValueError):
+        classify_traces(unsorted, optimum_model)
+    # times may drop from the last photon of one trace to the next trace
+    drop = TraceBatch(
+        np.array([1e-4, 2e-4, 5e-5, 2.5e-4]), np.array([0, 0, 2, 2, 4]), optimum_model.t_det
+    )
+    bright = classify_traces(drop, optimum_model)
+    for i in range(len(drop)):
+        single = classify_time_resolved(drop.trace(i), optimum_model)
+        assert bright[i] == (single is State.BRIGHT)
 
 
 def test_classify_traces_matches_single(optimum_model, big_ensembles):

@@ -152,17 +152,35 @@ def _chi_square_goodness(counts, pmf):
     assert p_value > 0.01, f"chi2={chi2:.1f} dof={dof} p={p_value:.2e}"
 
 
-def test_dark_total_variation(measured_model):
-    config = _config(measured_model, shots=1_000_000, seed=31)
-    hist = simulate_histogram(Prepared.UP, config, threads=4)
-    pmf = dark_pdf(measured_model).probs
+def _total_variation(hist, pmf):
     size = max(pmf.size, hist.counts_per_bin.size)
     empirical = np.zeros(size)
     empirical[: hist.counts_per_bin.size] = hist.frequencies
     analytic = np.zeros(size)
     analytic[: pmf.size] = pmf
-    tv = 0.5 * np.abs(empirical - analytic).sum()
-    assert tv < 8e-3
+    return 0.5 * np.abs(empirical - analytic).sum()
+
+
+def test_dark_total_variation(measured_model):
+    config = _config(measured_model, shots=1_000_000, seed=31)
+    hist = simulate_histogram(Prepared.UP, config, threads=4)
+    assert _total_variation(hist, dark_pdf(measured_model).probs) < 8e-3
+
+
+@pytest.mark.parametrize(
+    "prepared, pdf, seed",
+    [(Prepared.DOWN, observed_pdf_down, 42), (Prepared.UP, observed_pdf_up, 43)],
+)
+def test_high_decay_total_variation(prepared, pdf, seed):
+    # Large errors and decay fraction: effectively dark shots of either
+    # prepared state decay in-window, so both closed forms must carry that.
+    model = DetectionModel(
+        rate_bright=73.5e3, rate_dark=1.75e3, lifetime=285e-6 / 0.072, t_det=285e-6
+    )
+    errors = ErrorRates(0.3, 0.3)
+    config = _config(model, errors=errors, shots=1_000_000, seed=seed)
+    hist = simulate_histogram(prepared, config, threads=4)
+    assert _total_variation(hist, pdf(model, errors).probs) < 5e-3
 
 
 def test_decay_time_laws_have_distinct_means():

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from shelveread.photon_statistics import (
@@ -21,7 +23,7 @@ from shelveread.photon_statistics import (
     poisson_pmf,
     reg_lower_gamma,
 )
-from shelveread.photon_statistics import _decay_mixture_from_means
+from shelveread.photon_statistics import _decay_mixture_from_means, _readout_pmfs
 
 
 def poisson_reference(n: int, mean: float) -> float:
@@ -164,10 +166,13 @@ def test_observed_pdfs_mixture_identity(measured_model):
     pd = poisson_pmf(n, measured_model.mean_dark)
     g = _decay_mixture_from_means(n, measured_model.mean_bright, measured_model.mean_dark)
 
+    # a shot that is effectively dark (shelved by mistake, or shelved as
+    # intended) decays in-window with probability f; every other shot is bright
+    dark = (1 - f) * pd + f * g
     down = observed_pdf_down(measured_model, errors)
     up = observed_pdf_up(measured_model, errors)
-    assert np.allclose(down.probs, (1 - 6e-4) * pb + 6e-4 * pd, rtol=1e-12)
-    assert np.allclose(up.probs, (1 - 10e-4 - f) * pd + f * g + 10e-4 * pb, rtol=1e-12)
+    assert np.allclose(down.probs, (1 - 6e-4) * pb + 6e-4 * dark, rtol=1e-12)
+    assert np.allclose(up.probs, (1 - 10e-4) * dark + 10e-4 * pb, rtol=1e-12)
     assert down.total() == pytest.approx(1.0, abs=1e-12)
     assert up.total() == pytest.approx(1.0, abs=1e-12)
 
@@ -182,16 +187,49 @@ def test_observed_pdfs_zero_error_reduction(measured_model):
 
 
 def test_observed_pdf_up_weight_validation(measured_model):
-    # eps_up + decay fraction must leave a nonnegative no-decay weight
+    # at the edge of the accepted region every mixture weight stays positive
     bad = ErrorRates(eps_down_tot=0.0, eps_up_tot=0.49999)
     model = DetectionModel(
         rate_bright=73.5e3, rate_dark=1.75e3, lifetime=3e-3, t_det=2.9e-4
     )
-    # decay fraction ~0.097, eps_up ~0.5 -> weight 1 - 0.5 - 0.097 > 0, fine
+    # decay fraction ~0.097, eps_up ~0.5 -> weights (1 - eps)(1 - f) etc. > 0
     observed_pdf_up(model, bad)
     with pytest.raises(ValueError):
         # an impossible combination is rejected by the error-rate bound itself
         ErrorRates(eps_down_tot=0.0, eps_up_tot=0.95)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mean_bright=st.floats(0.01, 200.0),
+    # zero, well separated, and nearly equal means (dark/bright ratio)
+    dark_share=st.one_of(
+        st.just(0.0), st.floats(1e-3, 0.99), st.floats(1.0 - 1e-6, 1.0, exclude_max=True)
+    ),
+    eps_down=st.floats(0.0, 0.5, exclude_max=True),
+    eps_up=st.floats(0.0, 0.5, exclude_max=True),
+    f=st.floats(0.0, 0.1, exclude_max=True),
+)
+def test_readout_model_normalized_with_exact_gradient(
+    mean_bright, dark_share, eps_down, eps_up, f
+):
+    """Over the constructors' region: unit mass and gradient == central differences."""
+    theta = np.array([mean_bright, dark_share * mean_bright, eps_down, eps_up])
+    n = np.arange(count_support_max(mean_bright) + 1)
+    p_down, p_up, grad_down, grad_up = _readout_pmfs(n, *theta, f)
+    assert abs(p_down.sum() - 1.0) < 1e-12
+    assert abs(p_up.sum() - 1.0) < 1e-12
+
+    # the dark-mean derivative is one-sided at a zero dark mean
+    for k in range(4) if theta[1] > 0.0 else (0, 2, 3):
+        step = 1e-4 * theta[k] if k < 2 else 1e-6
+        plus, minus = theta.copy(), theta.copy()
+        plus[k] += step
+        minus[k] -= step
+        up, down = _readout_pmfs(n, *plus, f), _readout_pmfs(n, *minus, f)
+        for state, grad in ((0, grad_down), (1, grad_up)):
+            central = (up[state] - down[state]) / (2.0 * step)
+            assert np.abs(central - grad[k]).max() <= 1e-5 * np.abs(grad).max()
 
 
 def test_support_covers_twelve_sigma(measured_model):
