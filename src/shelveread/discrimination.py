@@ -10,8 +10,9 @@ compares the likelihood of the record under (a) fluorescence at the bright
 rate for the whole window against (b) a shelved qubit that may decay at an
 unknown instant T, marginalized over T with the first-order (flat) decay
 prior.  Between consecutive arrivals the likelihood ratio is a pure
-exponential in T, so the marginalization integral is evaluated segment by
-segment in closed form rather than by quadrature.
+exponential in T, and the segment integrals telescope into one closed-form
+sum with one term per photon, so the marginalization needs no quadrature
+and a batch of traces is a single segmented sum over its photons.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .monte_carlo import _check_offsets
 from .photon_statistics import (
     ZERO_ERRORS,
     CountPMF,
@@ -215,96 +216,72 @@ def optimize(
 # Time-resolved classification
 
 
-def _log_expm1_over_x(x: np.ndarray) -> np.ndarray:
-    """log(expm1(x)/x), stable for any sign and magnitude; limit 0 at x=0."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    pos = x >= 1e-4
-    neg = x <= -1e-4
-    # expm1(x)/x = 1 + x/2 + x^2/6 + O(x^3)
-    xs = x[small]
-    out[small] = np.log1p(xs * (3.0 + xs) / 6.0)
-    xp = x[pos]
-    out[pos] = xp + np.log1p(-np.exp(-xp)) - np.log(xp)
-    xn = x[neg]
-    out[neg] = np.log(-np.expm1(xn)) - np.log(-xn)
-    return out
-
-
 def _log_ratio_dark_bright(
-    flat_times: np.ndarray,
-    offsets: np.ndarray,
-    model: DetectionModel,
-    chunk_elems: int = 4_000_000,
+    flat_times: np.ndarray, offsets: np.ndarray, model: DetectionModel
 ) -> np.ndarray:
     """log[L(dark, decay marginalized) / L(bright)] for each trace.
 
     ``flat_times`` holds the arrival times of all traces concatenated;
     ``offsets[i]:offsets[i+1]`` slices trace ``i``.  Within a trace the
-    times must be sorted.  Works on zero-padded row blocks so each chunk is
-    a single vectorized log-sum-exp.
+    times must be sorted.
+
+    A decay at instant s, after k(s) of the n photons, weighs the record by
+    rr^k(s) e^(a s) / lifetime relative to all-bright, with
+    rr = rate_dark/rate_bright and a = rate_bright - rate_dark - 1/lifetime.
+    Over the window [0, T] the segment integrals telescope to
+
+        [rr^n expm1(a T) + (1 - rr) sum_j rr^(j-1) expm1(a t_j)] / a,
+
+    every term of which has the sign of a, so nothing cancels.  The sum is
+    one weight per photon, added up per trace by ``np.add.reduceat``.  For
+    a > 0 the factor e^(a T) is taken out so nothing overflows; at a = 0
+    each expm1(a t)/a is its limit t.
     """
-    n_traces = offsets.size - 1
     lens = np.diff(offsets)
     t_det = model.t_det
-    log_rr = np.log(model.rate_dark / model.rate_bright) if model.rate_dark > 0 else -np.inf
+    rr = model.rate_dark / model.rate_bright
     a = model.rate_bright - model.rate_dark - 1.0 / model.lifetime
 
-    def _k_log_rr(k):
-        # k photons re-weighted from the bright to the dark rate; with a zero
-        # dark rate this is 0*(-inf) at k=0, whose correct limit is 0.
-        return np.where(k > 0, k * log_rr, 0.0)
+    def expm1_over_a(t):
+        # expm1(a t)/a, divided by e^(a T) when a > 0
+        if a > 0.0:
+            return np.exp(a * (t - t_det)) * -np.expm1(-a * t) / a
+        if a < 0.0:
+            return np.expm1(a * t) / a
+        return t
 
-    # Likelihood of "shelved, no decay" relative to all-bright:
-    #   exp(-t_det/lifetime) * (rate ratio)^n * exp((rate_bright-rate_dark)*t_det)
-    with np.errstate(invalid="ignore"):
+    # rr^j by table; np.power gives 0^0 = 1 for a zero dark rate
+    rr_pow = np.power(rr, np.arange(lens.max(initial=0) + 1))
+    integral = rr_pow[lens] * expm1_over_a(t_det)
+    if flat_times.size:
+        rank = np.arange(flat_times.size) - np.repeat(offsets[:-1], lens)
+        weights = rr_pow[rank] * expm1_over_a(flat_times)
+        nonempty = lens > 0
+        integral[nonempty] += (1.0 - rr) * np.add.reduceat(weights, offsets[:-1][nonempty])
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_in_window = max(a, 0.0) * t_det - np.log(model.lifetime) + np.log(integral)
+        # "Shelved, no decay" relative to all-bright: exp(-T/lifetime) times
+        # rr^n e^((rate_bright - rate_dark) T); rr^0 = 1 even when rr = 0.
         log_no_decay = (
             -model.decay_fraction
-            + _k_log_rr(lens)
+            + np.where(lens > 0, lens * np.log(rr), 0.0)
             + (model.rate_bright - model.rate_dark) * t_det
         )
-
-    out = np.empty(n_traces)
-    width_hint = max(int(lens.max(initial=0)) + 1, 1)
-    rows_per_chunk = max(1, chunk_elems // width_hint)
-    for lo in range(0, n_traces, rows_per_chunk):
-        hi = min(lo + rows_per_chunk, n_traces)
-        m = hi - lo
-        chunk_lens = lens[lo:hi]
-        width = int(chunk_lens.max(initial=0))
-        # Rows padded with t_det: padded segments have zero length and drop
-        # out of the sum as exp(-inf).
-        padded = np.full((m, width), t_det)
-        cols = np.arange(width)
-        mask = cols < chunk_lens[:, None]
-        if flat_times.size:
-            rows_idx, cols_idx = np.nonzero(mask)
-            padded[rows_idx, cols_idx] = flat_times[
-                np.repeat(offsets[lo:hi], chunk_lens) + cols_idx
-            ]
-        starts = np.concatenate([np.zeros((m, 1)), padded], axis=1)
-        ends = np.concatenate([padded, np.full((m, 1), t_det)], axis=1)
-        delta = ends - starts
-        # Segment k sits after k arrivals: the shelved hypothesis explains
-        # those k photons at the dark rate instead of the bright rate, and a
-        # decay instant inside the segment integrates to a closed form.
-        k = np.arange(width + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_delta = np.where(delta > 0.0, np.log(np.where(delta > 0.0, delta, 1.0)), -np.inf)
-            w = _k_log_rr(k) + a * starts + log_delta + _log_expm1_over_x(a * delta)
-        w = np.where(delta > 0.0, w, -np.inf)
-        log_in_window = -np.log(model.lifetime) + logsumexp(w, axis=1)
-        out[lo:hi] = np.logaddexp(log_no_decay[lo:hi], log_in_window)
-    return out
+    return np.logaddexp(log_no_decay, log_in_window)
 
 
-def _validate_trace_times(times, offsets: np.ndarray, t_det: float) -> np.ndarray:
-    """Check concatenated traces: 1-D, inside the window, sorted within each trace."""
+def _validate_trace_times(times, offsets, t_det: float) -> tuple[np.ndarray, np.ndarray]:
+    """Check concatenated traces: 1-D, valid offsets, inside the window, sorted per trace.
+
+    Returns ``(times, offsets)`` as float and int64 arrays.
+    """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("arrival times must be a 1-D array")
-    if times.size and (times.min() < 0.0 or times.max() > t_det):
+    offsets = _check_offsets(offsets, times.size)
+    # min/max propagate NaN, so a NaN time fails this test too
+    if times.size and not (times.min() >= 0.0 and times.max() <= t_det):
         raise ValueError("arrival times must lie within [0, t_det]")
     # A boolean comparison, not a float diff: a batch holds millions of
     # events.  Times may drop from the end of one trace to the next.
@@ -313,7 +290,7 @@ def _validate_trace_times(times, offsets: np.ndarray, t_det: float) -> np.ndarra
     backwards[starts[(starts > 0) & (starts < times.size)] - 1] = False
     if np.any(backwards):
         raise ValueError("arrival times must be sorted")
-    return times
+    return times, offsets
 
 
 def classify_time_resolved(trace, model: DetectionModel) -> State:
@@ -329,8 +306,7 @@ def classify_time_resolved(trace, model: DetectionModel) -> State:
     and never change the decision.
     """
     times = np.asarray(getattr(trace, "timestamps", trace), dtype=float)
-    offsets = np.array([0, times.size])
-    times = _validate_trace_times(times, offsets, model.t_det)
+    times, offsets = _validate_trace_times(times, [0, times.size], model.t_det)
     log_ratio = _log_ratio_dark_bright(times, offsets, model)[0]
     return State.DARK if log_ratio >= 0.0 else State.BRIGHT
 
@@ -342,8 +318,7 @@ def classify_traces(batch, model: DetectionModel) -> np.ndarray:
     decisions are identical to calling ``classify_time_resolved`` on each
     trace individually, and the same inputs are rejected.
     """
-    offsets = np.asarray(batch.offsets)
-    flat = _validate_trace_times(batch.timestamps, offsets, model.t_det)
+    flat, offsets = _validate_trace_times(batch.timestamps, batch.offsets, model.t_det)
     log_ratio = _log_ratio_dark_bright(flat, offsets, model)
     return log_ratio < 0.0
 

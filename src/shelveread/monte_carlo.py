@@ -10,9 +10,9 @@ A shot is simulated as: (1) flip the prepared state with the corresponding
 preparation error probability, (2) if the effective state is dark, draw the
 in-window decay instant under the configured law, (3) draw the total photon
 count from a Poisson at the window's integrated rate, and, in trace mode,
-(4) place the photons by inverting the cumulative rate profile and sorting.
-With the decay instant uniform in the window, the simulated counts
-marginalize exactly to the closed-form count distributions
+(4) place the photons by inverting the cumulative rate profile and sorting
+them per shot.  With the decay instant uniform in the window, the simulated
+counts marginalize exactly to the closed-form count distributions
 ``photon_statistics.observed_pdf_down``/``observed_pdf_up``, which both come
 from the one readout model in ``photon_statistics._readout_pmfs``.
 """
@@ -53,10 +53,12 @@ __all__ = [
     "read_traces_csv",
 ]
 
-# Shots processed per vectorized pass; trace mode uses a smaller chunk since
-# each bright shot carries ~mean_bright events.
+# Shots processed per vectorized pass.  A trace chunk is also one task of
+# the thread pool and is kept small: at ~20 events per bright shot its
+# per-event arrays are ~1.4 MB, so peak memory is set by the output, not
+# by how the threads' chunks happen to overlap in time.
 _COUNT_CHUNK = 1 << 20
-_TRACE_CHUNK = 1 << 17
+_TRACE_CHUNK = 1 << 13
 
 
 class Prepared(Enum):
@@ -108,7 +110,8 @@ class PhotonTrace:
         times = np.asarray(self.timestamps, dtype=float)
         if times.ndim != 1:
             raise ValueError("timestamps must be a 1-D array")
-        if times.size and (times.min() < 0.0 or times.max() > self.t_det):
+        # min/max propagate NaN, so a NaN time fails this test too
+        if times.size and not (times.min() >= 0.0 and times.max() <= self.t_det):
             raise ValueError("timestamps must lie within [0, t_det]")
         if np.any(np.diff(times) < 0.0):
             raise ValueError("timestamps must be sorted")
@@ -117,6 +120,16 @@ class PhotonTrace:
     @property
     def count(self) -> int:
         return self.timestamps.size
+
+
+def _check_offsets(offsets, n_events: int) -> np.ndarray:
+    """``offsets`` as int64, checked to slice ``n_events`` concatenated events."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0:
+        raise ValueError("offsets must be 1-D and start at 0")
+    if np.any(np.diff(offsets) < 0) or offsets[-1] != n_events:
+        raise ValueError("offsets must be non-decreasing and end at len(timestamps)")
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -132,12 +145,8 @@ class TraceBatch:
     t_det: float
 
     def __post_init__(self) -> None:
-        offsets = np.asarray(self.offsets, dtype=np.int64)
         times = np.asarray(self.timestamps, dtype=float)
-        if offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0:
-            raise ValueError("offsets must be 1-D and start at 0")
-        if np.any(np.diff(offsets) < 0) or offsets[-1] != times.size:
-            raise ValueError("offsets must be non-decreasing and end at len(timestamps)")
+        offsets = _check_offsets(self.offsets, times.size)
         object.__setattr__(self, "timestamps", times)
         object.__setattr__(self, "offsets", offsets)
 
@@ -322,12 +331,18 @@ def _shard_bounds(shots: int, threads: int, chunk: int) -> list[tuple[int, int]]
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _run_sharded(work, shots: int, threads: int, chunk: int) -> list:
-    """``work(lo, hi)`` over each shard, in shard order, one thread per shard."""
-    shards = _shard_bounds(shots, threads, chunk)
-    if len(shards) == 1:
-        return [work(*shards[0])]
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+def _run_sharded(work, shards: list[tuple[int, int]], threads: int) -> list:
+    """``work(lo, hi)`` over each shard, in shard order.
+
+    Shards go to min(threads, CPUs, len(shards)) threads, each thread taking
+    the next shard when it finishes one.
+    """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    workers = min(threads, os.cpu_count() or 1, len(shards))
+    if workers == 1:
+        return [work(*bounds) for bounds in shards]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda bounds: work(*bounds), shards))
 
 
@@ -343,9 +358,8 @@ def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     out = np.empty(config.shots, dtype=np.int64)
     _run_sharded(
         lambda lo, hi: _shard_counts(prepared, config, lo, hi, out),
-        config.shots,
+        _shard_bounds(config.shots, threads, _COUNT_CHUNK),
         threads,
-        _COUNT_CHUNK,
     )
     return out
 
@@ -356,19 +370,21 @@ def simulate_histogram(prepared: Prepared, config: SimConfig, threads: int = 1) 
 
 
 def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int):
-    times_parts = []
-    counts_parts = []
-    for start in range(lo, hi, _TRACE_CHUNK):
-        stop = min(start + _TRACE_CHUNK, hi)
-        t_switch, mu, u_count = _window_profile(prepared, config, start, stop)
-        n = _poisson_quantile(u_count, mu)
-        u_ev = _event_uniforms(config.seed, start, n)
-        t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), config.model)
-        shot_ev = np.repeat(np.arange(n.size), n)
-        order = np.lexsort((t_ev, shot_ev))
-        times_parts.append(t_ev[order])
-        counts_parts.append(n)
-    return np.concatenate(times_parts), np.concatenate(counts_parts)
+    """Arrival times (shot-major) and counts of shots ``lo..hi-1``, in one pass."""
+    t_switch, mu, u_count = _window_profile(prepared, config, lo, hi)
+    n = _poisson_quantile(u_count, mu)
+    u_ev = _event_uniforms(config.seed, lo, n)
+    t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), config.model)
+    # One row per shot with two or more photons, padded with +inf so
+    # padding sorts last; the mask reads the sorted rows back shot-major.
+    multi = n > 1
+    multi_ev = np.repeat(multi, n)
+    mask = np.arange(n.max(initial=0)) < n[multi, None]
+    rows = np.full(mask.shape, np.inf)
+    rows[mask] = t_ev[multi_ev]
+    rows.sort(axis=1)
+    t_ev[multi_ev] = rows[mask]
+    return t_ev, n
 
 
 def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> TraceBatch:
@@ -379,14 +395,14 @@ def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     ``simulate_counts``; the count is then distributed over the window by
     inverse-CDF placement of each photon.
     """
-    shards = _run_sharded(
-        lambda lo, hi: _shard_traces(prepared, config, lo, hi),
-        config.shots,
-        threads,
-        _TRACE_CHUNK,
+    chunks = [
+        (lo, min(lo + _TRACE_CHUNK, config.shots)) for lo in range(0, config.shots, _TRACE_CHUNK)
+    ]
+    parts = _run_sharded(
+        lambda lo, hi: _shard_traces(prepared, config, lo, hi), chunks, threads
     )
-    times = np.concatenate([s[0] for s in shards])
-    counts = np.concatenate([s[1] for s in shards])
+    times = np.concatenate([p[0] for p in parts])
+    counts = np.concatenate([p[1] for p in parts])
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return TraceBatch(times, offsets, config.model.t_det)
 

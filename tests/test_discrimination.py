@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from shelveread.discrimination import (
@@ -149,20 +152,59 @@ def _log_ratio_oracle(times: np.ndarray, model: DetectionModel) -> float:
         if hi > lo:
             piece, _ = quad(integrand, lo, hi, epsabs=1e-16, epsrel=1e-12, limit=200)
             total += piece
-    return math.log(no_decay + total / tau)
+    ratio = no_decay + total / tau
+    # zero only with no dark rate and a photon at t = 0: certainly bright
+    return math.log(ratio) if ratio > 0.0 else -math.inf
 
 
 def test_log_ratio_matches_quadrature(optimum_model):
-    rng = np.random.default_rng(7)
-    traces = [np.array([])]
-    for n in (1, 2, 3, 5, 8):
-        traces.append(np.sort(rng.uniform(0, optimum_model.t_det, n)))
-    for times in traces:
-        flat = times.astype(float)
-        offsets = np.array([0, flat.size])
-        got = _log_ratio_dark_bright(flat, offsets, optimum_model)[0]
-        expected = _log_ratio_oracle(flat, optimum_model)
-        assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    models = [
+        optimum_model,  # a > 0
+        DetectionModel(73.5e3, 0.0, 0.390, 280e-6),  # rate_dark = 0: 0**0 = 1
+        DetectionModel(10.0, 1.0, 0.05, 1e-3),  # a < 0
+        DetectionModel(21.0, 1.0, 0.05, 1e-3),  # a = 21 - 1 - 1/0.05 = 0.0 exactly
+    ]
+    for model in models:
+        rng = np.random.default_rng(7)
+        traces = [np.array([])]
+        for n in (1, 2, 3, 5, 8):
+            traces.append(np.sort(rng.uniform(0, model.t_det, n)))
+        for times in traces:
+            flat = times.astype(float)
+            offsets = np.array([0, flat.size])
+            got = _log_ratio_dark_bright(flat, offsets, model)[0]
+            expected = _log_ratio_oracle(flat, model)
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t_det=st.floats(1e-5, 1e-3),
+    mean_bright=st.floats(0.1, 60.0),
+    rr=st.one_of(st.just(0.0), st.floats(1e-3, 0.9)),
+    decay_fraction=st.floats(1e-4, 0.099),
+    # window fractions below 1e-9 would make subnormal times, whose few
+    # mantissa bits no float evaluation (the quadrature included) resolves
+    positions=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), max_size=40),
+)
+def test_log_ratio_matches_quadrature_property(t_det, mean_bright, rr, decay_fraction, positions):
+    rate_bright = mean_bright / t_det
+    model = DetectionModel(rate_bright, rr * rate_bright, t_det / decay_fraction, t_det)
+    times = np.sort(np.array(positions, dtype=float)) * t_det
+    got = _log_ratio_dark_bright(times, np.array([0, times.size]), model)[0]
+    assert got == pytest.approx(_log_ratio_oracle(times, model), rel=1e-9, abs=1e-9)
+
+
+def test_log_ratio_batch_equals_single_traces(optimum_model):
+    # the segmented sum must not leak between neighbouring traces, empty or not
+    rng = np.random.default_rng(11)
+    traces = [np.sort(rng.uniform(0, optimum_model.t_det, n)) for n in (0, 3, 0, 0, 7, 1, 0)]
+    flat = np.concatenate(traces)
+    offsets = np.concatenate([[0], np.cumsum([t.size for t in traces])])
+    batch = _log_ratio_dark_bright(flat, offsets, optimum_model)
+    for i, times in enumerate(traces):
+        single = _log_ratio_dark_bright(times, np.array([0, times.size]), optimum_model)[0]
+        assert batch[i] == pytest.approx(single, rel=1e-14, abs=1e-14)
 
 
 def test_time_resolved_empty_and_busy_traces(optimum_model):
@@ -202,6 +244,28 @@ def test_time_resolved_validation(optimum_model):
         classify_time_resolved(np.array([optimum_model.t_det + 1e-9]), optimum_model)
     with pytest.raises(ValueError):
         classify_time_resolved(np.array([2e-4, 1e-4]), optimum_model)
+    with pytest.raises(ValueError):
+        classify_time_resolved(np.array([1e-4, np.nan, 2e-4]), optimum_model)
+    with pytest.raises(ValueError):
+        classify_time_resolved(np.array([np.nan]), optimum_model)
+
+
+def test_classify_traces_rejects_nan_time(optimum_model):
+    batch = TraceBatch(np.array([1e-4, np.nan, 2e-4]), np.array([0, 1, 3]), optimum_model.t_det)
+    with pytest.raises(ValueError, match="within"):
+        classify_traces(batch, optimum_model)
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [[0, 5, 2], [1, 2], [0, 1], [0, 2, 3, 3, 4], [], [[0, 2]]],
+    ids=["decreasing", "not_at_0", "short_end", "long_end", "empty", "2d"],
+)
+def test_classify_traces_rejects_bad_offsets(optimum_model, offsets):
+    # a duck-typed batch skips TraceBatch's own checks
+    batch = SimpleNamespace(timestamps=np.array([1e-5, 2e-5]), offsets=offsets)
+    with pytest.raises(ValueError, match="offsets"):
+        classify_traces(batch, optimum_model)
 
 
 def test_classify_traces_rejects_unsorted_trace(optimum_model):

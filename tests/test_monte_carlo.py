@@ -296,6 +296,8 @@ def test_sim_config_validation(measured_model):
     with pytest.raises(ValueError):
         simulate_counts(Prepared.DOWN, SimConfig(model=measured_model), threads=0)
     with pytest.raises(ValueError):
+        simulate_traces(Prepared.DOWN, SimConfig(model=measured_model, shots=10), threads=0)
+    with pytest.raises(ValueError):
         simulate_shot(Prepared.DOWN, SimConfig(model=measured_model, shots=10), 10)
 
 
@@ -326,6 +328,10 @@ def test_trace_batch_validation(measured_model):
         PhotonTrace(np.array([2e-4, 1e-4]), measured_model.t_det)
     with pytest.raises(ValueError):
         PhotonTrace(np.array([1e-5]), 5e-6)
+    with pytest.raises(ValueError, match="within"):
+        PhotonTrace(np.array([1e-4, np.nan, 2e-4]), measured_model.t_det)
+    with pytest.raises(ValueError, match="within"):
+        PhotonTrace(np.array([np.nan]), measured_model.t_det)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,15 @@ import pytest
 from shelveread.monte_carlo import (
     Prepared,
     SimConfig,
+    _event_times,
     _event_uniforms,
     _poisson_quantile,
+    _shard_traces,
     _uniforms,
+    _window_profile,
     simulate_shot,
 )
+from shelveread.photon_statistics import DetectionModel, ErrorRates
 
 
 def _oracle_block(seed: int, shot: int, block: int) -> np.ndarray:
@@ -64,6 +68,25 @@ def test_simulated_shot_follows_layout(measured_model):
     np.testing.assert_allclose(
         trace.timestamps, np.sort(u_ev[:n]) * measured_model.t_det, rtol=1e-12, atol=0
     )
+
+
+def test_trace_times_match_lexsort_reference():
+    # UP shots at a large decay fraction and preparation error: the chunk
+    # holds photonless shots, shots that decay inside the window, and
+    # flipped (bright) shots with many photons spread over several blocks
+    model = DetectionModel(73.5e3, 1.75e3, 280e-6 / 0.072, 280e-6)
+    config = SimConfig(model=model, errors=ErrorRates(0.3, 0.3), shots=10_000, seed=5)
+    lo, hi = 3000, 5000
+    t_switch, mu, u_count = _window_profile(Prepared.UP, config, lo, hi)
+    n = _poisson_quantile(u_count, mu)
+    assert np.any(n == 0) and np.any(n > 4)
+    assert np.any((t_switch > 0.0) & (t_switch < model.t_det))
+    u_ev = _event_uniforms(config.seed, lo, n)
+    t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), model)
+    reference = t_ev[np.lexsort((t_ev, np.repeat(np.arange(n.size), n)))]
+    times, counts = _shard_traces(Prepared.UP, config, lo, hi)
+    np.testing.assert_array_equal(counts, n)
+    np.testing.assert_array_equal(times.view(np.uint64), reference.view(np.uint64))
 
 
 def test_uniform_range_and_resolution():
