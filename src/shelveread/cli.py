@@ -8,18 +8,23 @@ Subcommands::
     shelveread tomo       state or process tomography from projection records
     shelveread budget     multi-pulse error-budget combination
 
+Every subcommand takes ``--config`` and ``--out``; ``simulate`` also takes
+``--seed`` and ``--threads``, and ``fit`` also takes ``--seed``.
+
 Every command reads a single self-describing JSON config (``--config``,
 defaulting to the bundled example configuration) and writes its artifacts
 into ``--out``.  Outputs embed a metadata block — the SHA-256 of the
 effective config, the tool version and the sampler's random-stream version
-— as a ``"metadata"`` key in JSON files and as leading ``#`` comment lines
-in CSV files, so every artifact records what produced it.  Commands are deterministic: the same config and
-seed reproduce byte-identical files.
+— as a ``"metadata"`` key in JSON files, as leading ``#`` comment lines in
+CSV files and as the JSON ``metadata`` entry of the ``traces_*.npz``
+archives, so every artifact records what produced it.  Commands are
+deterministic: the same config and seed reproduce byte-identical files.
 
 Times are seconds inside the library; CSV columns and config keys carry
 explicit units in their names (``_us``, ``_s``, ``_hz``).
 
-Exit status: 0 on success, 2 on any configuration or validation error.
+Exit status: 0 on success, 2 on any configuration or validation error,
+including a flag the subcommand does not take.
 """
 
 from __future__ import annotations
@@ -30,39 +35,18 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
-from .discrimination import OptimizationGrid, optimize, write_error_surface_csv
-from .error_budget import combine, read_budget_json, write_report_json
-from .mle_fit import fit, write_fit_json
-from .monte_carlo import (
-    RNG_STREAM,
-    CountHistogram,
-    DecayTimeLaw,
-    Prepared,
-    SimConfig,
-    read_histogram_csv,
-    simulate_histogram,
-    simulate_traces,
-    write_histogram_csv,
-    write_traces_csv,
-)
-from .photon_statistics import DetectionModel, ErrorRates
-from .tomography import (
-    average_fidelity,
-    bloch_error_surface,
-    chi_from_projections,
-    null_orthogonal_projections,
-    process_fidelity,
-    projections_from_records,
-    read_records_csv,
-    state_fidelities,
-    trace_preservation_defect,
-    write_chi_json,
-    write_surface_csv,
-)
+if TYPE_CHECKING:
+    from .monte_carlo import Prepared, SimConfig
+    from .photon_statistics import DetectionModel, ErrorRates
+
+# Only the stdlib, numpy and the provenance stamps load with this module;
+# each ``cmd_*`` imports the submodules it runs, so ``tomo`` and ``budget``
+# never load scipy and only ``fit`` loads ``scipy.optimize``.
+from . import RNG_STREAM, __version__
 
 __all__ = ["main"]
 
@@ -97,7 +81,19 @@ def _require(config: dict, section: str, key: str):
     return value
 
 
+def _integer(config: dict, section: str, key: str, low: int, high: float = float("inf")) -> int:
+    """A JSON integer (not a boolean) in ``[low, high)``."""
+    value = _require(config, section, key)
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+        raise ValueError(
+            f"config entry {section}.{key} must be an integer in [{low}, {high}), got {value!r}"
+        )
+    return value
+
+
 def _model_from_config(config: dict) -> DetectionModel:
+    from .photon_statistics import DetectionModel
+
     return DetectionModel(
         rate_bright=float(_require(config, "model", "rate_bright_hz")),
         rate_dark=float(_require(config, "model", "rate_dark_hz")),
@@ -107,6 +103,8 @@ def _model_from_config(config: dict) -> DetectionModel:
 
 
 def _errors_from_config(config: dict) -> ErrorRates:
+    from .photon_statistics import ErrorRates
+
     return ErrorRates(
         eps_down_tot=float(_require(config, "errors", "eps_down_tot")),
         eps_up_tot=float(_require(config, "errors", "eps_up_tot")),
@@ -137,6 +135,8 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def cmd_optimize(config: dict, out: Path) -> None:
+    from .discrimination import OptimizationGrid, optimize, write_error_surface_csv
+
     t_min = float(_require(config, "optimize", "t_min_us"))
     t_max = float(_require(config, "optimize", "t_max_us"))
     t_step = float(_require(config, "optimize", "t_step_us"))
@@ -173,23 +173,26 @@ def cmd_optimize(config: dict, out: Path) -> None:
 
 
 def _simulate_one(
-    prepared: Prepared,
-    sim: SimConfig,
-    traces: bool,
-    threads: int,
-    out: Path,
-    lines: list[str],
+    prepared: Prepared, sim: SimConfig, traces: bool, threads: int, out: Path, metadata: dict
 ) -> None:
+    from .monte_carlo import (
+        CountHistogram,
+        simulate_histogram,
+        simulate_traces,
+        write_histogram_csv,
+        write_traces,
+    )
+
     tag = prepared.value
     if traces:
         # Trace and count modes share the same per-shot random numbers, so
         # the histogram built from the traces is the count-mode histogram.
         batch = simulate_traces(prepared, sim, threads=threads)
-        write_traces_csv(batch, out / f"traces_{tag}.csv", lines)
+        write_traces(batch, out / f"traces_{tag}.npz", metadata)
         hist = CountHistogram.from_counts(batch.counts)
     else:
         hist = simulate_histogram(prepared, sim, threads=threads)
-    write_histogram_csv(hist, out / f"hist_{tag}.csv", lines)
+    write_histogram_csv(hist, out / f"hist_{tag}.csv", _metadata_lines(metadata))
     mean = float(
         np.arange(hist.counts_per_bin.size) @ hist.counts_per_bin / hist.total_shots
     )
@@ -199,17 +202,23 @@ def _simulate_one(
 def cmd_simulate(
     config: dict, out: Path, seed_override: int | None, threads: int
 ) -> None:
+    from .monte_carlo import DecayTimeLaw, Prepared, SimConfig
+
     model = _model_from_config(config)
     errors = _errors_from_config(config)
-    shots = int(_require(config, "simulate", "shots"))
-    seed = int(_require(config, "simulate", "seed")) if seed_override is None else seed_override
+    shots = _integer(config, "simulate", "shots", 1)
+    if seed_override is None:
+        seed = _integer(config, "simulate", "seed", 0, _SEED_MODULUS)
+    else:
+        seed = seed_override
     law = DecayTimeLaw(str(_require(config, "simulate", "decay_time_law")))
-    traces = bool(config.get("simulate", {}).get("traces", False))
+    traces = config.get("simulate", {}).get("traces", False)
+    if not isinstance(traces, bool):
+        raise ValueError(f"config entry simulate.traces must be true or false, got {traces!r}")
     if seed_override is not None:
         config = dict(config)
         config["simulate"] = dict(config["simulate"], seed=seed)
     metadata = _metadata(config, "simulate")
-    lines = _metadata_lines(metadata)
     # Distinct counter-RNG keys per prepared state keep the ensembles independent.
     for prepared, state_seed in (
         (Prepared.DOWN, seed % _SEED_MODULUS),
@@ -218,10 +227,13 @@ def cmd_simulate(
         sim = SimConfig(
             model=model, errors=errors, shots=shots, seed=state_seed, decay_time_law=law
         )
-        _simulate_one(prepared, sim, traces, threads, out, lines)
+        _simulate_one(prepared, sim, traces, threads, out, metadata)
 
 
 def cmd_fit(config: dict, out: Path, seed_override: int | None) -> None:
+    from .mle_fit import fit, write_fit_json
+    from .monte_carlo import read_histogram_csv
+
     model = _model_from_config(config)
     section = config.get("fit", {})
     hist_down_path = section.get("hist_down") or out / "hist_down.csv"
@@ -250,6 +262,20 @@ def cmd_fit(config: dict, out: Path, seed_override: int | None) -> None:
 
 
 def cmd_tomo(config: dict, out: Path) -> None:
+    from .tomography import (
+        average_fidelity,
+        bloch_error_surface,
+        chi_from_projections,
+        null_orthogonal_projections,
+        process_fidelity,
+        projections_from_records,
+        read_records_csv,
+        state_fidelities,
+        trace_preservation_defect,
+        write_chi_json,
+        write_surface_csv,
+    )
+
     section = config.get("tomo", {})
     records_path = section.get("records")
     if records_path is None:
@@ -301,6 +327,8 @@ def cmd_tomo(config: dict, out: Path) -> None:
 
 
 def cmd_budget(config: dict, out: Path) -> None:
+    from .error_budget import combine, read_budget_json, write_report_json
+
     entries_path = config.get("budget", {}).get("entries")
     if entries_path is None:
         budgets = read_budget_json(_bundled("shelving_budget.json"))
@@ -320,33 +348,40 @@ def cmd_budget(config: dict, out: Path) -> None:
 # Entry point
 
 
+# subcommand -> (help, the flags it takes besides --config and --out)
+_COMMANDS = {
+    "optimize": ("compute the error surface and the optimal window/threshold", ()),
+    "simulate": ("generate photon-count histograms for both prepared states", ("seed", "threads")),
+    "fit": ("maximum-likelihood fit of a histogram pair", ("seed",)),
+    "tomo": ("state or process tomography from projection records", ()),
+    "budget": ("combine an error-budget configuration into totals", ()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shelveread",
         description="Shelving-readout modeling: optimize, simulate, fit, tomo, budget.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("optimize", "compute the error surface and the optimal window/threshold"),
-        ("simulate", "generate photon-count histograms for both prepared states"),
-        ("fit", "maximum-likelihood fit of a histogram pair"),
-        ("tomo", "state or process tomography from projection records"),
-        ("budget", "combine an error-budget configuration into totals"),
-    ):
+    for name, (help_text, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None, help="JSON config (default: bundled example)")
         cmd.add_argument("--out", default=".", help="output directory (default: current)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads for simulation")
+        if "seed" in flags:
+            cmd.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
+        if "threads" in flags:
+            cmd.add_argument("--threads", type=int, default=1, help="worker threads for simulation")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    seed = getattr(args, "seed", None)
     try:
-        if args.seed is not None and not 0 <= args.seed < _SEED_MODULUS:
+        if seed is not None and not 0 <= seed < _SEED_MODULUS:
             raise ValueError("--seed must be an unsigned 64-bit integer")
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ValueError("--threads must be >= 1")
         config = _load_config(args.config)
         out = Path(args.out)
@@ -354,9 +389,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "optimize":
             cmd_optimize(config, out)
         elif args.command == "simulate":
-            cmd_simulate(config, out, args.seed, args.threads)
+            cmd_simulate(config, out, seed, args.threads)
         elif args.command == "fit":
-            cmd_fit(config, out, args.seed)
+            cmd_fit(config, out, seed)
         elif args.command == "tomo":
             cmd_tomo(config, out)
         else:

@@ -15,11 +15,17 @@ them per shot.  With the decay instant uniform in the window, the simulated
 counts marginalize exactly to the closed-form count distributions
 ``photon_statistics.observed_pdf_down``/``observed_pdf_up``, which both come
 from the one readout model in ``photon_statistics._readout_pmfs``.
+
+Histograms are exchanged as CSV (``write_histogram_csv``); trace batches
+as one lossless ``.npz`` archive (``write_traces``/``read_traces``) holding
+the float64 arrival times, the int64 per-shot offsets, ``t_det`` and a JSON
+metadata string, which round-trips bit for bit, photonless shots included.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import RNG_STREAM
 from .photon_statistics import (
     ZERO_ERRORS,
     DetectionModel,
@@ -49,8 +56,8 @@ __all__ = [
     "simulate_traces",
     "write_histogram_csv",
     "read_histogram_csv",
-    "write_traces_csv",
-    "read_traces_csv",
+    "write_traces",
+    "read_traces",
 ]
 
 # Shots processed per vectorized pass.  A trace chunk is also one task of
@@ -206,10 +213,8 @@ class CountHistogram:
 # Philox counter i + 1).  Block 0 supplies the four state draws (flip,
 # decay, decay position, total count); blocks 1.. supply arrival-time
 # placement, four photons per block.  Shot index is counter word 0, so one
-# generator walks a block for consecutive shots.  RNG_STREAM names this
+# generator walks a block for consecutive shots.  ``RNG_STREAM`` names this
 # layout in every CLI artifact; change it whenever any shot's values change.
-RNG_STREAM = "philox4x64-10/shot-major/2"
-
 
 def _uniforms(seed: int, block: int, lo: int, n: int) -> np.ndarray:
     """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array on [0, 1)."""
@@ -421,7 +426,7 @@ def simulate_shot(prepared: Prepared, config: SimConfig, shot_index: int) -> Pho
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
+# File interchange
 
 
 def write_histogram_csv(
@@ -465,42 +470,39 @@ def read_histogram_csv(path) -> CountHistogram:
     return CountHistogram(bins, total)
 
 
-def write_traces_csv(
-    batch: TraceBatch, path, metadata_lines: Iterable[str] = ()
-) -> None:
-    """Write ``shot,timestamp_us`` rows; shots without photons emit no rows."""
-    path = Path(path)
-    shot_ids = np.repeat(np.arange(batch.n_shots), batch.counts)
-    with path.open("w", newline="") as fh:
-        for line in metadata_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["shot", "timestamp_us"])
-        for s, t in zip(shot_ids, batch.timestamps):
-            writer.writerow([int(s), repr(float(t) * 1e6)])
+_TRACE_KEYS = ("timestamps", "offsets", "t_det", "metadata")
 
 
-def read_traces_csv(path, t_det: float, n_shots: int | None = None) -> TraceBatch:
-    """Read traces written by ``write_traces_csv``.
+def write_traces(batch: TraceBatch, path, metadata: dict | None = None) -> None:
+    """Write ``batch`` losslessly as one ``.npz`` archive.
 
-    The CSV carries no window length and no rows for photonless shots, so
-    ``t_det`` must be supplied and ``n_shots`` should be when trailing shots
-    may be empty (default: highest shot index + 1).
+    Entries: ``timestamps`` (float64 seconds, shot-major), ``offsets``
+    (int64, ``n_shots + 1``), ``t_det`` and ``metadata`` (a JSON string).
+    Zip entries carry a fixed date, so equal inputs give equal bytes.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
-        if header != ["shot", "timestamp_us"]:
-            raise ValueError(f"unexpected trace header: {header}")
-        rows = [(int(s), float(t)) for s, t in reader]
-    if n_shots is None:
-        n_shots = (max(r[0] for r in rows) + 1) if rows else 0
-    shots = np.array([r[0] for r in rows], dtype=np.int64)
-    times = np.array([r[1] for r in rows], dtype=float) * 1e-6
-    if rows and (shots.min() < 0 or shots.max() >= n_shots):
-        raise ValueError("shot indices out of range")
-    order = np.lexsort((times, shots))
-    counts = np.bincount(shots, minlength=n_shots) if rows else np.zeros(n_shots, np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return TraceBatch(times[order], offsets, t_det)
+    with Path(path).open("wb") as fh:
+        np.savez(
+            fh,
+            timestamps=batch.timestamps,
+            offsets=batch.offsets,
+            t_det=np.float64(batch.t_det),
+            metadata=np.str_(json.dumps(metadata or {})),
+        )
+
+
+def read_traces(path) -> TraceBatch:
+    """Read traces written by ``write_traces``; never loads pickled data."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with archive:
+            missing = [key for key in _TRACE_KEYS if key not in archive.files]
+            if missing:
+                raise ValueError(f"missing entries {', '.join(missing)}")
+            # every entry is loaded, so a pickled one is refused
+            times, offsets, t_det, _ = (archive[key] for key in _TRACE_KEYS)
+            t_det = float(t_det.item())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return TraceBatch(times, offsets, t_det)

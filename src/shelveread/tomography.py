@@ -491,9 +491,10 @@ def write_surface_csv(
 ) -> None:
     lines = [f"# {line}" for line in metadata_lines]
     lines.append(_SURFACE_HEADER)
-    for i, theta in enumerate(theta_deg):
-        for j, phi in enumerate(phi_deg):
-            lines.append(f"{repr(float(theta))},{repr(float(phi))},{repr(float(error[i, j]))}")
+    phis = [repr(float(phi)) for phi in phi_deg]
+    for theta, row in zip(theta_deg, np.asarray(error, dtype=float).tolist()):
+        prefix = f"{float(theta)!r},"
+        lines.extend(f"{prefix}{phi},{e!r}" for phi, e in zip(phis, row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

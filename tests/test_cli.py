@@ -9,10 +9,18 @@ import sys
 import numpy as np
 import pytest
 
+import shelveread
 from shelveread.cli import main
 from shelveread.discrimination import read_error_surface_csv
 from shelveread.mle_fit import read_fit_json
-from shelveread.monte_carlo import read_histogram_csv, read_traces_csv
+from shelveread.monte_carlo import (
+    Prepared,
+    SimConfig,
+    read_histogram_csv,
+    read_traces,
+    simulate_traces,
+)
+from shelveread.photon_statistics import DetectionModel, ErrorRates
 from shelveread.tomography import read_chi_json, read_surface_csv
 
 PIPELINE_CONFIG = {
@@ -123,19 +131,41 @@ def test_seed_override_changes_outputs_and_metadata(tmp_path):
 
 def test_simulate_traces_mode(tmp_path):
     config = dict(PIPELINE_CONFIG)
-    config["simulate"] = dict(config["simulate"], shots=2000, traces=True)
+    config["simulate"] = dict(config["simulate"], shots=20_000, traces=True)
     path = _write_config(tmp_path, config)
-    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
-    batch = read_traces_csv(
-        tmp_path / "traces_down.csv", t_det=280e-6, n_shots=2000
-    )
-    hist = read_histogram_csv(tmp_path / "hist_down.csv")
-    assert batch.n_shots == 2000
-    np.testing.assert_array_equal(
-        np.bincount(batch.counts, minlength=hist.counts_per_bin.size),
-        hist.counts_per_bin,
-    )
-    assert (tmp_path / "traces_up.csv").exists()
+    runs = {
+        "a": ["--threads", "1"],
+        "b": ["--threads", "1"],  # rerun
+        "c": ["--threads", "2"],
+    }
+    for name, flags in runs.items():
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / name), *flags]) == 0
+    for tag in ("down", "up"):
+        name = f"traces_{tag}.npz"
+        data = (tmp_path / "a" / name).read_bytes()
+        assert data == (tmp_path / "b" / name).read_bytes(), name
+        assert data == (tmp_path / "c" / name).read_bytes(), name
+    assert not list((tmp_path / "a").glob("traces_*.csv"))
+
+    # the stored times are the sampler's, bit for bit
+    model = DetectionModel(73.5e3, 1.75e3, 0.390, t_det=280e-6)
+    errors = ErrorRates(eps_down_tot=6e-4, eps_up_tot=10e-4)
+    for tag, prepared, seed in (("down", Prepared.DOWN, 11), ("up", Prepared.UP, 12)):
+        batch = read_traces(tmp_path / "a" / f"traces_{tag}.npz")
+        sim = SimConfig(model=model, errors=errors, shots=20_000, seed=seed)
+        expected = simulate_traces(prepared, sim)
+        np.testing.assert_array_equal(batch.timestamps, expected.timestamps)
+        np.testing.assert_array_equal(batch.offsets, expected.offsets)
+        assert batch.t_det == 280e-6
+        hist = read_histogram_csv(tmp_path / "a" / f"hist_{tag}.csv")
+        np.testing.assert_array_equal(
+            np.bincount(batch.counts, minlength=hist.counts_per_bin.size),
+            hist.counts_per_bin,
+        )
+    with np.load(tmp_path / "a" / "traces_down.npz", allow_pickle=False) as archive:
+        metadata = json.loads(str(archive["metadata"]))
+    assert metadata["command"] == "simulate"
+    assert metadata["rng_stream"] == shelveread.RNG_STREAM
 
 
 def test_tomo_state_default_records(tmp_path, capsys):
@@ -219,6 +249,44 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["optimize", "--config", zero_step, "--out", str(tmp_path)]) == 2
     assert "optimize.t_step_us" in capsys.readouterr().err
 
+    # each subcommand takes only the flags it uses
+    for command, flag in (
+        ("optimize", "--seed"),
+        ("optimize", "--threads"),
+        ("tomo", "--seed"),
+        ("tomo", "--threads"),
+        ("budget", "--seed"),
+        ("budget", "--threads"),
+        ("fit", "--threads"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, "1", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2, (command, flag)
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"shelveread: error: unrecognized arguments: {flag} 1"
+
+    # simulate values must be JSON integers/booleans of the right range
+    for key, value in (
+        ("shots", [1]),
+        ("shots", 1.7),
+        ("shots", 0),
+        ("shots", True),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("seed", False),
+        ("seed", "3"),
+        ("traces", "no"),
+        ("traces", 1),
+    ):
+        config = dict(PIPELINE_CONFIG)
+        config["simulate"] = {**config["simulate"], "shots": 100, key: value}
+        path = _write_config(tmp_path, config, "simulate.json")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"simulate.{key}" in err, err
+    assert not (tmp_path / "sim" / "hist_down.csv").exists()
+
 
 def test_module_runs_as_subprocess(tmp_path):
     result = subprocess.run(
@@ -229,3 +297,43 @@ def test_module_runs_as_subprocess(tmp_path):
     assert result.returncode == 0
     assert (tmp_path / "budget_report.json").exists()
     assert "overall" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "command, banned",
+    [("tomo", "scipy"), ("budget", "scipy"), ("optimize", "scipy.optimize"),
+     ("simulate", "scipy.optimize")],
+)
+def test_subcommand_imports_only_what_it_runs(tmp_path, command, banned):
+    config = dict(PIPELINE_CONFIG)
+    config["simulate"] = dict(config["simulate"], shots=200, traces=True)
+    config["optimize"] = {"t_min_us": 50.0, "t_max_us": 600.0, "t_step_us": 5.0, "n_th_max": 30}
+    argv = [command, "--config", _write_config(tmp_path, config), "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from shelveread.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print([m for m in sys.modules if m == {banned!r} or m.startswith({banned!r} + '.')])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_exports_load_lazily():
+    script = (
+        "import sys, shelveread\n"
+        "print([m for m in sys.modules if m.startswith('shelveread.')])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+    assert shelveread.fit is shelveread.mle_fit.fit
+    assert shelveread.RNG_STREAM is shelveread.monte_carlo.RNG_STREAM
+    assert set(shelveread.__all__) <= set(dir(shelveread))
+    namespace = {}
+    exec("from shelveread import *", namespace)
+    assert set(shelveread.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        shelveread.no_such_name

@@ -1,7 +1,8 @@
-"""Counter-keyed shot simulation: determinism, statistics, CSV interchange."""
+"""Counter-keyed shot simulation: determinism, statistics, file interchange."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -17,13 +18,13 @@ from shelveread.monte_carlo import (
     SimConfig,
     TraceBatch,
     read_histogram_csv,
-    read_traces_csv,
+    read_traces,
     simulate_counts,
     simulate_histogram,
     simulate_shot,
     simulate_traces,
     write_histogram_csv,
-    write_traces_csv,
+    write_traces,
 )
 from shelveread.monte_carlo import _poisson_quantile
 from shelveread.photon_statistics import (
@@ -335,7 +336,7 @@ def test_trace_batch_validation(measured_model):
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
+# File interchange
 
 
 def test_histogram_csv_round_trip(tmp_path, measured_model):
@@ -348,17 +349,51 @@ def test_histogram_csv_round_trip(tmp_path, measured_model):
     assert back.total_shots == hist.total_shots
 
 
-def test_traces_csv_round_trip(tmp_path, measured_model):
-    config = _config(measured_model, shots=400, seed=12)
-    batch = simulate_traces(Prepared.UP, config)
-    path = tmp_path / "traces.csv"
-    write_traces_csv(batch, path, metadata_lines=["prepared: up"])
-    back = read_traces_csv(path, t_det=measured_model.t_det, n_shots=400)
+def test_traces_npz_round_trip(tmp_path, measured_model):
+    simulated = simulate_traces(Prepared.DOWN, _config(measured_model, shots=400, seed=12))
+    # three trailing photonless shots: the shot count comes from offsets alone
+    offsets = np.concatenate([simulated.offsets, np.repeat(simulated.offsets[-1], 3)])
+    batch = TraceBatch(simulated.timestamps, offsets, measured_model.t_det)
+    path = tmp_path / "traces.npz"
+    write_traces(batch, path, metadata={"prepared": "down"})
+    back = read_traces(path)
+    assert back.n_shots == 403 and back.counts[-3:].tolist() == [0, 0, 0]
     np.testing.assert_array_equal(back.offsets, batch.offsets)
-    np.testing.assert_allclose(back.timestamps, batch.timestamps, rtol=1e-12, atol=0)
-    # without n_shots, trailing photonless shots are dropped
-    implicit = read_traces_csv(path, t_det=measured_model.t_det)
-    assert implicit.n_shots <= 400
+    np.testing.assert_array_equal(back.timestamps, batch.timestamps)
+    assert back.timestamps.dtype == np.float64 and back.offsets.dtype == np.int64
+    assert back.t_det == measured_model.t_det
+    with np.load(path, allow_pickle=False) as archive:
+        assert json.loads(str(archive["metadata"])) == {"prepared": "down"}
+    # equal inputs give equal bytes
+    write_traces(batch, tmp_path / "again.npz", metadata={"prepared": "down"})
+    assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
+
+
+def test_read_traces_rejects_bad_archives(tmp_path):
+    entries = {
+        "timestamps": np.array([1e-5, 2e-5]),
+        "offsets": np.array([0, 2]),
+        "t_det": np.float64(1e-4),
+        "metadata": np.str_("{}"),
+    }
+    for key in entries:
+        path = tmp_path / f"no_{key}.npz"
+        np.savez(path, **{k: v for k, v in entries.items() if k != key})
+        with pytest.raises(ValueError, match=f"missing entries {key}$"):
+            read_traces(path)
+    pickled = tmp_path / "pickled.npz"
+    np.savez(pickled, **dict(entries, metadata=np.array([{"a": 1}], dtype=object)))
+    with pytest.raises(ValueError, match="allow_pickle=False") as info:
+        read_traces(pickled)
+    assert "\n" not in str(info.value)
+    bad_offsets = tmp_path / "offsets.npz"
+    np.savez(bad_offsets, **dict(entries, offsets=np.array([0, 3])))
+    with pytest.raises(ValueError, match="offsets"):
+        read_traces(bad_offsets)
+    single = tmp_path / "single.npy"
+    np.save(single, entries["timestamps"])
+    with pytest.raises(ValueError, match="not an .npz"):
+        read_traces(single)
 
 
 def test_csv_header_validation(tmp_path):
@@ -367,4 +402,4 @@ def test_csv_header_validation(tmp_path):
     with pytest.raises(ValueError):
         read_histogram_csv(bad)
     with pytest.raises(ValueError):
-        read_traces_csv(bad, t_det=1e-4)
+        read_traces(bad)
