@@ -45,7 +45,7 @@ if TYPE_CHECKING:
 
 # Only the stdlib, numpy and the provenance stamps load with this module;
 # each ``cmd_*`` imports the submodules it runs, so ``tomo`` and ``budget``
-# never load scipy and only ``fit`` loads ``scipy.optimize``.
+# never load scipy, and no subcommand loads ``scipy.optimize``.
 from . import RNG_STREAM, __version__
 
 __all__ = ["main"]
@@ -236,18 +236,21 @@ def cmd_fit(config: dict, out: Path, seed_override: int | None) -> None:
 
     model = _model_from_config(config)
     section = config.get("fit", {})
+    bootstrap = _integer(config, "fit", "bootstrap", 0) if "bootstrap" in section else 0
+    mode = section.get("mode", "joint")
+    if not isinstance(mode, str):
+        raise ValueError(f"config entry fit.mode must be a string, got {mode!r}")
     hist_down_path = section.get("hist_down") or out / "hist_down.csv"
     hist_up_path = section.get("hist_up") or out / "hist_up.csv"
     hist_down = read_histogram_csv(hist_down_path)
     hist_up = read_histogram_csv(hist_up_path)
-    bootstrap = int(section.get("bootstrap", 0) or 0)
     seed = 0 if seed_override is None else seed_override
     result = fit(
         hist_down,
         hist_up,
         t_det=model.t_det,
         lifetime=model.lifetime,
-        mode=str(section.get("mode", "joint")),
+        mode=mode,
         bootstrap=bootstrap,
         bootstrap_seed=seed,
     )

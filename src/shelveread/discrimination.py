@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .monte_carlo import _check_offsets
+from .monte_carlo import _validate_trace_times
 from .photon_statistics import (
     ZERO_ERRORS,
     CountPMF,
@@ -269,28 +269,6 @@ def _log_ratio_dark_bright(
             + (model.rate_bright - model.rate_dark) * t_det
         )
     return np.logaddexp(log_no_decay, log_in_window)
-
-
-def _validate_trace_times(times, offsets, t_det: float) -> tuple[np.ndarray, np.ndarray]:
-    """Check concatenated traces: 1-D, valid offsets, inside the window, sorted per trace.
-
-    Returns ``(times, offsets)`` as float and int64 arrays.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("arrival times must be a 1-D array")
-    offsets = _check_offsets(offsets, times.size)
-    # min/max propagate NaN, so a NaN time fails this test too
-    if times.size and not (times.min() >= 0.0 and times.max() <= t_det):
-        raise ValueError("arrival times must lie within [0, t_det]")
-    # A boolean comparison, not a float diff: a batch holds millions of
-    # events.  Times may drop from the end of one trace to the next.
-    backwards = times[1:] < times[:-1]
-    starts = offsets[1:-1]
-    backwards[starts[(starts > 0) & (starts < times.size)] - 1] = False
-    if np.any(backwards):
-        raise ValueError("arrival times must be sorted")
-    return times, offsets
 
 
 def classify_time_resolved(trace, model: DetectionModel) -> State:

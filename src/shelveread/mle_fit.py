@@ -8,11 +8,11 @@ the Monte Carlo sampler draws from).  The detection window and the
 metastable lifetime are held fixed (they are measured independently); only
 their ratio enters, as the in-window decay weight.
 
-The optimizer works on a transformed parameter vector (log mean gap, log
-dark mean, scaled logits of the error rates) so box constraints are never
-active, and uses the analytic likelihood gradient.  Uncertainties come from
-the inverse expected (Fisher) information matrix, built in closed form from
-the same gradient, with an optional multinomial bootstrap as a cross-check.
+The maximum is found by projected, damped Fisher scoring (Osborne, Int.
+Stat. Rev. 60, 99 (1992)) against the closed-form expected information, in
+log means (so they stay ordered and positive) and in the error rates, which
+are held in [0, 0.5).  Uncertainties come from the inverse of the same
+information at the estimate, with an optional multinomial bootstrap.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit, logit
 
 from .monte_carlo import CountHistogram
 from .photon_statistics import MAX_DECAY_FRACTION, _readout_pmfs, count_support_max
@@ -39,6 +37,12 @@ __all__ = [
 ]
 
 _PARAM_NAMES = ("mean_bright", "mean_dark", "eps_down_tot", "eps_up_tot")
+
+_MAX_ITERATIONS, _MAX_HALVINGS = 200, 60  # Fisher-scoring steps; halvings per step
+_SCORE_TOL = 1e-11  # stop rule: largest per-shot score over the free parameters
+_RIDGE = 1e-9  # least Levenberg ridge, relative to the trace of the information
+_LL_ROUNDING = 1e-13  # relative log-likelihood drop that a step may cause
+_UPPER = np.array([np.inf, np.inf, np.nextafter(0.5, 0.0), np.nextafter(0.5, 0.0)])
 
 
 @dataclass(frozen=True)
@@ -78,8 +82,13 @@ class FitResult:
 
     ``std_errors`` maps each parameter name to its standard error from the
     inverse expected (Fisher) information matrix at the estimate (NaN where
-    that matrix could not be inverted).  ``details`` carries optimizer diagnostics and,
-    in independent mode, the two per-ensemble parameter sets.
+    that matrix could not be inverted).  ``converged``: the per-shot score
+    over the free parameters fell below 1e-11.  ``n_iterations``: Fisher
+    scoring steps taken (both fits summed in independent mode).
+    ``details["optimizer"]``: why the iteration stopped (``"score below
+    tolerance"``, ``"iteration limit"`` or ``"no ascent step"``), one reason
+    per state in independent mode, where ``details["per_state"]`` also holds
+    the two per-ensemble parameter sets.
     """
 
     params: ReadoutParams
@@ -171,13 +180,12 @@ def _ll_and_score(
 
 def _information(
     theta: np.ndarray, h_down: np.ndarray | None, h_up: np.ndarray | None, f: float
-) -> tuple[np.ndarray, list[int]]:
+) -> np.ndarray:
     """Expected (Fisher) information ``sum_s N_s sum_n dp dp^T / p``.
 
     Summed over the full count support of the model, in the natural
-    parameters, and restricted to the ones the given histograms constrain
-    (both means, and the error rate of each state present).  Returns the
-    matrix and the indices of those parameters.
+    parameters.  A parameter the histograms do not constrain (the error rate
+    of an absent state) has a zero row and column.
     """
     n = np.arange(count_support_max(theta[0]) + 1, dtype=float)
     p_down, p_up, grad_down, grad_up = _readout_pmfs(n, *theta, f)
@@ -186,8 +194,7 @@ def _information(
         if h is not None:
             keep = p > 0.0
             info += h.sum() * (grad[:, keep] / p[keep]) @ grad[:, keep].T
-    active = [0, 1] + [2] * (h_down is not None) + [3] * (h_up is not None)
-    return info[np.ix_(active, active)], active
+    return info
 
 
 def log_likelihood(
@@ -228,29 +235,21 @@ def log_likelihood_grad(
 # Fitting
 
 
+# Fit coordinates v: log mean gap, log dark mean, the error rates (clipped).
 def _to_vector(theta: np.ndarray) -> np.ndarray:
     mb, md, ed, eu = theta
-    ed = max(ed, 1e-12)  # logit needs the open interval
-    eu = max(eu, 1e-12)
-    return np.array(
-        [np.log(mb - md), np.log(max(md, 1e-12)), logit(2.0 * ed), logit(2.0 * eu)]
-    )
+    return np.array([np.log(mb - md), np.log(max(md, 1e-12)), ed, eu])
 
 
 def _from_vector(v: np.ndarray) -> np.ndarray:
-    gap, md = np.exp(v[0]), np.exp(v[1])
-    return np.array([gap + md, md, 0.5 * expit(v[2]), 0.5 * expit(v[3])])
+    gap, md = np.exp(v[:2])
+    return np.array([gap + md, md, *np.clip(v[2:], 0.0, _UPPER[2:])])
 
 
 def _vector_jacobian(theta: np.ndarray) -> np.ndarray:
-    """d(theta)/d(v) as a 4x4 matrix (rows: natural, cols: transformed)."""
-    mb, md, ed, eu = theta
-    jac = np.zeros((4, 4))
-    jac[0, 0] = mb - md
-    jac[0, 1] = md
-    jac[1, 1] = md
-    jac[2, 2] = ed * (1.0 - 2.0 * ed)
-    jac[3, 3] = eu * (1.0 - 2.0 * eu)
+    """d(theta)/d(v) as a 4x4 matrix (rows: natural, cols: fit coordinates)."""
+    jac = np.eye(4)
+    jac[:2, :2] = [[theta[0] - theta[1], theta[1]], [0.0, theta[1]]]
     return jac
 
 
@@ -272,75 +271,89 @@ def _initial_guess(h_down: np.ndarray, h_up: np.ndarray, f: float) -> np.ndarray
     ed = float(h_down[~above].sum() / h_down.sum())
     frac_up_above = float(h_up[~below].sum() / h_up.sum())
     eu = frac_up_above - 0.75 * f  # decays account for roughly f of the tail
-    return np.array(
-        [mb, md, float(np.clip(ed, 1e-6, 0.4)), float(np.clip(eu, 1e-6, 0.4))]
-    )
+    return np.array([mb, md, *np.clip([ed, eu], 1e-6, 0.4)])
 
 
-def _maximize(
-    h_down: np.ndarray | None,
-    h_up: np.ndarray | None,
-    f: float,
-    theta0: np.ndarray,
-):
-    n_total = sum(h.sum() for h in (h_down, h_up) if h is not None)
+def _standard_errors(info: np.ndarray) -> np.ndarray:
+    """Standard errors from the inverse expected information (NaN if singular).
 
-    def objective(v):
-        theta = _from_vector(v)
-        ll, score = _ll_and_score(theta, h_down, h_up, f)
-        if not np.isfinite(ll):
-            return np.inf, np.zeros(4)
-        return -ll / n_total, -(score @ _vector_jacobian(theta)) / n_total
-
-    result = minimize(
-        objective,
-        _to_vector(theta0),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-8},
-    )
-    v, fun, jac = result.x, result.fun, result.jac
-    # L-BFGS-B can stop on its relative-decrease test while the per-shot
-    # score is still ~1e-6, below what the objective resolves in floating
-    # point.  One Fisher-scoring step in the transformed coordinates (which
-    # keep every parameter in its domain) removes that remainder; it is
-    # kept when it shrinks the score.
-    theta = _from_vector(v)
-    info, active = _information(theta, h_down, h_up, f)
-    dtheta_dv = _vector_jacobian(theta)[np.ix_(active, active)]
-    try:
-        v_new = v.copy()
-        v_new[active] -= np.linalg.solve(dtheta_dv.T @ info @ dtheta_dv, jac[active] * n_total)
-        fun_new, jac_new = objective(v_new)
-        if np.isfinite(fun_new) and np.max(np.abs(jac_new)) <= np.max(np.abs(jac)):
-            v, fun, jac = v_new, fun_new, jac_new
-    except np.linalg.LinAlgError:
-        pass
-    # L-BFGS-B sometimes aborts its line search once no float-representable
-    # improvement is left; a vanishing per-shot score still means converged.
-    ok = bool(result.success) or float(np.max(np.abs(jac))) < 1e-6
-    return _from_vector(v), float(-fun * n_total), ok, int(result.nit), str(result.message)
-
-
-def _standard_errors(
-    theta: np.ndarray, h_down: np.ndarray | None, h_up: np.ndarray | None, f: float
-) -> np.ndarray:
-    """Standard errors from the inverse expected information (NaN if singular)."""
-    info, active = _information(theta, h_down, h_up, f)
+    A parameter without information (such as the dark mean of a down-only
+    fit at ``eps_down_tot == 0``) is left out of the inversion and gets NaN.
+    """
     se = np.full(4, np.nan)
+    keep = np.diag(info) > 0.0
     try:
-        diag = np.diag(np.linalg.inv(info))
+        diag = np.diag(np.linalg.inv(info[np.ix_(keep, keep)]))
         if np.all(diag > 0.0):
-            se[active] = np.sqrt(diag)
+            se[keep] = np.sqrt(diag)
     except np.linalg.LinAlgError:
         pass
     return se
 
 
+def _maximize(
+    h_down: np.ndarray | None, h_up: np.ndarray | None, f: float, theta0: np.ndarray
+):
+    """Projected, damped Fisher scoring of the log-likelihood from ``theta0``.
+
+    Each step solves the expected information, plus a Levenberg ridge,
+    against the score over the free parameters; it is halved until the
+    log-likelihood drops by no more than its rounding, and the ridge grows
+    tenfold after a halved step and shrinks after a full one (Marquardt).  A
+    parameter with no information is not free, nor is an error rate at 0 or
+    0.5 whose score points out of that bound (its KKT condition).
+
+    Returns ``(theta, ll, converged, n_iterations, reason, std_errors)``.
+    """
+    n_total = sum(h.sum() for h in (h_down, h_up) if h is not None)
+    theta = _from_vector(_to_vector(theta0))
+    ll, score = _ll_and_score(theta, h_down, h_up, f)
+    reason, ridge = "iteration limit", _RIDGE
+    for iteration in range(_MAX_ITERATIONS + 1):
+        info = _information(theta, h_down, h_up, f)
+        held = ((theta == 0.0) & (score < 0.0)) | ((theta == _UPPER) & (score > 0.0))
+        free = np.flatnonzero((np.diag(info) > 0.0) & ~held)
+        if np.max(np.abs(score[free])) < _SCORE_TOL * n_total:
+            reason = "score below tolerance"
+            break
+        if iteration == _MAX_ITERATIONS:
+            break
+        jac = _vector_jacobian(theta)[np.ix_(free, free)]
+        info_v = jac.T @ info[np.ix_(free, free)] @ jac
+        info_v += ridge * np.trace(info_v) * np.eye(free.size)
+        step = np.zeros(4)
+        step[free] = np.linalg.solve(info_v, jac.T @ score[free])
+        v = _to_vector(theta)
+        for halvings in range(_MAX_HALVINGS):
+            trial = _from_vector(v + step)
+            ll_trial, score_trial = _ll_and_score(trial, h_down, h_up, f)
+            if ll_trial >= ll - _LL_ROUNDING * abs(ll):
+                break
+            step *= 0.5
+        else:
+            reason = "no ascent step"
+            break
+        theta, ll, score = trial, ll_trial, score_trial
+        ridge = 10.0 * ridge if halvings else max(0.1 * ridge, _RIDGE)
+    return theta, ll, reason == "score below tolerance", iteration, reason, _standard_errors(info)
+
+
+# Independent mode reports the means and error rates each from the
+# ensemble that constrains them: these from the down fit, the rest from up.
+_FROM_DOWN = np.array([True, False, True, False])
+
+
+def _fits(h_down, h_up, f: float, theta0: np.ndarray, mode: str):
+    """The estimate and the ``_maximize`` results of a joint or a down-and-up fit."""
+    if mode == "joint":
+        runs = [_maximize(h_down, h_up, f, theta0)]
+    else:
+        runs = [_maximize(h_down, None, f, theta0), _maximize(None, h_up, f, theta0)]
+    return np.where(_FROM_DOWN, runs[0][0], runs[-1][0]), runs
+
+
 def _resample(hist: CountHistogram, rng: np.random.Generator) -> np.ndarray:
-    return rng.multinomial(
-        hist.total_shots, hist.counts_per_bin / hist.total_shots
-    ).astype(float)
+    return rng.multinomial(hist.total_shots, hist.frequencies).astype(float)
 
 
 def fit(
@@ -362,15 +375,15 @@ def fit(
     prepared-dark data) and both complete parameter sets are kept in
     ``details["per_state"]``.
 
-    ``bootstrap > 0`` additionally estimates uncertainties from that many
+    ``bootstrap >= 2`` additionally estimates uncertainties from that many
     multinomial resamples (``details["bootstrap"]``), as a cross-check on
     the expected-information standard errors.
     """
     f = _check_constants(t_det, lifetime)
     if mode not in ("joint", "independent"):
         raise ValueError(f"mode must be 'joint' or 'independent', got {mode!r}")
-    if bootstrap < 0:
-        raise ValueError("bootstrap must be >= 0")
+    if bootstrap < 0 or bootstrap == 1:
+        raise ValueError(f"bootstrap must be 0 or >= 2 resamples, got {bootstrap}")
     for name, hist in (("hist_down", hist_down), ("hist_up", hist_up)):
         if hist.total_shots < 100:
             raise ValueError(f"{name} must contain at least 100 shots")
@@ -379,40 +392,22 @@ def fit(
 
     h_down, h_up = _bins(hist_down), _bins(hist_up)
     theta0 = init.as_array() if init is not None else _initial_guess(h_down, h_up, f)
-
-    details: dict = {}
-    if mode == "joint":
-        theta, ll, ok, nit, message = _maximize(h_down, h_up, f, theta0)
-        se = _standard_errors(theta, h_down, h_up, f)
-        details["optimizer"] = message
-    else:
-        th_d, ll_d, ok_d, nit_d, msg_d = _maximize(h_down, None, f, theta0)
-        th_u, ll_u, ok_u, nit_u, msg_u = _maximize(None, h_up, f, theta0)
-        se_d = _standard_errors(th_d, h_down, None, f)
-        se_u = _standard_errors(th_u, None, h_up, f)
-        theta = np.array([th_d[0], th_u[1], th_d[2], th_u[3]])
-        se = np.array([se_d[0], se_u[1], se_d[2], se_u[3]])
-        ll, ok, nit = ll_d + ll_u, ok_d and ok_u, nit_d + nit_u
-        details["optimizer"] = {"down": msg_d, "up": msg_u}
+    theta, runs = _fits(h_down, h_up, f, theta0, mode)
+    thetas, lls, oks, iterations, reasons, ses = zip(*runs)
+    se = np.where(_FROM_DOWN, ses[0], ses[-1])
+    details: dict = {"optimizer": reasons[0]}
+    if mode == "independent":
+        details["optimizer"] = dict(zip(("down", "up"), reasons))
         details["per_state"] = {
-            "down": dict(zip(_PARAM_NAMES, th_d.tolist())),
-            "up": dict(zip(_PARAM_NAMES, th_u.tolist())),
+            tag: dict(zip(_PARAM_NAMES, th.tolist())) for tag, th in zip(("down", "up"), thetas)
         }
 
     if bootstrap:
         rng = np.random.default_rng(bootstrap_seed)
-        samples = []
-        guess = theta
-        for _ in range(bootstrap):
-            hb_down = _resample(hist_down, rng)
-            hb_up = _resample(hist_up, rng)
-            if mode == "joint":
-                th_b, _, _, _, _ = _maximize(hb_down, hb_up, f, guess)
-            else:
-                tb_d, _, _, _, _ = _maximize(hb_down, None, f, guess)
-                tb_u, _, _, _, _ = _maximize(None, hb_up, f, guess)
-                th_b = np.array([tb_d[0], tb_u[1], tb_d[2], tb_u[3]])
-            samples.append(th_b)
+        samples = [
+            _fits(_resample(hist_down, rng), _resample(hist_up, rng), f, theta, mode)[0]
+            for _ in range(bootstrap)
+        ]
         spread = np.std(np.array(samples), axis=0, ddof=1)
         details["bootstrap"] = {
             "samples": bootstrap,
@@ -422,9 +417,9 @@ def fit(
     return FitResult(
         params=ReadoutParams(*theta.tolist()),
         std_errors=dict(zip(_PARAM_NAMES, se.tolist())),
-        log_likelihood=ll,
-        converged=ok,
-        n_iterations=nit,
+        log_likelihood=sum(lls),
+        converged=all(oks),
+        n_iterations=sum(iterations),
         t_det=t_det,
         lifetime=lifetime,
         mode=mode,

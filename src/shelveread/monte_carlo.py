@@ -139,6 +139,28 @@ def _check_offsets(offsets, n_events: int) -> np.ndarray:
     return offsets
 
 
+def _validate_trace_times(times, offsets, t_det: float) -> tuple[np.ndarray, np.ndarray]:
+    """Check concatenated traces: 1-D, valid offsets, inside the window, sorted per trace.
+
+    Returns ``(times, offsets)`` as float and int64 arrays.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("arrival times must be a 1-D array")
+    offsets = _check_offsets(offsets, times.size)
+    # min/max propagate NaN, so a NaN time fails this test too
+    if times.size and not (times.min() >= 0.0 and times.max() <= t_det):
+        raise ValueError("arrival times must lie within [0, t_det]")
+    # A boolean comparison, not a float diff: a batch holds millions of
+    # events.  Times may drop from the end of one trace to the next.
+    backwards = times[1:] < times[:-1]
+    starts = offsets[1:-1]
+    backwards[starts[(starts > 0) & (starts < times.size)] - 1] = False
+    if np.any(backwards):
+        raise ValueError("arrival times must be sorted")
+    return times, offsets
+
+
 @dataclass(frozen=True)
 class TraceBatch:
     """Arrival times of many shots, concatenated shot-major.
@@ -491,7 +513,7 @@ def write_traces(batch: TraceBatch, path, metadata: dict | None = None) -> None:
 
 
 def read_traces(path) -> TraceBatch:
-    """Read traces written by ``write_traces``; never loads pickled data."""
+    """Read and check traces written by ``write_traces``; never loads pickled data."""
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -503,6 +525,7 @@ def read_traces(path) -> TraceBatch:
             # every entry is loaded, so a pickled one is refused
             times, offsets, t_det, _ = (archive[key] for key in _TRACE_KEYS)
             t_det = float(t_det.item())
+        times, offsets = _validate_trace_times(times, offsets, t_det)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return TraceBatch(times, offsets, t_det)

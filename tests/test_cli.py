@@ -287,6 +287,29 @@ def test_error_exit_codes(tmp_path, capsys):
         assert f"simulate.{key}" in err, err
     assert not (tmp_path / "sim" / "hist_down.csv").exists()
 
+    # fit.bootstrap must be a JSON integer other than 1, fit.mode a string
+    fit_out = tmp_path / "fit"
+    small = dict(PIPELINE_CONFIG, simulate={**PIPELINE_CONFIG["simulate"], "shots": 2000})
+    small = _write_config(tmp_path, small, "small.json")
+    assert main(["simulate", "--config", small, "--out", str(fit_out)]) == 0
+    capsys.readouterr()
+    for key, value in (
+        ("bootstrap", 2.7),
+        ("bootstrap", True),
+        ("bootstrap", "3"),
+        ("bootstrap", -1),
+        ("bootstrap", 1),
+        ("mode", 3),
+        ("mode", ["joint"]),
+    ):
+        config = dict(PIPELINE_CONFIG, fit={**PIPELINE_CONFIG["fit"], key: value})
+        path = _write_config(tmp_path, config, "fit.json")
+        assert main(["fit", "--config", path, "--out", str(fit_out)]) == 2, (key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert key in err, err
+    assert not (fit_out / "fit.json").exists()
+
 
 def test_module_runs_as_subprocess(tmp_path):
     result = subprocess.run(
@@ -302,13 +325,15 @@ def test_module_runs_as_subprocess(tmp_path):
 @pytest.mark.parametrize(
     "command, banned",
     [("tomo", "scipy"), ("budget", "scipy"), ("optimize", "scipy.optimize"),
-     ("simulate", "scipy.optimize")],
+     ("simulate", "scipy.optimize"), ("fit", "scipy.optimize")],
 )
 def test_subcommand_imports_only_what_it_runs(tmp_path, command, banned):
     config = dict(PIPELINE_CONFIG)
     config["simulate"] = dict(config["simulate"], shots=200, traces=True)
     config["optimize"] = {"t_min_us": 50.0, "t_max_us": 600.0, "t_step_us": 5.0, "n_th_max": 30}
     argv = [command, "--config", _write_config(tmp_path, config), "--out", str(tmp_path)]
+    if command == "fit":  # the histograms it reads
+        assert main(["simulate", *argv[1:]]) == 0
     script = (
         "import sys\n"
         "from shelveread.cli import main\n"

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shelveread.mle_fit import (
     FitResult,
@@ -20,6 +22,8 @@ from shelveread.monte_carlo import CountHistogram
 from shelveread.photon_statistics import (
     DetectionModel,
     ErrorRates,
+    _readout_pmfs,
+    count_support_max,
     observed_pdf_down,
     observed_pdf_up,
 )
@@ -34,10 +38,19 @@ TRUTH = ReadoutParams(
 )
 
 
-def _pmfs():
+def _pmfs(eps_down=TRUTH.eps_down_tot, eps_up=TRUTH.eps_up_tot):
     model = DetectionModel(73.5e3, 1.75e3, LIFETIME, T_DET)
-    errors = ErrorRates(TRUTH.eps_down_tot, TRUTH.eps_up_tot)
+    errors = ErrorRates(eps_down, eps_up)
     return observed_pdf_down(model, errors).probs, observed_pdf_up(model, errors).probs
+
+
+def _projected_score(result, h_down, h_up):
+    """Per-shot score at the fit; an error rate pinned at a bound may point out of it."""
+    grad = log_likelihood_grad(result.params, h_down, h_up, result.t_det, result.lifetime)
+    grad /= h_down.total_shots + h_up.total_shots
+    theta, rate = result.params.as_array(), np.arange(4) >= 2
+    grad = np.where(rate & (theta == 0.0), np.maximum(grad, 0.0), grad)
+    return np.where(rate & (theta == np.nextafter(0.5, 0.0)), np.minimum(grad, 0.0), grad)
 
 
 def _sample_hist(pmf: np.ndarray, shots: int, rng) -> CountHistogram:
@@ -201,6 +214,60 @@ def test_fit_accepts_explicit_init(sampled_pair):
     assert result.eps_down_tot == pytest.approx(TRUTH.eps_down_tot, rel=0.5)
 
 
+def test_zero_error_init_reaches_the_same_optimum(sampled_pair):
+    h_down, h_up = sampled_pair
+    base = fit(h_down, h_up, T_DET, LIFETIME)
+    from_zero = fit(h_down, h_up, T_DET, LIFETIME, init=ReadoutParams(20.0, 0.5, 0.0, 0.0))
+    assert from_zero.converged
+    assert from_zero.details["optimizer"] == "score below tolerance"
+    assert from_zero.log_likelihood >= base.log_likelihood - 1e-12 * abs(base.log_likelihood)
+    se = np.array(list(base.std_errors.values()))
+    assert np.all(np.abs(from_zero.params.as_array() - base.params.as_array()) < 1e-6 * se)
+
+
+@pytest.mark.parametrize("mode", ["joint", "independent"])
+def test_fit_at_zero_error_rates(mode):
+    # error-free preparation: the estimates sit on (or next to) the bound at 0
+    pmf_down, pmf_up = _pmfs(0.0, 0.0)
+    rng = np.random.default_rng(31)
+    h_down = _sample_hist(pmf_down, 200_000, rng)
+    h_up = _sample_hist(pmf_up, 200_000, rng)
+    result = fit(h_down, h_up, T_DET, LIFETIME, mode=mode)
+    assert result.converged
+    reasons = result.details["optimizer"]
+    assert set(reasons.values() if mode == "independent" else [reasons]) == {
+        "score below tolerance"
+    }
+    se = np.array(list(result.std_errors.values()))
+    assert np.all(se > 0), se
+    truth = np.array([TRUTH.mean_bright, TRUTH.mean_dark, 0.0, 0.0])
+    assert np.all(np.abs(result.params.as_array() - truth) / se < 4.5)
+    if mode == "joint":
+        assert np.all(np.abs(_projected_score(result, h_down, h_up)) < 1e-11)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mean_bright=st.floats(3.0, 60.0),
+    dark_share=st.floats(1e-3, 0.9),
+    eps_down=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True)),
+    eps_up=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True)),
+    f=st.floats(1e-6, 0.1, exclude_max=True),
+    log_shots=st.integers(3, 9),
+)
+def test_joint_fit_converges_over_the_validated_region(
+    mean_bright, dark_share, eps_down, eps_up, f, log_shots
+):
+    """Exact-expectation histograms: converged, and the projected score meets the stop rule."""
+    n = np.arange(count_support_max(mean_bright) + 1)
+    pmfs = _readout_pmfs(n, mean_bright, dark_share * mean_bright, eps_down, eps_up, f)[:2]
+    bins = [np.rint(p * 10.0**log_shots).astype(np.int64) for p in pmfs]
+    h_down, h_up = (CountHistogram(b, int(b.sum())) for b in bins)
+    result = fit(h_down, h_up, f, 1.0)  # t_det/lifetime = f exactly
+    assert result.converged, result.details
+    assert np.all(np.abs(_projected_score(result, h_down, h_up)) < 1e-11)
+
+
 def test_validation():
     pmf_down, pmf_up = _pmfs()
     rng = np.random.default_rng(1)
@@ -218,6 +285,8 @@ def test_validation():
         fit(good_down, good_up, T_DET, LIFETIME, mode="pooled")
     with pytest.raises(ValueError):
         fit(good_down, good_up, T_DET, LIFETIME, bootstrap=-1)
+    with pytest.raises(ValueError, match="bootstrap"):
+        fit(good_down, good_up, T_DET, LIFETIME, bootstrap=1)  # no spread from one resample
     with pytest.raises(ValueError):
         ReadoutParams(0.5, 20.0, 0.0, 0.0)  # means out of order
     with pytest.raises(ValueError):

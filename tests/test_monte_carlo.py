@@ -394,6 +394,24 @@ def test_read_traces_rejects_bad_archives(tmp_path):
     np.save(single, entries["timestamps"])
     with pytest.raises(ValueError, match="not an .npz"):
         read_traces(single)
+    # times outside the window, NaN, or backwards within a shot
+    outside = tmp_path / "outside.npz"
+    write_traces(TraceBatch([5.0, 2.0], [0, 2], 1e-4), outside)
+    with pytest.raises(ValueError, match=r"within \[0, t_det\]"):
+        read_traces(outside)
+    for name, times, match in (
+        ("nan", [1e-5, np.nan], "within"),
+        ("backwards", [2e-5, 1e-5], "sorted"),
+    ):
+        path = tmp_path / f"{name}.npz"
+        np.savez(path, **dict(entries, timestamps=np.array(times)))
+        with pytest.raises(ValueError, match=match) as info:
+            read_traces(path)
+        assert str(info.value).startswith(str(path)), info.value
+    # a time may drop from the end of one shot to the start of the next
+    two_shots = tmp_path / "two_shots.npz"
+    np.savez(two_shots, **dict(entries, timestamps=np.array([2e-5, 1e-5]), offsets=[0, 1, 2]))
+    assert read_traces(two_shots).n_shots == 2
 
 
 def test_csv_header_validation(tmp_path):
