@@ -13,12 +13,14 @@ Every subcommand takes ``--config`` and ``--out``; ``simulate`` also takes
 
 Every command reads a single self-describing JSON config (``--config``,
 defaulting to the bundled example configuration) and writes its artifacts
-into ``--out``.  Outputs embed a metadata block — the SHA-256 of the
+into ``--out``.  Outputs embed one metadata block — the SHA-256 of the
 effective config, the tool version and the sampler's random-stream version
-— as a ``"metadata"`` key in JSON files, as leading ``#`` comment lines in
-CSV files and as the JSON ``metadata`` entry of the ``traces_*.npz``
-archives, so every artifact records what produced it.  Commands are
-deterministic: the same config and seed reproduce byte-identical files.
+— so every artifact records what produced it.  CSV and JSON artifacts share
+one format, that of ``_files``: the block is the leading ``# key: value``
+lines of a CSV and the last key, ``"metadata"``, of a JSON file, and every
+line ends in ``\n``.  The ``traces_*.npz`` archives hold the block as their
+JSON ``metadata`` entry.  Commands are deterministic: the same config and
+seed reproduce byte-identical files.
 
 Times are seconds inside the library; CSV columns and config keys carry
 explicit units in their names (``_us``, ``_s``, ``_hz``).
@@ -91,6 +93,18 @@ def _integer(config: dict, section: str, key: str, low: int, high: float = float
     return value
 
 
+_PATH = (str, type(None))  # a path entry is a string, or null for the default
+_TYPE_NAMES = {bool: "true or false", str: "a string", _PATH: "a string or null"}
+
+
+def _typed(config: dict, section: str, key: str, kind, default):
+    """``config[section][key]``, or ``default`` if absent; it must be a JSON ``kind``."""
+    value = config.get(section, {}).get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f"config entry {section}.{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _model_from_config(config: dict) -> DetectionModel:
     from .photon_statistics import DetectionModel
 
@@ -122,19 +136,12 @@ def _metadata(config: dict, command: str) -> dict:
     }
 
 
-def _metadata_lines(metadata: dict) -> list[str]:
-    return [f"{key}: {value}" for key, value in metadata.items()]
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_optimize(config: dict, out: Path) -> None:
+    from ._files import write_json
     from .discrimination import OptimizationGrid, optimize, write_error_surface_csv
 
     t_min = float(_require(config, "optimize", "t_min_us"))
@@ -154,17 +161,14 @@ def cmd_optimize(config: dict, out: Path) -> None:
         grid=grid,
     )
     metadata = _metadata(config, "optimize")
-    write_error_surface_csv(result, out / "error_surface.csv", _metadata_lines(metadata))
-    _write_json(
-        {
-            "t_det_s": result.t_det,
-            "t_det_us": result.t_det * 1e6,
-            "n_th": int(result.n_th),
-            "eps_mean": result.eps_mean,
-            "metadata": metadata,
-        },
-        out / "optimum.json",
-    )
+    write_error_surface_csv(result, out / "error_surface.csv", metadata)
+    optimum = {
+        "t_det_s": result.t_det,
+        "t_det_us": result.t_det * 1e6,
+        "n_th": int(result.n_th),
+        "eps_mean": result.eps_mean,
+    }
+    write_json(out / "optimum.json", optimum, metadata)
     print(
         f"optimum: t_det = {result.t_det * 1e6:.1f} us, n_th = {result.n_th}, "
         f"mean error = {result.eps_mean:.4e}"
@@ -192,7 +196,7 @@ def _simulate_one(
         hist = CountHistogram.from_counts(batch.counts)
     else:
         hist = simulate_histogram(prepared, sim, threads=threads)
-    write_histogram_csv(hist, out / f"hist_{tag}.csv", _metadata_lines(metadata))
+    write_histogram_csv(hist, out / f"hist_{tag}.csv", metadata)
     mean = float(
         np.arange(hist.counts_per_bin.size) @ hist.counts_per_bin / hist.total_shots
     )
@@ -212,9 +216,7 @@ def cmd_simulate(
     else:
         seed = seed_override
     law = DecayTimeLaw(str(_require(config, "simulate", "decay_time_law")))
-    traces = config.get("simulate", {}).get("traces", False)
-    if not isinstance(traces, bool):
-        raise ValueError(f"config entry simulate.traces must be true or false, got {traces!r}")
+    traces = _typed(config, "simulate", "traces", bool, False)
     if seed_override is not None:
         config = dict(config)
         config["simulate"] = dict(config["simulate"], seed=seed)
@@ -237,13 +239,11 @@ def cmd_fit(config: dict, out: Path, seed_override: int | None) -> None:
     model = _model_from_config(config)
     section = config.get("fit", {})
     bootstrap = _integer(config, "fit", "bootstrap", 0) if "bootstrap" in section else 0
-    mode = section.get("mode", "joint")
-    if not isinstance(mode, str):
-        raise ValueError(f"config entry fit.mode must be a string, got {mode!r}")
-    hist_down_path = section.get("hist_down") or out / "hist_down.csv"
-    hist_up_path = section.get("hist_up") or out / "hist_up.csv"
-    hist_down = read_histogram_csv(hist_down_path)
-    hist_up = read_histogram_csv(hist_up_path)
+    mode = _typed(config, "fit", "mode", str, "joint")
+    hist_down, hist_up = (
+        read_histogram_csv(_typed(config, "fit", key, _PATH, None) or out / f"{key}.csv")
+        for key in ("hist_down", "hist_up")
+    )
     seed = 0 if seed_override is None else seed_override
     result = fit(
         hist_down,
@@ -265,6 +265,7 @@ def cmd_fit(config: dict, out: Path, seed_override: int | None) -> None:
 
 
 def cmd_tomo(config: dict, out: Path) -> None:
+    from ._files import write_json
     from .tomography import (
         average_fidelity,
         bloch_error_surface,
@@ -280,12 +281,9 @@ def cmd_tomo(config: dict, out: Path) -> None:
     )
 
     section = config.get("tomo", {})
-    records_path = section.get("records")
-    if records_path is None:
-        records = read_records_csv(_bundled("tomography_records.csv"))
-    else:
-        records = read_records_csv(records_path)
-    mode = str(section.get("mode", "state"))
+    records_path = _typed(config, "tomo", "records", _PATH, None)
+    records = read_records_csv(records_path or _bundled("tomography_records.csv"))
+    mode = _typed(config, "tomo", "mode", str, "state")
     if mode not in ("state", "process"):
         raise ValueError(f"tomo.mode must be 'state' or 'process', got {mode!r}")
     metadata = _metadata(config, "tomo")
@@ -298,33 +296,33 @@ def cmd_tomo(config: dict, out: Path) -> None:
                 label: [p.p_x, p.p_y, p.p_z] for label, p in projections.items()
             },
             "fidelities": fidelities,
-            "metadata": metadata,
         }
         if all(label in fidelities for label in ("+z", "-z", "+x", "-x", "+y", "-y")):
             payload["average_fidelity"] = average_fidelity(fidelities)
             print(f"average state fidelity: {payload['average_fidelity']:.6f}")
-        _write_json(payload, out / "state_fidelities.json")
+        write_json(out / "state_fidelities.json", payload, metadata)
         print(f"wrote {out / 'state_fidelities.json'}")
         return
 
-    if bool(section.get("null_orthogonal", True)):
+    theta_points, phi_points = (
+        _integer(config, "tomo", key, 1) if key in section else default
+        for key, default in (("theta_points", 181), ("phi_points", 360))
+    )
+    if _typed(config, "tomo", "null_orthogonal", bool, True):
         projections = null_orthogonal_projections(projections)
     chi = chi_from_projections(projections)
-    write_chi_json(chi, out / "chi.json", metadata=metadata)
-    _write_json(
-        {
-            "process_fidelity": process_fidelity(chi),
-            "min_eigenvalue": chi.min_eigenvalue,
-            "trace_preservation_defect": trace_preservation_defect(chi),
-            "physical": chi.is_physical(),
-            "metadata": metadata,
-        },
-        out / "process.json",
-    )
-    theta = np.linspace(0.0, 180.0, int(section.get("theta_points", 181)))
-    phi = np.linspace(0.0, 360.0, int(section.get("phi_points", 360)), endpoint=False)
+    write_chi_json(chi, out / "chi.json", metadata)
+    process = {
+        "process_fidelity": process_fidelity(chi),
+        "min_eigenvalue": chi.min_eigenvalue,
+        "trace_preservation_defect": trace_preservation_defect(chi),
+        "physical": chi.is_physical(),
+    }
+    write_json(out / "process.json", process, metadata)
+    theta = np.linspace(0.0, 180.0, theta_points)
+    phi = np.linspace(0.0, 360.0, phi_points, endpoint=False)
     surface = bloch_error_surface(chi, theta, phi)
-    write_surface_csv(*surface, out / "sphere_error.csv", _metadata_lines(metadata))
+    write_surface_csv(*surface, out / "sphere_error.csv", metadata)
     print(f"process fidelity: {process_fidelity(chi):.6f} (physical: {chi.is_physical()})")
     print(f"wrote {out / 'chi.json'}, {out / 'process.json'}, {out / 'sphere_error.csv'}")
 
@@ -332,11 +330,8 @@ def cmd_tomo(config: dict, out: Path) -> None:
 def cmd_budget(config: dict, out: Path) -> None:
     from .error_budget import combine, read_budget_json, write_report_json
 
-    entries_path = config.get("budget", {}).get("entries")
-    if entries_path is None:
-        budgets = read_budget_json(_bundled("shelving_budget.json"))
-    else:
-        budgets = read_budget_json(entries_path)
+    entries_path = _typed(config, "budget", "entries", _PATH, None)
+    budgets = read_budget_json(entries_path or _bundled("shelving_budget.json"))
     reports = {name: combine(entries) for name, entries in budgets.items()}
     write_report_json(reports, out / "budget_report.json", metadata=_metadata(config, "budget"))
     for name, report in reports.items():

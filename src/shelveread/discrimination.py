@@ -17,14 +17,12 @@ and a batch of traces is a single segmented sum over its photons.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
+from ._files import read_grid_csv, write_grid_csv
 from .monte_carlo import _validate_trace_times
 from .photon_statistics import (
     ZERO_ERRORS,
@@ -302,51 +300,25 @@ def classify_traces(batch, model: DetectionModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Error-surface CSV export
+# Error-surface CSV
+
+_SURFACE_HEADER = ("t_det_us", "n_th", "eps")
 
 
-def write_error_surface_csv(
-    result: OptimizationResult, path, metadata_lines: Iterable[str] = ()
-) -> None:
-    """Write the optimization surface as ``t_det_us,n_th,eps`` rows.
-
-    One row per grid point, window-major; times in microseconds.  Values are
-    written with shortest round-trip float formatting.  ``metadata_lines``
-    become leading ``#``-prefixed comment lines, which the reader skips.
-    """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        for line in metadata_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t_det_us", "n_th", "eps"])
-        for i, t in enumerate(result.grid.t_values):
-            for j, n in enumerate(result.grid.n_values):
-                writer.writerow([repr(float(t) * 1e6), int(n), repr(float(result.surface[i, j]))])
+def write_error_surface_csv(result: OptimizationResult, path, metadata: dict | None = None) -> None:
+    """Write the surface as ``t_det_us,n_th,eps`` rows, window-major; times in microseconds."""
+    t_us, n_values = result.grid.t_values * 1e6, result.grid.n_values
+    write_grid_csv(path, _SURFACE_HEADER, t_us, n_values, result.surface, metadata)
 
 
 def read_error_surface_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a surface written by ``write_error_surface_csv``.
 
     Returns ``(t_values, n_values, surface)`` with times back in seconds.
-    The rows must cover a full rectangular grid.
+    The rows must hold each point of a rectangular grid once.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
-        if header != ["t_det_us", "n_th", "eps"]:
-            raise ValueError(f"unexpected error-surface header: {header}")
-        rows = [(float(t), int(n), float(e)) for t, n, e in reader]
-    if not rows:
-        raise ValueError("empty error-surface file")
-    t_us = np.array(sorted({r[0] for r in rows}))
-    n_values = np.array(sorted({r[1] for r in rows}))
-    surface = np.full((t_us.size, n_values.size), np.nan)
-    t_index = {t: i for i, t in enumerate(t_us)}
-    n_index = {n: j for j, n in enumerate(n_values)}
-    for t, n, e in rows:
-        surface[t_index[t], n_index[n]] = e
-    if np.any(np.isnan(surface)):
-        raise ValueError("error-surface rows do not cover a rectangular grid")
+    t_us, n_th, surface = read_grid_csv(path, _SURFACE_HEADER)
+    n_values = n_th.astype(np.int64)
+    if np.any(n_values != n_th):
+        raise ValueError(f"{path}: n_th values must be integers")
     return t_us * 1e-6, n_values, surface

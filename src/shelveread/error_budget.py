@@ -14,13 +14,14 @@ ships with the package.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from pathlib import Path
+from numbers import Real
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from ._files import read_json, write_json
 
 __all__ = [
     "PulseGroup",
@@ -55,6 +56,8 @@ class BudgetEntry:
     def __post_init__(self) -> None:
         if not isinstance(self.pulse, PulseGroup):
             object.__setattr__(self, "pulse", PulseGroup(self.pulse))
+        if isinstance(self.value, bool) or not isinstance(self.value, Real):
+            raise ValueError(f"value must be a real number, got {self.value!r}")
         if not (np.isfinite(self.value) and self.value >= 0.0):
             raise ValueError(f"value must be a finite probability >= 0, got {self.value}")
         if self.pulse is PulseGroup.SHARED:
@@ -125,80 +128,45 @@ def combine(entries: Iterable[BudgetEntry]) -> BudgetReport:
 # JSON interchange
 
 
-def _entry_from_dict(raw: Mapping) -> BudgetEntry:
-    return BudgetEntry(
-        source=raw["source"],
-        pulse=PulseGroup(raw["pulse"]),
-        value=raw["value"],
-        excluded_from_product=raw.get("excluded_from_product", False),
-    )
-
-
-def _entry_to_dict(entry: BudgetEntry) -> dict:
-    return {
-        "source": entry.source,
-        "pulse": entry.pulse.value,
-        "value": entry.value,
-        "excluded_from_product": entry.excluded_from_product,
-    }
-
-
 def read_budget_json(path) -> dict[str, list[BudgetEntry]]:
     """Load budget configurations, one entry list per named budget.
 
     The file holds either an object mapping budget names (e.g. prepared
     states) to entry lists, or a bare entry list, which is keyed "budget".
     """
-    payload = json.loads(Path(path).read_text())
-    if isinstance(payload, list):
-        payload = {"budget": payload}
-    if not isinstance(payload, dict):
-        raise ValueError("budget JSON must be an object or a list of entries")
-    payload.pop("metadata", None)
-    budgets: dict[str, list[BudgetEntry]] = {}
-    for name, raw_entries in payload.items():
-        if not isinstance(raw_entries, list):
-            raise ValueError(f"budget {name!r} must map to a list of entries")
-        budgets[name] = [_entry_from_dict(raw) for raw in raw_entries]
+    try:
+        payload = read_json(path)
+        if isinstance(payload, list):
+            payload = {"budget": payload}
+        if not isinstance(payload, dict):
+            raise ValueError("budget JSON must be an object or a list of entries")
+        budgets: dict[str, list[BudgetEntry]] = {}
+        for name, raw_entries in payload.items():
+            if not isinstance(raw_entries, list):
+                raise ValueError(f"budget {name!r} must map to a list of entries")
+            budgets[name] = [BudgetEntry(**raw) for raw in raw_entries]
+    except (TypeError, ValueError) as exc:
+        # BudgetEntry(**raw) reports a missing or unknown key, or an entry
+        # that is not an object, as a TypeError
+        raise ValueError(f"{path}: {exc}") from None
     return budgets
 
 
 def write_budget_json(
     budgets: Mapping[str, list[BudgetEntry]], path, metadata: dict | None = None
 ) -> None:
-    payload: dict = {
-        name: [_entry_to_dict(entry) for entry in entries]
+    payload = {
+        name: [{**asdict(entry), "pulse": entry.pulse.value} for entry in entries]
         for name, entries in budgets.items()
     }
-    if metadata is not None:
-        payload["metadata"] = metadata
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, payload, metadata)
 
 
 def write_report_json(
     reports: Mapping[str, BudgetReport], path, metadata: dict | None = None
 ) -> None:
-    payload: dict = {
-        name: {
-            "initialization_total": report.initialization_total,
-            "shelving_total": report.shelving_total,
-            "overall": report.overall,
-        }
-        for name, report in reports.items()
-    }
-    if metadata is not None:
-        payload["metadata"] = metadata
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, {name: asdict(report) for name, report in reports.items()}, metadata)
 
 
 def read_report_json(path) -> dict[str, BudgetReport]:
-    payload = json.loads(Path(path).read_text())
-    payload.pop("metadata", None)
-    return {
-        name: BudgetReport(
-            initialization_total=raw["initialization_total"],
-            shelving_total=raw["shelving_total"],
-            overall=raw["overall"],
-        )
-        for name, raw in payload.items()
-    }
+    return {name: BudgetReport(**raw) for name, raw in read_json(path).items()}

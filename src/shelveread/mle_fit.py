@@ -17,12 +17,11 @@ information at the estimate, with an optional multinomial bootstrap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from ._files import read_json, write_json
 from .monte_carlo import CountHistogram
 from .photon_statistics import MAX_DECAY_FRACTION, _readout_pmfs, count_support_max
 
@@ -449,14 +448,12 @@ def write_fit_json(result: FitResult, path, metadata: dict | None = None) -> Non
         "mode": result.mode,
         "details": result.details,
     }
-    if metadata is not None:
-        payload["metadata"] = metadata
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, payload, metadata)
 
 
 def read_fit_json(path) -> FitResult:
     """Reconstruct a ``FitResult`` written by ``write_fit_json``."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     params = ReadoutParams(
         payload["mean_bright"],
         payload["mean_dark"],

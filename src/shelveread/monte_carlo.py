@@ -16,26 +16,27 @@ counts marginalize exactly to the closed-form count distributions
 ``photon_statistics.observed_pdf_down``/``observed_pdf_up``, which both come
 from the one readout model in ``photon_statistics._readout_pmfs``.
 
-Histograms are exchanged as CSV (``write_histogram_csv``); trace batches
-as one lossless ``.npz`` archive (``write_traces``/``read_traces``) holding
-the float64 arrival times, the int64 per-shot offsets, ``t_det`` and a JSON
-metadata string, which round-trips bit for bit, photonless shots included.
+Histograms are exchanged as ``n,count,frequency`` CSV in the one artifact
+format of ``_files`` (``write_histogram_csv``/``read_histogram_csv``).
+Trace batches are one lossless ``.npz`` archive (``write_traces``/
+``read_traces``) holding the float64 arrival times, the int64 per-shot
+offsets, ``t_det`` and a JSON metadata string, which round-trips bit for
+bit, photonless shots included.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from . import RNG_STREAM
+from ._files import read_csv, write_csv
 from .photon_statistics import (
     ZERO_ERRORS,
     DetectionModel,
@@ -114,14 +115,8 @@ class PhotonTrace:
     t_det: float
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.timestamps, dtype=float)
-        if times.ndim != 1:
-            raise ValueError("timestamps must be a 1-D array")
-        # min/max propagate NaN, so a NaN time fails this test too
-        if times.size and not (times.min() >= 0.0 and times.max() <= self.t_det):
-            raise ValueError("timestamps must lie within [0, t_det]")
-        if np.any(np.diff(times) < 0.0):
-            raise ValueError("timestamps must be sorted")
+        offsets = [0, np.size(self.timestamps)]
+        times, _ = _validate_trace_times(self.timestamps, offsets, self.t_det)
         object.__setattr__(self, "timestamps", times)
 
     @property
@@ -450,35 +445,20 @@ def simulate_shot(prepared: Prepared, config: SimConfig, shot_index: int) -> Pho
 # ---------------------------------------------------------------------------
 # File interchange
 
+_HISTOGRAM_HEADER = ("n", "count", "frequency")
 
-def write_histogram_csv(
-    hist: CountHistogram, path, metadata_lines: Iterable[str] = ()
-) -> None:
-    """Write ``n,count,frequency`` rows, one per bin including empty bins.
 
-    ``metadata_lines`` become ``#``-prefixed comments that readers skip.
-    """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        for line in metadata_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", "count", "frequency"])
-        for n, c in enumerate(hist.counts_per_bin):
-            writer.writerow([n, int(c), repr(int(c) / hist.total_shots)])
+def write_histogram_csv(hist: CountHistogram, path, metadata: dict | None = None) -> None:
+    """Write ``n,count,frequency`` rows, one per bin including empty bins."""
+    rows = ((n, c, c / hist.total_shots) for n, c in enumerate(hist.counts_per_bin.tolist()))
+    write_csv(path, _HISTOGRAM_HEADER, rows, metadata)
 
 
 def read_histogram_csv(path) -> CountHistogram:
     """Read a histogram written by ``write_histogram_csv``."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
-        if header != ["n", "count", "frequency"]:
-            raise ValueError(f"unexpected histogram header: {header}")
-        rows = [(int(n), int(c), float(f)) for n, c, f in reader]
+    rows = [(int(n), int(c), float(f)) for n, c, f in read_csv(path, _HISTOGRAM_HEADER)]
     if not rows:
-        raise ValueError("empty histogram file")
+        raise ValueError(f"{path}: empty histogram file")
     size = max(r[0] for r in rows) + 1
     bins = np.zeros(size, dtype=np.int64)
     for n, c, _ in rows:

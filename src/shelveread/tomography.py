@@ -18,12 +18,12 @@ reconstruction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from ._files import read_csv, read_grid_csv, read_json, write_csv, write_grid_csv, write_json
 
 __all__ = [
     "PREPARED_LABELS",
@@ -430,34 +430,22 @@ def bloch_error_surface(
 # ---------------------------------------------------------------------------
 # File formats
 
-_RECORDS_HEADER = "prepared,axis,shots,bright_count"
+_RECORDS_HEADER = ("prepared", "axis", "shots", "bright_count")
+_SURFACE_HEADER = ("theta_deg", "phi_deg", "error")
 
 
 def write_records_csv(
-    records: Iterable[TomographyRecord], path, metadata_lines: Iterable[str] = ()
+    records: Iterable[TomographyRecord], path, metadata: dict | None = None
 ) -> None:
-    lines = [f"# {line}" for line in metadata_lines]
-    lines.append(_RECORDS_HEADER)
-    for record in records:
-        lines.append(
-            f"{record.prepared},{record.axis},{record.shots},{record.bright_count}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((r.prepared, r.axis, r.shots, r.bright_count) for r in records)
+    write_csv(path, _RECORDS_HEADER, rows, metadata)
 
 
 def read_records_csv(path) -> list[TomographyRecord]:
-    lines = [
-        line
-        for line in Path(path).read_text().splitlines()
-        if line.strip() and not line.startswith("#")
+    return [
+        TomographyRecord(prepared, axis, int(shots), int(bright))
+        for prepared, axis, shots, bright in read_csv(path, _RECORDS_HEADER)
     ]
-    if not lines or lines[0] != _RECORDS_HEADER:
-        raise ValueError(f"expected header {_RECORDS_HEADER!r} in {path}")
-    records = []
-    for line in lines[1:]:
-        prepared, axis, shots, bright = line.split(",")
-        records.append(TomographyRecord(prepared, axis, int(shots), int(bright)))
-    return records
 
 
 def write_chi_json(chi: ChiMatrix, path, metadata: dict | None = None) -> None:
@@ -466,51 +454,20 @@ def write_chi_json(chi: ChiMatrix, path, metadata: dict | None = None) -> None:
         "real": chi.matrix.real.tolist(),
         "imag": chi.matrix.imag.tolist(),
     }
-    if metadata is not None:
-        payload["metadata"] = metadata
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, payload, metadata)
 
 
 def read_chi_json(path) -> ChiMatrix:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     if tuple(payload["basis"]) != CHI_BASIS_LABELS:
         raise ValueError(f"unexpected operator basis {payload['basis']}")
     matrix = np.array(payload["real"]) + 1j * np.array(payload["imag"])
     return ChiMatrix(matrix)
 
 
-_SURFACE_HEADER = "theta_deg,phi_deg,error"
-
-
-def write_surface_csv(
-    theta_deg: np.ndarray,
-    phi_deg: np.ndarray,
-    error: np.ndarray,
-    path,
-    metadata_lines: Iterable[str] = (),
-) -> None:
-    lines = [f"# {line}" for line in metadata_lines]
-    lines.append(_SURFACE_HEADER)
-    phis = [repr(float(phi)) for phi in phi_deg]
-    for theta, row in zip(theta_deg, np.asarray(error, dtype=float).tolist()):
-        prefix = f"{float(theta)!r},"
-        lines.extend(f"{prefix}{phi},{e!r}" for phi, e in zip(phis, row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_surface_csv(theta_deg, phi_deg, error, path, metadata: dict | None = None) -> None:
+    write_grid_csv(path, _SURFACE_HEADER, theta_deg, phi_deg, error, metadata)
 
 
 def read_surface_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lines = [
-        line
-        for line in Path(path).read_text().splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-    if not lines or lines[0] != _SURFACE_HEADER:
-        raise ValueError(f"expected header {_SURFACE_HEADER!r} in {path}")
-    raw = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    theta = np.unique(raw[:, 0])
-    phi = np.unique(raw[:, 1])
-    if raw.shape[0] != theta.size * phi.size:
-        raise ValueError("surface rows do not form a rectangular grid")
-    order = np.lexsort((raw[:, 1], raw[:, 0]))
-    error = raw[order, 2].reshape(theta.size, phi.size)
-    return theta, phi, error
+    return read_grid_csv(path, _SURFACE_HEADER)

@@ -310,6 +310,74 @@ def test_error_exit_codes(tmp_path, capsys):
         assert key in err, err
     assert not (fit_out / "fit.json").exists()
 
+    # tomo values are typed JSON, and every path entry is a string or null
+    bad_budget = tmp_path / "bad_budget.json"
+    bad_budget.write_text('[{"source": "a", "pulse": "pulse1"}]\n')
+    for command, section, key, value in (
+        ("tomo", "tomo", "theta_points", [1]),
+        ("tomo", "tomo", "theta_points", 2.7),
+        ("tomo", "tomo", "phi_points", 0),
+        ("tomo", "tomo", "null_orthogonal", "no"),
+        ("tomo", "tomo", "mode", 3),
+        ("tomo", "tomo", "records", 5),
+        ("fit", "fit", "hist_down", 5),
+        ("fit", "fit", "hist_up", 5),
+        ("budget", "budget", "entries", 5),
+        ("budget", "budget", "entries", str(bad_budget)),
+    ):
+        config = dict(PIPELINE_CONFIG, tomo={"mode": "process"})
+        config[section] = {**config.get(section, {}), key: value}
+        path = _write_config(tmp_path, config, "typed.json")
+        assert main([command, "--config", path, "--out", str(fit_out)]) == 2, (key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        expected = str(bad_budget) if key == "entries" and value != 5 else f"{section}.{key}"
+        assert expected in err, err
+    assert sorted(p.name for p in fit_out.iterdir()) == ["hist_down.csv", "hist_up.csv"]
+
+
+def test_artifacts_share_one_format(tmp_path):
+    sim = tmp_path / "simulate"
+    config = dict(PIPELINE_CONFIG, tomo={"mode": "process", "theta_points": 7, "phi_points": 8})
+    config["simulate"] = dict(config["simulate"], shots=2000, traces=True)
+    config["fit"] = dict(config["fit"], hist_down=str(sim / "hist_down.csv"),
+                         hist_up=str(sim / "hist_up.csv"))
+    config["optimize"] = {"t_min_us": 100.0, "t_max_us": 300.0, "t_step_us": 50.0, "n_th_max": 8}
+    path = _write_config(tmp_path, config)
+    readers = {
+        "hist_down.csv": read_histogram_csv,
+        "hist_up.csv": read_histogram_csv,
+        "error_surface.csv": read_error_surface_csv,
+        "sphere_error.csv": read_surface_csv,
+    }
+    for command in ("optimize", "simulate", "fit", "tomo", "budget"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 0, command
+        blocks = []
+        for artifact in sorted(out.iterdir()):
+            if artifact.suffix == ".npz":
+                with np.load(artifact, allow_pickle=False) as archive:
+                    blocks.append(json.loads(str(archive["metadata"])))
+                continue
+            text = artifact.read_bytes().decode()
+            assert "\r" not in text, artifact
+            if artifact.suffix == ".json":
+                payload = json.loads(text)
+                assert list(payload)[-1] == "metadata", artifact
+                blocks.append(payload["metadata"])
+            else:
+                lines = text.splitlines()
+                n_meta = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+                blocks.append(dict(line[2:].split(": ", 1) for line in lines[:n_meta]))
+                readers.pop(artifact.name)(artifact)
+        # one metadata block per subcommand; CSV lines hold its values as text
+        assert blocks and all(
+            {key: str(value) for key, value in block.items()}
+            == {key: str(value) for key, value in blocks[0].items()}
+            for block in blocks
+        ), command
+    assert not readers  # every CSV was written and read back
+
 
 def test_module_runs_as_subprocess(tmp_path):
     result = subprocess.run(

@@ -298,10 +298,15 @@ def test_surface_csv_round_trip(tmp_path):
     )
     result = optimize(rate_bright=73.5e3, rate_dark=1.75e3, lifetime=0.390, grid=grid)
     path = tmp_path / "surface.csv"
-    write_error_surface_csv(result, path, metadata_lines=["tool: test", "seed: 0"])
+    write_error_surface_csv(result, path, metadata={"tool": "test", "seed": 0})
     text = path.read_text()
     assert text.startswith("# tool: test\n# seed: 0\n")
     t_values, n_values, surface = read_error_surface_csv(path)
     np.testing.assert_allclose(t_values, grid.t_values, rtol=1e-12)
     np.testing.assert_array_equal(n_values, grid.n_values)
     np.testing.assert_allclose(surface, result.surface, rtol=1e-12)
+    # (0, 90) and (90, 0) are missing and the other two points doubled
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text("t_det_us,n_th,eps\n0,0,0.1\n0,0,0.2\n90,90,0.3\n90,90,0.4\n")
+    with pytest.raises(ValueError, match="rectangular"):
+        read_error_surface_csv(doubled)

@@ -148,6 +148,19 @@ def test_budget_json_accepts_bare_list(tmp_path):
     scalar.write_text("3\n")
     with pytest.raises(ValueError):
         read_budget_json(scalar)
+    # a bad entry is a one-line ValueError that names the file
+    for entry in (
+        '{"source": "a", "pulse": "pulse1"}',
+        '{"source": "a", "pulse": "pulse1", "value": "0.1"}',
+        '{"source": "a", "pulse": "pulse1", "value": true}',
+        '{"source": "a", "pulse": "pulse1", "value": 1e-4, "note": "x"}',
+        '{"source": "a", "pulse": "pulse9", "value": 1e-4}',
+        "3",
+    ):
+        bad.write_text(f"[{entry}]\n")
+        with pytest.raises(ValueError) as info:
+            read_budget_json(bad)
+        assert str(info.value).startswith(f"{bad}: ") and "\n" not in str(info.value), entry
 
 
 def test_report_json_round_trip(tmp_path, bundled_budgets):

@@ -342,7 +342,7 @@ def test_trace_batch_validation(measured_model):
 def test_histogram_csv_round_trip(tmp_path, measured_model):
     hist = simulate_histogram(Prepared.DOWN, _config(measured_model, shots=5000, seed=4))
     path = tmp_path / "hist.csv"
-    write_histogram_csv(hist, path, metadata_lines=["seed: 4"])
+    write_histogram_csv(hist, path, metadata={"seed": 4})
     assert path.read_text().startswith("# seed: 4\n")
     back = read_histogram_csv(path)
     np.testing.assert_array_equal(back.counts_per_bin, hist.counts_per_bin)

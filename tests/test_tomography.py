@@ -307,7 +307,7 @@ def test_tomography_record_validation():
 
 def test_records_csv_round_trip(tmp_path, bundled_records):
     path = tmp_path / "records.csv"
-    write_records_csv(bundled_records, path, metadata_lines=["source: bundled"])
+    write_records_csv(bundled_records, path, metadata={"source": "bundled"})
     assert path.read_text().startswith("# source: bundled\n")
     back = read_records_csv(path)
     assert back == bundled_records
@@ -336,7 +336,7 @@ def test_surface_csv_round_trip(tmp_path):
         chi, np.linspace(0, 180, 5), np.arange(0, 360, 90)
     )
     path = tmp_path / "surface.csv"
-    write_surface_csv(theta, phi, error, path, metadata_lines=["model: depolarizing"])
+    write_surface_csv(theta, phi, error, path, metadata={"model": "depolarizing"})
     t_back, p_back, e_back = read_surface_csv(path)
     np.testing.assert_allclose(t_back, theta, atol=0)
     np.testing.assert_allclose(p_back, phi, atol=0)
@@ -345,3 +345,8 @@ def test_surface_csv_round_trip(tmp_path):
     ragged.write_text("theta_deg,phi_deg,error\n0.0,0.0,0.1\n0.0,90.0,0.1\n45.0,0.0,0.1\n")
     with pytest.raises(ValueError, match="rectangular"):
         read_surface_csv(ragged)
+    # (0, 90) and (90, 0) are missing and the other two points doubled
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text("theta_deg,phi_deg,error\n0,0,0.1\n0,0,0.2\n90,90,0.3\n90,90,0.4\n")
+    with pytest.raises(ValueError, match="rectangular"):
+        read_surface_csv(doubled)
