@@ -10,10 +10,9 @@ their ratio enters, as the in-window decay weight.
 
 The maximum is found by projected, damped Fisher scoring (Osborne, Int.
 Stat. Rev. 60, 99 (1992)) against the closed-form expected information, in
-the log mean gap (so the means stay ordered), in the dark mean, which is
-held at 0 or above, and in the error rates, which are held in [0, 0.5).
-Uncertainties come from the inverse of the same information at the
-estimate, with an optional multinomial bootstrap.
+log means (so they stay ordered and positive) and in the error rates, which
+are held in [0, 0.5).  Uncertainties come from the inverse of the same
+information at the estimate, with an optional multinomial bootstrap.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ _PARAM_NAMES = ("mean_bright", "mean_dark", "eps_down_tot", "eps_up_tot")
 
 _MAX_ITERATIONS, _MAX_HALVINGS = 200, 60  # Fisher-scoring steps; halvings per step
 _SCORE_TOL = 1e-11  # stop rule: largest per-shot score over the free parameters
-_RIDGE = 1e-9  # least Levenberg ridge, relative to the diagonal of the information
+_RIDGE = 1e-9  # least Levenberg ridge, relative to the trace of the information
 _LL_ROUNDING = 1e-13  # relative log-likelihood drop that a step may cause
 _UPPER = np.array([np.inf, np.inf, np.nextafter(0.5, 0.0), np.nextafter(0.5, 0.0)])
 
@@ -222,9 +221,11 @@ def log_likelihood_grad(
 ) -> np.ndarray:
     """Analytic gradient of ``log_likelihood`` in the natural parameters.
 
-    Order: (mean_bright, mean_dark, eps_down_tot, eps_up_tot).  At
-    ``mean_dark == 0`` the dark-mean entry is the right derivative.
+    Order: (mean_bright, mean_dark, eps_down_tot, eps_up_tot).  Requires
+    mean_dark > 0 (at exactly zero the dark-mean derivative is one-sided).
     """
+    if params.mean_dark <= 0.0:
+        raise ValueError("gradient requires mean_dark > 0")
     f = _check_constants(t_det, lifetime)
     return _ll_and_score(params.as_array(), _bins(hist_down), _bins(hist_up), f)[1]
 
@@ -233,22 +234,21 @@ def log_likelihood_grad(
 # Fitting
 
 
-# Fit coordinates v: log mean gap, then the dark mean and the error rates
-# (clipped to their bounds).
+# Fit coordinates v: log mean gap, log dark mean, the error rates (clipped).
 def _to_vector(theta: np.ndarray) -> np.ndarray:
     mb, md, ed, eu = theta
-    return np.array([np.log(mb - md), md, ed, eu])
+    return np.array([np.log(mb - md), np.log(max(md, 1e-12)), ed, eu])
 
 
 def _from_vector(v: np.ndarray) -> np.ndarray:
-    md, ed, eu = np.clip(v[1:], 0.0, _UPPER[1:])
-    return np.array([np.exp(v[0]) + md, md, ed, eu])
+    gap, md = np.exp(v[:2])
+    return np.array([gap + md, md, *np.clip(v[2:], 0.0, _UPPER[2:])])
 
 
 def _vector_jacobian(theta: np.ndarray) -> np.ndarray:
     """d(theta)/d(v) as a 4x4 matrix (rows: natural, cols: fit coordinates)."""
     jac = np.eye(4)
-    jac[0, :2] = [theta[0] - theta[1], 1.0]
+    jac[:2, :2] = [[theta[0] - theta[1], theta[1]], [0.0, theta[1]]]
     return jac
 
 
@@ -295,14 +295,12 @@ def _maximize(
 ):
     """Projected, damped Fisher scoring of the log-likelihood from ``theta0``.
 
-    Each step solves the expected information, plus a Levenberg ridge on
-    its diagonal (so a parameter with little information is not swamped by
-    one with much), against the score over the free parameters; it is
-    halved until the log-likelihood drops by no more than its rounding, and
-    the ridge grows tenfold after a halved step and shrinks after a full one
-    (Marquardt).  A parameter with no information is not free, nor is the
-    dark mean at 0 or an error rate at 0 or 0.5 whose score points out of
-    that bound (its KKT condition).
+    Each step solves the expected information, plus a Levenberg ridge,
+    against the score over the free parameters; it is halved until the
+    log-likelihood drops by no more than its rounding, and the ridge grows
+    tenfold after a halved step and shrinks after a full one (Marquardt).  A
+    parameter with no information is not free, nor is an error rate at 0 or
+    0.5 whose score points out of that bound (its KKT condition).
 
     Returns ``(theta, ll, converged, n_iterations, reason, std_errors)``.
     """
@@ -321,16 +319,13 @@ def _maximize(
             break
         jac = _vector_jacobian(theta)[np.ix_(free, free)]
         info_v = jac.T @ info[np.ix_(free, free)] @ jac
-        info_v += ridge * np.diag(np.diag(info_v))
+        info_v += ridge * np.trace(info_v) * np.eye(free.size)
         step = np.zeros(4)
         step[free] = np.linalg.solve(info_v, jac.T @ score[free])
         v = _to_vector(theta)
         for halvings in range(_MAX_HALVINGS):
-            # an overlong step in the log mean gap overflows to a NaN
-            # log-likelihood, which fails the ascent check and is halved
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial = _from_vector(v + step)
-                ll_trial, score_trial = _ll_and_score(trial, h_down, h_up, f)
+            trial = _from_vector(v + step)
+            ll_trial, score_trial = _ll_and_score(trial, h_down, h_up, f)
             if ll_trial >= ll - _LL_ROUNDING * abs(ll):
                 break
             step *= 0.5

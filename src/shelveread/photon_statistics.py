@@ -298,7 +298,7 @@ def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
     Returns ``(p_down, p_up, grad_down, grad_up)`` on the counts ``n``; the
     gradients have shape ``(4, len(n))`` and are taken with respect to
     (mean_bright, mean_dark, eps_down, eps_up).  At ``mean_dark == 0`` the
-    dark-mean derivatives are the right derivatives.
+    dark-mean derivatives are set to 0 (the true derivative is one-sided).
     """
     n = np.asarray(n)
     pb = poisson_pmf(n, mean_bright)
@@ -306,8 +306,7 @@ def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
     # d Poisson(n, mu)/d mu = Poisson * (n/mu - 1); safe at small mu because
     # the Poisson factor carries mu^n.
     dpb = pb * (n / mean_bright - 1.0)
-    # at mu = 0 the right derivative is Poisson(n - 1, 0) - Poisson(n, 0)
-    dpd = pd * (n / mean_dark - 1.0) if mean_dark > 0.0 else (n == 1).astype(float) - (n == 0)
+    dpd = pd * (n / mean_dark - 1.0) if mean_dark > 0.0 else np.zeros_like(pd)
     gap = mean_bright - mean_dark
     if gap < 1.0:
         # g = int_0^1 Poisson(mean_dark + u*gap) du, and its mean derivatives

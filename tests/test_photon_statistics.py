@@ -221,15 +221,14 @@ def test_readout_model_normalized_with_exact_gradient(
     assert abs(p_up.sum() - 1.0) < 1e-12
 
     # the dark-mean derivative is one-sided at a zero dark mean
-    for k in range(4):
-        step = (1e-4 * theta[k] or 1e-7) if k < 2 else 1e-6
+    for k in range(4) if theta[1] > 0.0 else (0, 2, 3):
+        step = 1e-4 * theta[k] if k < 2 else 1e-6
         plus, minus = theta.copy(), theta.copy()
         plus[k] += step
-        if theta[k] > 0.0 or k > 1:
-            minus[k] -= step
+        minus[k] -= step
         up, down = _readout_pmfs(n, *plus, f), _readout_pmfs(n, *minus, f)
         for state, grad in ((0, grad_down), (1, grad_up)):
-            central = (up[state] - down[state]) / (plus[k] - minus[k])
+            central = (up[state] - down[state]) / (2.0 * step)
             assert np.abs(central - grad[k]).max() <= 1e-5 * np.abs(grad).max()
 
 
