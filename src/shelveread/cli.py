@@ -93,6 +93,16 @@ def _integer(config: dict, section: str, key: str, low: int, high: float = float
     return value
 
 
+def _number(config: dict, section: str, key: str) -> float:
+    """A finite JSON number (not a boolean), as a float."""
+    value = _require(config, section, key)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the bound also refuses NaN, infinities and integers past the float range
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ValueError(f"config entry {section}.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 _PATH = (str, type(None))  # a path entry is a string, or null for the default
 _TYPE_NAMES = {bool: "true or false", str: "a string", _PATH: "a string or null"}
 
@@ -109,10 +119,10 @@ def _model_from_config(config: dict) -> DetectionModel:
     from .photon_statistics import DetectionModel
 
     return DetectionModel(
-        rate_bright=float(_require(config, "model", "rate_bright_hz")),
-        rate_dark=float(_require(config, "model", "rate_dark_hz")),
-        lifetime=float(_require(config, "model", "lifetime_s")),
-        t_det=float(_require(config, "model", "t_det_s")),
+        rate_bright=_number(config, "model", "rate_bright_hz"),
+        rate_dark=_number(config, "model", "rate_dark_hz"),
+        lifetime=_number(config, "model", "lifetime_s"),
+        t_det=_number(config, "model", "t_det_s"),
     )
 
 
@@ -120,8 +130,8 @@ def _errors_from_config(config: dict) -> ErrorRates:
     from .photon_statistics import ErrorRates
 
     return ErrorRates(
-        eps_down_tot=float(_require(config, "errors", "eps_down_tot")),
-        eps_up_tot=float(_require(config, "errors", "eps_up_tot")),
+        eps_down_tot=_number(config, "errors", "eps_down_tot"),
+        eps_up_tot=_number(config, "errors", "eps_up_tot"),
     )
 
 
@@ -144,20 +154,20 @@ def cmd_optimize(config: dict, out: Path) -> None:
     from ._files import write_json
     from .discrimination import OptimizationGrid, optimize, write_error_surface_csv
 
-    t_min = float(_require(config, "optimize", "t_min_us"))
-    t_max = float(_require(config, "optimize", "t_max_us"))
-    t_step = float(_require(config, "optimize", "t_step_us"))
+    t_min = _number(config, "optimize", "t_min_us")
+    t_max = _number(config, "optimize", "t_max_us")
+    t_step = _number(config, "optimize", "t_step_us")
     if not t_step > 0.0:
         raise ValueError(f"optimize.t_step_us must be positive, got {t_step}")
-    n_max = int(_require(config, "optimize", "n_th_max"))
+    n_max = _integer(config, "optimize", "n_th_max", 0)
     grid = OptimizationGrid(
         t_values=np.arange(t_min, t_max + 0.5 * t_step, t_step) * 1e-6,
         n_values=np.arange(0, n_max + 1),
     )
     result = optimize(
-        rate_bright=float(_require(config, "model", "rate_bright_hz")),
-        rate_dark=float(_require(config, "model", "rate_dark_hz")),
-        lifetime=float(_require(config, "model", "lifetime_s")),
+        rate_bright=_number(config, "model", "rate_bright_hz"),
+        rate_dark=_number(config, "model", "rate_dark_hz"),
+        lifetime=_number(config, "model", "lifetime_s"),
         grid=grid,
     )
     metadata = _metadata(config, "optimize")
@@ -267,6 +277,7 @@ def cmd_fit(config: dict, out: Path, seed_override: int | None) -> None:
 def cmd_tomo(config: dict, out: Path) -> None:
     from ._files import write_json
     from .tomography import (
+        PREPARED_LABELS,
         average_fidelity,
         bloch_error_surface,
         chi_from_projections,
@@ -297,7 +308,7 @@ def cmd_tomo(config: dict, out: Path) -> None:
             },
             "fidelities": fidelities,
         }
-        if all(label in fidelities for label in ("+z", "-z", "+x", "-x", "+y", "-y")):
+        if all(label in fidelities for label in PREPARED_LABELS):
             payload["average_fidelity"] = average_fidelity(fidelities)
             print(f"average state fidelity: {payload['average_fidelity']:.6f}")
         write_json(out / "state_fidelities.json", payload, metadata)

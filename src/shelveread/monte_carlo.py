@@ -61,11 +61,14 @@ __all__ = [
     "read_traces",
 ]
 
-# Shots processed per vectorized pass.  A trace chunk is also one task of
-# the thread pool and is kept small: at ~20 events per bright shot its
-# per-event arrays are ~1.4 MB, so peak memory is set by the output, not
-# by how the threads' chunks happen to overlap in time.
-_COUNT_CHUNK = 1 << 20
+# Shots per vectorized pass; each chunk is one task of the thread pool.  A
+# trace chunk is kept small: at ~20 events per bright shot its per-event
+# arrays are ~1.4 MB, so peak memory is set by the output, not by how the
+# threads' chunks happen to overlap in time.  The count chunk was chosen by
+# timing 2 x 3e6 paper-point shots on 2 threads: 0.36 s at 2**16, against
+# 0.67 s at the trace size 2**13 (per-chunk Philox setup and tables) and
+# 0.45 s at 2**20 (the chunk's arrays fall out of cache).
+_COUNT_CHUNK = 1 << 16
 _TRACE_CHUNK = 1 << 13
 
 
@@ -261,9 +264,11 @@ def _window_profile(prepared: Prepared, config: SimConfig, lo: int, hi: int):
     """Rate-switch instant T and window mean for shots ``lo..hi-1``.
 
     Every window is modeled as dark rate on [0, T) and bright rate on
-    [T, t_det]: an effectively bright shot has T = 0, an undecayed dark shot
-    T = t_det.  Returns ``(T, mu, u_count)`` where ``u_count`` is the
-    reserved uniform for the total-count draw.
+    [T, t_det]: an effectively bright shot has T = 0 and mean exactly
+    ``model.mean_bright``, an undecayed dark shot T = t_det and mean exactly
+    ``model.mean_dark``; only in-window decays have a mean of their own.
+    Returns ``(T, mu, u_count)`` where ``u_count`` is the reserved uniform
+    for the total-count draw.
     """
     u_flip, u_decay, u_pos, u_count = _uniforms(config.seed, 0, lo, hi - lo).T
     model = config.model
@@ -285,52 +290,44 @@ def _window_profile(prepared: Prepared, config: SimConfig, lo: int, hi: int):
     return t_switch, mu, u_count
 
 
-def _sampling_support_max(mean: float) -> int:
+def _sampling_support_max(mean):
     # Wider than the analytic support: a quantile draw must never fall off
-    # the table (tail beyond 16 sigma is ~1e-40 of the mass).
-    return int(np.ceil(mean + 16.0 * np.sqrt(mean))) + 20
+    # the table (tail beyond 16 sigma is ~1e-40 of the mass).  Elementwise.
+    return np.ceil(mean + 16.0 * np.sqrt(mean)).astype(np.int64) + 20
 
 
-def _poisson_quantile(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+def _poisson_quantile(u: np.ndarray, mean: np.ndarray, shared=()) -> np.ndarray:
     """Exact inverse-CDF Poisson draw, elementwise over (u, mean).
 
-    The quantile is the count of CDF values <= u.  Shots sharing a mean use
-    one table with a binary search; heterogeneous means (in-window decays)
-    get per-row tables.  Both paths compare the same floating-point CDF
-    values, so the result does not depend on which path ran.
+    The quantile is the count of CDF values <= u.  Shots whose mean is one
+    of ``shared`` (the samplers pass the model's bright and dark means, which
+    every undecayed shot has) use that mean's one table with a binary
+    search; every other shot (an in-window decay) gets a per-row table.  Both
+    paths compare the same floating-point CDF values, so the result does not
+    depend on which path ran.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     out = np.empty(u.shape, dtype=np.int64)
-    unique, inverse, multiplicity = np.unique(
-        mean, return_inverse=True, return_counts=True
-    )
-    if unique.size <= 32:
-        tabled = np.ones(unique.size, dtype=bool)
-    else:
-        # Shared means (undecayed shots) amortize one table over many rows;
-        # the long tail of distinct in-window decay means is batched row-wise.
-        tabled = multiplicity >= 32
-    for g in np.flatnonzero(tabled):
-        sel = inverse == g
-        m = unique[g]
+    rows = np.ones(u.shape, dtype=bool)
+    for m in shared:
+        sel = mean == m
         cdf = np.cumsum(poisson_pmf(np.arange(_sampling_support_max(m) + 1), m))
         out[sel] = np.searchsorted(cdf, u[sel], side="right")
-    rare = ~tabled[inverse]
-    if not np.any(rare):
+        rows &= ~sel
+    idx = np.flatnonzero(rows)
+    if idx.size == 0:
         return out
-    idx = np.flatnonzero(rare)
-    u_rare, mean_rare = u[idx], mean[idx]
-    width = _sampling_support_max(float(mean_rare.max())) + 1
+    u_rows, mean_rows = u[idx], mean[idx]
+    # Row tables are batched to ~4M elements, bounding memory at large means.
+    width = _sampling_support_max(mean_rows.max()) + 1
     chunk = max(1, 4_000_000 // width)
     grid = np.arange(width)
     for lo in range(0, idx.size, chunk):
-        hi = min(lo + chunk, idx.size)
-        mean_c = mean_rare[lo:hi]
-        cdf = np.cumsum(poisson_pmf(grid[None, :], mean_c[:, None]), axis=1)
-        drawn = (cdf <= u_rare[lo:hi, None]).sum(axis=1)
-        own = np.ceil(mean_c + 16.0 * np.sqrt(mean_c)).astype(np.int64) + 20 + 1
-        out[idx[lo:hi]] = np.minimum(drawn, own)
+        m = mean_rows[lo : lo + chunk]
+        cdf = np.cumsum(poisson_pmf(grid[None, :], m[:, None]), axis=1)
+        drawn = (cdf <= u_rows[lo : lo + chunk, None]).sum(axis=1)
+        out[idx[lo : lo + chunk]] = np.minimum(drawn, _sampling_support_max(m) + 1)
     return out
 
 
@@ -344,45 +341,32 @@ def _event_times(u: np.ndarray, t_switch: np.ndarray, mu: np.ndarray, model: Det
     return np.where(mass < mass_dark, before, after)
 
 
-def _shard_bounds(shots: int, threads: int, chunk: int) -> list[tuple[int, int]]:
-    """Split ``0..shots`` into at most min(threads, CPUs, ceil(shots/chunk)) shards."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    n = min(threads, os.cpu_count() or 1, -(-shots // chunk))
-    bounds = np.linspace(0, shots, n + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+def _run_sharded(work, shots: int, chunk: int, threads: int) -> list:
+    """``work(lo, hi)`` over ``0..shots`` in chunks of ``chunk`` shots, in shot order.
 
-
-def _run_sharded(work, shards: list[tuple[int, int]], threads: int) -> list:
-    """``work(lo, hi)`` over each shard, in shard order.
-
-    Shards go to min(threads, CPUs, len(shards)) threads, each thread taking
-    the next shard when it finishes one.
+    Chunks go to min(threads, CPUs, number of chunks) threads, each thread
+    taking the next chunk when it finishes one.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    workers = min(threads, os.cpu_count() or 1, len(shards))
+    chunks = [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)]
+    workers = min(threads, os.cpu_count() or 1, len(chunks))
     if workers == 1:
-        return [work(*bounds) for bounds in shards]
+        return [work(*bounds) for bounds in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda bounds: work(*bounds), shards))
-
-
-def _shard_counts(prepared: Prepared, config: SimConfig, lo: int, hi: int, out: np.ndarray):
-    for start in range(lo, hi, _COUNT_CHUNK):
-        stop = min(start + _COUNT_CHUNK, hi)
-        _, mu, u_count = _window_profile(prepared, config, start, stop)
-        out[start:stop] = _poisson_quantile(u_count, mu)
+        return list(pool.map(lambda bounds: work(*bounds), chunks))
 
 
 def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> np.ndarray:
     """Photon counts of shots ``0..shots-1``, independent of ``threads``."""
     out = np.empty(config.shots, dtype=np.int64)
-    _run_sharded(
-        lambda lo, hi: _shard_counts(prepared, config, lo, hi, out),
-        _shard_bounds(config.shots, threads, _COUNT_CHUNK),
-        threads,
-    )
+    shared = (config.model.mean_bright, config.model.mean_dark)
+
+    def count(lo: int, hi: int) -> None:
+        _, mu, u_count = _window_profile(prepared, config, lo, hi)
+        out[lo:hi] = _poisson_quantile(u_count, mu, shared)
+
+    _run_sharded(count, config.shots, _COUNT_CHUNK, threads)
     return out
 
 
@@ -394,7 +378,7 @@ def simulate_histogram(prepared: Prepared, config: SimConfig, threads: int = 1) 
 def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int):
     """Arrival times (shot-major) and counts of shots ``lo..hi-1``, in one pass."""
     t_switch, mu, u_count = _window_profile(prepared, config, lo, hi)
-    n = _poisson_quantile(u_count, mu)
+    n = _poisson_quantile(u_count, mu, (config.model.mean_bright, config.model.mean_dark))
     u_ev = _event_uniforms(config.seed, lo, n)
     t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), config.model)
     # One row per shot with two or more photons, padded with +inf so
@@ -417,11 +401,11 @@ def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     ``simulate_counts``; the count is then distributed over the window by
     inverse-CDF placement of each photon.
     """
-    chunks = [
-        (lo, min(lo + _TRACE_CHUNK, config.shots)) for lo in range(0, config.shots, _TRACE_CHUNK)
-    ]
     parts = _run_sharded(
-        lambda lo, hi: _shard_traces(prepared, config, lo, hi), chunks, threads
+        lambda lo, hi: _shard_traces(prepared, config, lo, hi),
+        config.shots,
+        _TRACE_CHUNK,
+        threads,
     )
     times = np.concatenate([p[0] for p in parts])
     counts = np.concatenate([p[1] for p in parts])

@@ -63,9 +63,9 @@ class DetectionModel:
     t_det: float
 
     def __post_init__(self) -> None:
-        if not (self.rate_bright > self.rate_dark >= 0.0):
+        if not (np.inf > self.rate_bright > self.rate_dark >= 0.0):
             raise ValueError(
-                "require rate_bright > rate_dark >= 0, got "
+                "require a finite rate_bright > rate_dark >= 0, got "
                 f"rate_bright={self.rate_bright}, rate_dark={self.rate_dark}"
             )
         if not self.lifetime > 0.0:
@@ -151,8 +151,8 @@ class CountPMF:
         return float(self.probs[: n + 1].sum())
 
     def tail(self, n: int) -> float:
-        """P(count > n) on the truncated support."""
-        return float(self.probs[n + 1 :].sum())
+        """P(count > n) on the truncated support.  ``n`` below 0 clips to -1."""
+        return float(self.probs[max(n, -1) + 1 :].sum())
 
     def mean(self) -> float:
         return float(np.arange(self.probs.size) @ self.probs)

@@ -287,6 +287,34 @@ def test_error_exit_codes(tmp_path, capsys):
         assert f"simulate.{key}" in err, err
     assert not (tmp_path / "sim" / "hist_down.csv").exists()
 
+    # model, errors and optimize.t_*_us are finite JSON numbers, n_th_max an integer >= 0
+    grid = {"t_min_us": 100.0, "t_max_us": 300.0, "t_step_us": 50.0, "n_th_max": 8}
+    for command, section, key, value in (
+        ("optimize", "model", "rate_bright_hz", [1]),
+        ("simulate", "model", "rate_bright_hz", [1]),
+        ("simulate", "model", "lifetime_s", True),
+        ("simulate", "model", "rate_bright_hz", 10**400),
+        ("simulate", "model", "rate_bright_hz", float("inf")),
+        ("fit", "model", "t_det_s", "0.00028"),
+        ("simulate", "errors", "eps_up_tot", "0.001"),
+        ("optimize", "optimize", "n_th_max", [3]),
+        ("optimize", "optimize", "n_th_max", 2.7),
+        ("optimize", "optimize", "n_th_max", True),
+        ("optimize", "optimize", "n_th_max", -1),
+        ("optimize", "optimize", "t_min_us", [50]),
+        ("optimize", "optimize", "t_step_us", False),
+        ("optimize", "optimize", "t_max_us", float("nan")),
+    ):
+        config = dict(PIPELINE_CONFIG, optimize=grid)
+        config["simulate"] = {**config["simulate"], "shots": 100}
+        config[section] = {**config[section], key: value}
+        path = _write_config(tmp_path, config, "number.json")
+        assert main([command, "--config", path, "--out", str(tmp_path / "number")]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{section}.{key}" in err, err
+    assert not any((tmp_path / "number").iterdir())
+
     # fit.bootstrap must be a JSON integer other than 1, fit.mode a string
     fit_out = tmp_path / "fit"
     small = dict(PIPELINE_CONFIG, simulate={**PIPELINE_CONFIG["simulate"], "shots": 2000})

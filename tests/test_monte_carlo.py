@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -70,19 +72,32 @@ def test_traces_independent_of_threads_and_chunking(measured_model, monkeypatch)
         (10, 8, 4, 8, 3),  # ceil(10 / 4) chunks
         (100, 8, 4, 2, 2),  # CPU count
         (100, 3, 4, 8, 3),  # requested threads
-        (10**6, 10**9, 1, 4, 4),  # a huge request is capped, not honored
+        (8, 10**9, 1, 4, 4),  # a huge request is capped, not honored
         (1, 4, 1 << 20, 4, 1),
     ],
 )
 def test_shard_bounds(monkeypatch, shots, threads, chunk, cpus, expected):
+    # _run_sharded cuts 0..shots into chunks, in order, and runs them on at
+    # most `expected` threads.  Even with a broken cap no case can start
+    # more than 8 threads: a pool starts at most one thread per chunk.
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
-    shards = mc._shard_bounds(shots, threads, chunk)
-    assert len(shards) == expected
-    assert shards[0][0] == 0 and shards[-1][1] == shots
-    assert all(a < b for a, b in shards)
-    assert all(b == a2 for (_, b), (a2, _) in zip(shards[:-1], shards[1:]))
+    seen = []
+
+    def work(lo, hi):
+        seen.append(threading.get_ident())
+        time.sleep(0.002)  # keep the task busy, so an uncapped pool adds threads
+        return lo, hi
+
+    chunks = mc._run_sharded(work, shots, chunk, threads)
+    assert len(chunks) == len(seen) == -(-shots // chunk)
+    assert chunks[0][0] == 0 and chunks[-1][1] == shots
+    assert all(0 < hi - lo <= chunk for lo, hi in chunks)
+    assert all(hi == lo2 for (_, hi), (lo2, _) in zip(chunks[:-1], chunks[1:]))
+    assert len(set(seen)) <= expected
+    if expected == 1:
+        assert set(seen) == {threading.get_ident()}  # one worker runs inline
     with pytest.raises(ValueError):
-        mc._shard_bounds(shots, 0, chunk)
+        mc._run_sharded(work, shots, chunk, 0)
 
 
 def test_trace_counts_match_count_mode(optimum_model, measured_errors, big_ensembles):
@@ -250,14 +265,11 @@ def test_up_traces_rear_loaded(optimum_model):
 
 def test_poisson_quantile_paths_agree():
     rng = np.random.default_rng(0)
-    means = np.repeat(np.linspace(0.5, 21.0, 33), 10)  # 33 unique, all sparse
+    means = np.repeat(np.linspace(0.5, 21.0, 33), 10)
     u = rng.random(means.size)
-    heterogeneous = _poisson_quantile(u, means)
-    homogeneous = np.empty_like(heterogeneous)
-    for m in np.unique(means):
-        sel = means == m
-        homogeneous[sel] = _poisson_quantile(u[sel], np.full(sel.sum(), m))
-    np.testing.assert_array_equal(heterogeneous, homogeneous)
+    rows = _poisson_quantile(u, means)  # no shared mean: a table per row
+    tabled = _poisson_quantile(u, means, shared=np.unique(means))  # one table per mean
+    np.testing.assert_array_equal(rows, tabled)
 
 
 def test_poisson_quantile_mixed_multiplicity():
@@ -266,7 +278,8 @@ def test_poisson_quantile_mixed_multiplicity():
     perm = rng.permutation(means.size)
     means = means[perm]
     u = rng.random(means.size)
-    mixed = _poisson_quantile(u, means)
+    # 20.9475 is a shared mean that no shot has; it selects no shot
+    mixed = _poisson_quantile(u, means, shared=(20.9475, 0.49875))
     singles = np.array(
         [_poisson_quantile(np.array([ui]), np.array([mi]))[0] for ui, mi in zip(u, means)]
     )
@@ -276,10 +289,28 @@ def test_poisson_quantile_mixed_multiplicity():
 def test_poisson_quantile_extremes():
     means = np.full(4, 20.9475)
     u = np.array([0.0, 1e-12, 0.5, 1.0 - 1e-12])
-    q = _poisson_quantile(u, means)
+    q = _poisson_quantile(u, means, shared=(20.9475,))
     assert q[0] == 0 or u[0] == 0.0  # u=0 maps below the first CDF value
     assert np.all(np.diff(q) >= 0)
     assert q[-1] < 200
+    np.testing.assert_array_equal(_poisson_quantile(u, means), q)
+
+
+@pytest.mark.parametrize("law", list(DecayTimeLaw))
+@pytest.mark.parametrize("rate_dark", [1.75e3, 0.0])
+def test_undecayed_shots_have_a_model_mean(law, rate_dark):
+    # the samplers table only the two model means, so an undecayed shot with
+    # any other mean would silently take the slower per-row path
+    model = DetectionModel(
+        rate_bright=73.5e3, rate_dark=rate_dark, lifetime=285e-6 / 0.072, t_det=285e-6
+    )
+    config = _config(model, errors=ErrorRates(0.3, 0.3), shots=20_000, seed=4, decay_time_law=law)
+    for prepared in Prepared:
+        t_switch, mu, _ = mc._window_profile(prepared, config, 0, config.shots)
+        bright, dark = t_switch == 0.0, t_switch == model.t_det
+        assert bright.any() and dark.any() and not np.all(bright | dark)
+        assert np.all(mu[bright] == model.mean_bright)
+        assert np.all(mu[dark] == model.mean_dark)
 
 
 # ---------------------------------------------------------------------------

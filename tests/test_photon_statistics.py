@@ -67,6 +67,9 @@ def test_detection_model_validation():
     with pytest.raises(ValueError):
         DetectionModel(rate_bright=1e3, rate_dark=-1.0, lifetime=0.4, t_det=1e-4)
     with pytest.raises(ValueError):
+        # an infinite mean has no Poisson table to sample from
+        DetectionModel(rate_bright=np.inf, rate_dark=10.0, lifetime=0.4, t_det=1e-4)
+    with pytest.raises(ValueError):
         DetectionModel(rate_bright=1e3, rate_dark=10.0, lifetime=0.0, t_det=1e-4)
     with pytest.raises(ValueError):
         # window longer than a tenth of the lifetime: first-order regime only
@@ -93,6 +96,11 @@ def test_count_pmf_type():
     assert pmf.tail(1) == pytest.approx(0.25)
     assert pmf.cdf(1) + pmf.tail(1) == pytest.approx(1.0, abs=1e-15)
     assert pmf.mean() == pytest.approx(1.0)
+    # n below the support clips, as in cdf: every count exceeds it
+    skewed = CountPMF(np.array([0.25, 0.25, 0.5]))
+    for n in (-1, -2, -3, -10):
+        assert skewed.tail(n) == 1.0 and skewed.cdf(n) == 0.0
+    assert skewed.tail(2) == skewed.tail(5) == 0.0
     with pytest.raises(ValueError):
         CountPMF(np.array([0.5, -0.1]))
     with pytest.raises(ValueError):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from shelveread import RNG_STREAM
 from shelveread.monte_carlo import (
+    DecayTimeLaw,
     Prepared,
     SimConfig,
     _event_times,
@@ -14,7 +18,9 @@ from shelveread.monte_carlo import (
     _shard_traces,
     _uniforms,
     _window_profile,
+    simulate_counts,
     simulate_shot,
+    simulate_traces,
 )
 from shelveread.photon_statistics import DetectionModel, ErrorRates
 
@@ -104,3 +110,66 @@ def test_uniformity_coarse():
     u = _uniforms(12345, 9, 0, 25_000).reshape(-1)
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(np.mean(u < 0.25) - 0.25) < 0.005
+
+
+# ---------------------------------------------------------------------------
+# Pinned output of the stream named by RNG_STREAM.  A failing digest means a
+# shot's values changed, so RNG_STREAM must change with it.
+
+_PAPER = (DetectionModel(73.5e3, 1.75e3, 0.390, 285e-6), ErrorRates(6e-4, 1e-3))
+_HIGH_DECAY = (DetectionModel(73.5e3, 1.75e3, 285e-6 / 0.072, 285e-6), ErrorRates(0.3, 0.3))
+_UNIFORM, _EXPONENTIAL = DecayTimeLaw.UNIFORM_FIRST_ORDER, DecayTimeLaw.EXPONENTIAL
+
+
+def _digest(*arrays: np.ndarray) -> str:
+    sha = hashlib.sha256()
+    for a in arrays:
+        sha.update(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "point,law,prepared,seed,digest",
+    [
+        (_PAPER, _UNIFORM, Prepared.DOWN, 11,
+         "2796db4536ce85d8a50b0341cc9125aca848dbf99428e6aa317ee52298109a10"),
+        (_PAPER, _UNIFORM, Prepared.UP, 12,
+         "cca84668e3d89fbeeaea9677131f7327e8c19f55a4fd75a826a8744bcff77b77"),
+        (_HIGH_DECAY, _UNIFORM, Prepared.DOWN, 11,
+         "6de2c4343360eb38f8d552da78fe5380e6fedaf7e6d5435cbea40f90fa7ce70f"),
+        (_HIGH_DECAY, _UNIFORM, Prepared.UP, 12,
+         "424ca6f3ead501fc8b9d5868348880ed1eda05e68efe17651ce640d13c46f709"),
+        (_HIGH_DECAY, _EXPONENTIAL, Prepared.DOWN, 11,
+         "40754037e0676ccecfad31f1336826f1842358f0fff21f60c2baaa3d5d9bb4af"),
+        (_HIGH_DECAY, _EXPONENTIAL, Prepared.UP, 12,
+         "ad220b1ebd5988d1c68e42a90a88c892a006c9f7bfb8542d97c713f7fee70b9c"),
+    ],
+)
+def test_counts_match_pinned_stream(point, law, prepared, seed, digest):
+    model, errors = point
+    config = SimConfig(model, errors, shots=200_000, seed=seed, decay_time_law=law)
+    assert RNG_STREAM == "philox4x64-10/shot-major/2"
+    assert _digest(simulate_counts(prepared, config, threads=2)) == digest
+
+
+# Traces under the uniform law only: the exponential law's log1p may differ
+# in its last bit between numpy builds, and arrival times carry every bit.
+@pytest.mark.parametrize(
+    "point,prepared,seed,digest",
+    [
+        (_PAPER, Prepared.DOWN, 11,
+         "c8542de2cc07ce17664632ae7aea1b22376879746c77a22e8d338ed2e625c5a6"),
+        (_PAPER, Prepared.UP, 12,
+         "87695ed49d692b0fba5afa45b3d6ac73593883259e79128f3eb344f9f736adb8"),
+        (_HIGH_DECAY, Prepared.DOWN, 11,
+         "0c21167eb21290d7aeae82dbaeda9e55ba01331ad7889b3b90d5aa37c40f7c96"),
+        (_HIGH_DECAY, Prepared.UP, 12,
+         "3c0002929f50c3fde57ffe982c18a1bb4daf992775520150656df8f7aa773a56"),
+    ],
+)
+def test_traces_match_pinned_stream(point, prepared, seed, digest):
+    model, errors = point
+    config = SimConfig(model, errors, shots=20_000, seed=seed)
+    batch = simulate_traces(prepared, config, threads=2)
+    assert RNG_STREAM == "philox4x64-10/shot-major/2"
+    assert _digest(batch.timestamps, batch.offsets) == digest
