@@ -443,12 +443,11 @@ def read_histogram_csv(path) -> CountHistogram:
     rows = [(int(n), int(c), float(f)) for n, c, f in read_csv(path, _HISTOGRAM_HEADER)]
     if not rows:
         raise ValueError(f"{path}: empty histogram file")
-    size = max(r[0] for r in rows) + 1
-    bins = np.zeros(size, dtype=np.int64)
-    for n, c, _ in rows:
-        if n < 0:
-            raise ValueError("histogram bins must be non-negative counts")
-        bins[n] += c
+    n_values = [n for n, _, _ in rows]
+    if min(n_values) < 0 or len(set(n_values)) < len(rows):
+        raise ValueError(f"{path}: bins n must be distinct non-negative counts")
+    bins = np.zeros(max(n_values) + 1, dtype=np.int64)
+    bins[n_values] = [c for _, c, _ in rows]
     total = int(bins.sum())
     for n, c, f in rows:
         if total and abs(f - c / total) > 1e-9:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shelveread.cli import main
 from shelveread.discrimination import read_error_surface_csv
 from shelveread.mle_fit import read_fit_json
 from shelveread.monte_carlo import (
+    DecayTimeLaw,
     Prepared,
     SimConfig,
     read_histogram_csv,
@@ -315,6 +317,31 @@ def test_error_exit_codes(tmp_path, capsys):
         assert f"{section}.{key}" in err, err
     assert not any((tmp_path / "number").iterdir())
 
+    # every present entry is checked against the schema, whatever the subcommand
+    # reads, before any histogram is read or any artifact written
+    model = PIPELINE_CONFIG["model"]
+    simulate = PIPELINE_CONFIG["simulate"]
+    for command, flags, changes, name in (
+        ("simulate", [], {"simulate": {**simulate, "shotz": 100}}, "simulate.shotz"),
+        ("simulate", [], {"simualte": {"shots": 100}}, "simualte"),
+        ("tomo", [], {"tomo": {"mode": "state", "theta_points": "x"}}, "tomo.theta_points"),
+        ("simulate", [], {"simulate": {**simulate, "decay_time_law": "exp"}},
+         "simulate.decay_time_law"),
+        ("fit", [], {"fit": {"mode": "both"}}, "fit.mode"),
+        ("optimize", [], {"optimize": {**grid, "t_min_us": -5}}, "optimize.t_min_us"),
+        ("optimize", [], {"model": {k: v for k, v in model.items() if k != "t_det_s"}},
+         "model.t_det_s"),
+        ("simulate", ["--seed", "5"], {"simulate": {**simulate, "seed": "3"}}, "simulate.seed"),
+    ):
+        config = {**PIPELINE_CONFIG, "optimize": grid, **changes}
+        path = _write_config(tmp_path, config, "schema.json")
+        argv = [command, "--config", path, "--out", str(tmp_path / "schema"), *flags]
+        assert main(argv) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert name in err, err
+    assert not any((tmp_path / "schema").iterdir())
+
     # fit.bootstrap must be a JSON integer other than 1, fit.mode a string
     fit_out = tmp_path / "fit"
     small = dict(PIPELINE_CONFIG, simulate={**PIPELINE_CONFIG["simulate"], "shots": 2000})
@@ -362,6 +389,25 @@ def test_error_exit_codes(tmp_path, capsys):
         expected = str(bad_budget) if key == "entries" and value != 5 else f"{section}.{key}"
         assert expected in err, err
     assert sorted(p.name for p in fit_out.iterdir()) == ["hist_down.csv", "hist_up.csv"]
+
+
+def test_bundled_config_documents_the_schema(tmp_path):
+    from shelveread.cli import _COMMANDS, _SCHEMA, _load_config
+
+    bundled = json.loads(
+        resources.files("shelveread").joinpath("data", "default_config.json").read_text()
+    )
+    assert {name: set(section) for name, section in bundled.items()} == {
+        name: set(keys) for name, keys in _SCHEMA.items()
+    }
+    for command, (_, _, sections) in _COMMANDS.items():
+        checked = _load_config(None, command, None)[1]
+        assert checked == {name: bundled[name] for name in sections}, command
+    # the schema's literal law names are those of the enum
+    for law in DecayTimeLaw:
+        config = dict(bundled, simulate={**bundled["simulate"], "decay_time_law": law.value})
+        path = _write_config(tmp_path, config)
+        assert _load_config(path, "simulate", None)[1]["simulate"]["decay_time_law"] == law.value
 
 
 def test_artifacts_share_one_format(tmp_path):

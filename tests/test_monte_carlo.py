@@ -452,3 +452,9 @@ def test_csv_header_validation(tmp_path):
         read_histogram_csv(bad)
     with pytest.raises(ValueError):
         read_traces(bad)
+    # a repeated bin is refused, not summed
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("n,count,frequency\n0,50,0.5\n3,25,0.25\n3,25,0.25\n")
+    with pytest.raises(ValueError, match="distinct") as info:
+        read_histogram_csv(repeated)
+    assert str(info.value).startswith(str(repeated)) and "\n" not in str(info.value)
