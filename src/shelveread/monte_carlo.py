@@ -41,6 +41,7 @@ from .photon_statistics import (
     ZERO_ERRORS,
     DetectionModel,
     ErrorRates,
+    _sampling_support_max,
     poisson_pmf,
 )
 
@@ -288,12 +289,6 @@ def _window_profile(prepared: Prepared, config: SimConfig, lo: int, hi: int):
     t_switch = np.where(effective_dark, t_switch, 0.0)
     mu = model.rate_dark * t_switch + model.rate_bright * (t_det - t_switch)
     return t_switch, mu, u_count
-
-
-def _sampling_support_max(mean):
-    # Wider than the analytic support: a quantile draw must never fall off
-    # the table (tail beyond 16 sigma is ~1e-40 of the mass).  Elementwise.
-    return np.ceil(mean + 16.0 * np.sqrt(mean)).astype(np.int64) + 20
 
 
 def _poisson_quantile(u: np.ndarray, mean: np.ndarray, shared=()) -> np.ndarray:

@@ -16,10 +16,11 @@ support chosen so the neglected tail is far below double-precision noise.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "DetectionModel",
@@ -27,7 +28,6 @@ __all__ = [
     "CountPMF",
     "ZERO_ERRORS",
     "poisson_pmf",
-    "reg_lower_gamma",
     "count_support_max",
     "decay_mixture_pmf",
     "bright_pdf",
@@ -161,6 +161,14 @@ class CountPMF:
         return float(self.probs.sum())
 
 
+@functools.lru_cache(maxsize=None)
+def _log_factorial(size: int) -> np.ndarray:
+    """log n! for n < size, a power of two; built once per size, read-only: threads share it."""
+    table = np.array([math.lgamma(i + 1.0) for i in range(size)])
+    table.flags.writeable = False
+    return table
+
+
 def poisson_pmf(n, mean):
     """Poisson probability mass, evaluated in log space for large means.
 
@@ -173,29 +181,22 @@ def poisson_pmf(n, mean):
         all mass on n = 0.
     """
     n = np.asarray(n)
+    k = n.astype(np.int64)
+    if (k != n).any():
+        raise ValueError("Poisson counts must be integers")
     mean = np.asarray(mean, dtype=float)
-    if np.any(mean < 0.0):
+    if (mean < 0.0).any():
         raise ValueError("Poisson mean must be non-negative")
-    n_f = n.astype(float)
-    valid = n >= 0
+    log_factorial = _log_factorial(1 << int(k.max(initial=0)).bit_length())
+    valid = k >= 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = n_f * np.log(mean) - mean - special.gammaln(n_f + 1.0)
+        log_p = k * np.log(mean) - mean - log_factorial[np.maximum(k, 0)]
         out = np.where(valid, np.exp(log_p), 0.0)
     # mean == 0 makes n*log(mean) ill-defined; the limit is a point mass at 0.
-    out = np.where(mean == 0.0, ((n == 0) & valid).astype(float), out)
+    out = np.where(mean == 0.0, (k == 0).astype(float), out)
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def reg_lower_gamma(x, a):
-    """Regularized lower incomplete gamma, integration limit first.
-
-    ``reg_lower_gamma(x, a) = gamma(a, x) / Gamma(a)`` with ``x`` the upper
-    integration limit.  For integer ``a = n + 1`` this equals the probability
-    that a Poisson variable with mean ``x`` exceeds ``n``.
-    """
-    return special.gammainc(a, x)
 
 
 def count_support_max(mean_bright: float) -> int:
@@ -209,6 +210,12 @@ def count_support_max(mean_bright: float) -> int:
     return int(np.ceil(mean_bright + 12.0 * np.sqrt(mean_bright))) + 5
 
 
+def _sampling_support_max(mean):
+    # Wider than the analytic support: no quantile draw or decay-mixture tail
+    # sum may fall off it (beyond 16 sigma is ~1e-40 of the mass).  Elementwise.
+    return np.ceil(mean + 16.0 * np.sqrt(mean)).astype(np.int64) + 20
+
+
 def _support(model: DetectionModel) -> np.ndarray:
     return np.arange(count_support_max(model.mean_bright) + 1)
 
@@ -220,17 +227,15 @@ def decay_mixture_pmf(model: DetectionModel) -> np.ndarray:
     ``rate_dark*T + rate_bright*(t_det - T)``; averaging T uniformly over the
     window gives
 
-        g(n) = [P(n+1, mean_bright) - P(n+1, mean_dark)] / (mean_bright - mean_dark)
+        g(n) = [F(n, mean_dark) - F(n, mean_bright)] / (mean_bright - mean_dark)
 
-    with P the regularized lower incomplete gamma -- i.e. the flat-in-mean
-    average of Poisson PMFs between the dark and bright means.  When the two
-    means lie less than one count apart that difference quotient cancels
-    catastrophically, and the average is taken by Gauss-Legendre quadrature
-    over the line of means instead.
+    with F the Poisson CDF -- i.e. the flat-in-mean average of Poisson PMFs
+    between the dark and bright means, summed from positive terms only.  When
+    the two means lie less than one count apart that difference quotient
+    cancels catastrophically, and the average is taken by Gauss-Legendre
+    quadrature over the line of means instead.
     """
-    return _decay_mixture_from_means(
-        _support(model), model.mean_bright, model.mean_dark
-    )
+    return _decay_mixture_from_means(_support(model), model.mean_bright, model.mean_dark)
 
 
 def _decay_mixture_from_means(n, mean_bright: float, mean_dark: float):
@@ -295,14 +300,15 @@ def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
     bright-prepared shots and ``1 - eps_up`` of dark-prepared shots are
     effectively dark.  The Monte Carlo sampler draws from exactly this model.
 
-    Returns ``(p_down, p_up, grad_down, grad_up)`` on the counts ``n``; the
-    gradients have shape ``(4, len(n))`` and are taken with respect to
+    Returns ``(p_down, p_up, grad_down, grad_up)`` on the counts ``n = 0..N``;
+    the gradients have shape ``(4, N + 1)`` and are taken with respect to
     (mean_bright, mean_dark, eps_down, eps_up).  At ``mean_dark == 0`` the
     dark-mean derivatives are set to 0 (the true derivative is one-sided).
     """
     n = np.asarray(n)
-    pb = poisson_pmf(n, mean_bright)
-    pd = poisson_pmf(n, mean_dark)
+    padded = np.arange(_sampling_support_max(max(mean_bright, n.size)) + 1)
+    pb_padded, pd_padded = poisson_pmf(padded, np.array([[mean_bright], [mean_dark]]))
+    pb, pd = pb_padded[: n.size], pd_padded[: n.size]
     # d Poisson(n, mu)/d mu = Poisson * (n/mu - 1); safe at small mu because
     # the Poisson factor carries mu^n.
     dpb = pb * (n / mean_bright - 1.0)
@@ -311,7 +317,7 @@ def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
     if gap < 1.0:
         # g = int_0^1 Poisson(mean_dark + u*gap) du, and its mean derivatives
         # are the same average of the Poisson slope weighted by u and 1 - u.
-        # The incomplete-gamma form below would cancel catastrophically here
+        # The CDF difference below would cancel catastrophically here
         # (derivative error ~1e-16/gap**2).
         mu = (mean_dark + gap * _GL_NODES)[:, None]
         p = poisson_pmf(n, mu)
@@ -320,7 +326,16 @@ def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
         dg_db = (_GL_WEIGHTS * _GL_NODES) @ slope
         dg_dd = (_GL_WEIGHTS * (1.0 - _GL_NODES)) @ slope
     else:
-        g = (reg_lower_gamma(mean_bright, n + 1.0) - reg_lower_gamma(mean_dark, n + 1.0)) / gap
+        # g sums pd - pb from 0 up below the count where the PMFs cross, and
+        # pb - pd from the padded end down above it: positive terms only, each
+        # kept exact near the crossing as pd*expm1(x) or -pb*expm1(-x), x = log(pb/pd).
+        crossing, excess = 0.0, pb_padded - pd_padded
+        if mean_dark > 0.0:
+            log_ratio = np.log1p(gap / mean_dark)
+            crossing, x = gap / log_ratio, padded * log_ratio - gap
+            excess = np.expm1(-np.abs(x)) * np.where(x < 0.0, pd_padded, -pb_padded)
+        above = np.cumsum(excess[:0:-1])[::-1][: n.size]
+        g = np.where(n < crossing, -np.cumsum(excess)[: n.size], above) / gap
         dg_db, dg_dd = (pb - g) / gap, (g - pd) / gap
     dark = (1.0 - f) * pd + f * g
     ddark_db = f * dg_db

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from shelveread.photon_statistics import (
@@ -21,7 +22,6 @@ from shelveread.photon_statistics import (
     observed_pdf_down,
     observed_pdf_up,
     poisson_pmf,
-    reg_lower_gamma,
 )
 from shelveread.photon_statistics import _decay_mixture_from_means, _readout_pmfs
 
@@ -45,20 +45,27 @@ def test_poisson_pmf_negative_and_scalar():
     assert poisson_pmf(-1, 3.0) == 0.0
     assert poisson_pmf(np.array([-2, 0, 1]), 0.0).tolist() == [0.0, 1.0, 0.0]
     assert isinstance(poisson_pmf(3, 2.0), float)
+    # counts index a log-factorial table: integer-valued floats pass, others fail
+    assert poisson_pmf(np.array([0.0, 2.0]), 2.0).tolist() == poisson_pmf([0, 2], 2.0).tolist()
+    with pytest.raises(ValueError):
+        poisson_pmf(np.array([1.0, 2.5]), 2.0)
 
 
-def test_reg_lower_gamma_quadrature_oracle():
-    """Regularized lower incomplete gamma vs direct quadrature, <= 1e-10."""
-    for a in (1.0, 2.0, 5.5, 11.0, 21.0, 40.0):
-        for x in (0.05, 0.4990, 1.0, 5.0, 20.9475, 60.0):
-            integral, abserr = quad(
-                lambda t: t ** (a - 1.0) * math.exp(-t), 0.0, x,
-                epsabs=1e-14, epsrel=1e-13, limit=200,
-            )
-            expected = integral / math.gamma(a)
-            assert abs(reg_lower_gamma(x, a) - expected) <= 1e-10
-            # the oracle itself must be trustworthy on the regularized scale
-            assert abserr / math.gamma(a) < 1e-12
+def test_decay_mixture_quadrature_oracle():
+    """Decay mixture vs direct quadrature of the flat-in-mean Poisson average, <= 1e-10."""
+    means = (0.05, 0.4990, 1.0, 5.0, 20.9475, 60.0)
+    for mean_bright in means:
+        for mean_dark in (m for m in means if m < mean_bright):
+            gap = mean_bright - mean_dark
+            g = _decay_mixture_from_means(np.arange(40), mean_bright, mean_dark)
+            for n in (0, 1, 10, 20, 39):
+                integral, abserr = quad(
+                    lambda mu: poisson_reference(n, mu), mean_dark, mean_bright,
+                    epsabs=1e-14, epsrel=1e-13, limit=200,
+                )
+                assert abs(g[n] - integral / gap) <= 1e-10, (mean_bright, mean_dark, n)
+                # the oracle itself must be trustworthy on the probability scale
+                assert abserr / gap < 1e-12
 
 
 def test_detection_model_validation():
@@ -164,6 +171,31 @@ def test_decay_mixture_near_equal_means():
     small_gap = _decay_mixture_from_means(n, 10.0 + 5e-4, 10.0 - 5e-4)
     assert np.allclose(tiny_gap, mid, atol=1e-12)
     assert np.allclose(small_gap, mid, atol=1e-6)  # continuity across the switch
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mean_bright=st.floats(1.0, 100.0),
+    gap=st.floats(1.0, 100.0),
+    dark_is_zero=st.booleans(),
+)
+@example(mean_bright=60.0, gap=1.0, dark_is_zero=False)  # lower tail lost to cancellation before
+@example(mean_bright=21.0, gap=21.0, dark_is_zero=True)  # PMFs cross at count 0
+def test_decay_mixture_matches_two_sided_oracle(mean_bright, gap, dark_is_zero):
+    """Every bin above 1e-300 within 1e-12 relative, whichever tail it lies in."""
+    mean_dark = 0.0 if dark_is_zero else max(mean_bright - gap, 0.0)
+    n = np.arange(count_support_max(mean_bright) + 1)
+    g = _decay_mixture_from_means(n, mean_bright, mean_dark)
+    # the CDF difference from the upper regularized gamma (the Poisson CDF) where
+    # the bright CDF is below 1/2, and from the lower one (its complement) above
+    lower_tail = special.gammaincc(n + 1, mean_bright) < 0.5
+    oracle = np.where(
+        lower_tail,
+        special.gammaincc(n + 1, mean_dark) - special.gammaincc(n + 1, mean_bright),
+        special.gammainc(n + 1, mean_bright) - special.gammainc(n + 1, mean_dark),
+    ) / (mean_bright - mean_dark)
+    kept = oracle > 1e-300
+    assert np.all(np.abs(g[kept] - oracle[kept]) <= 1e-12 * oracle[kept])
 
 
 def test_observed_pdfs_mixture_identity(measured_model):
