@@ -16,6 +16,13 @@ counts marginalize exactly to the closed-form count distributions
 ``photon_statistics.observed_pdf_down``/``observed_pdf_up``, which both come
 from the one readout model in ``photon_statistics._readout_pmfs``.
 
+The count is the exact inverse CDF, the number of Poisson CDF values <= the
+shot's uniform.  Undecayed shots, which have the bright or the dark mean,
+start from a guide table of that mean's CDF (Chen & Asau 1974) built once per
+``simulate_*`` call; decayed shots walk their own CDF in short blocks and
+stop where it passes u.  Both read the same CDF floats, so no draw depends on
+the path, the chunking or the thread count.
+
 Histograms are exchanged as ``n,count,frequency`` CSV in the one artifact
 format of ``_files`` (``write_histogram_csv``/``read_histogram_csv``).
 Trace batches are one lossless ``.npz`` archive (``write_traces``/
@@ -32,6 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,11 +74,14 @@ __all__ = [
 # trace chunk is kept small: at ~20 events per bright shot its per-event
 # arrays are ~1.4 MB, so peak memory is set by the output, not by how the
 # threads' chunks happen to overlap in time.  The count chunk was chosen by
-# timing 2 x 3e6 paper-point shots on 2 threads: 0.36 s at 2**16, against
-# 0.67 s at the trace size 2**13 (per-chunk Philox setup and tables) and
-# 0.45 s at 2**20 (the chunk's arrays fall out of cache).
+# timing 2 x 3e6 paper-point shots on 2 threads (medians of 9): 0.30 s at
+# 2**16, against 0.44 s at the trace size 2**13 (per-chunk Philox setup and
+# numpy call overhead) and 0.47 s at 2**20 (the chunk's arrays fall out of
+# cache).
 _COUNT_CHUNK = 1 << 16
 _TRACE_CHUNK = 1 << 13
+# CDF columns a decayed shot's row tabulates per step of its walk.
+_ROW_BLOCK = 16
 
 
 class Prepared(Enum):
@@ -291,38 +302,96 @@ def _window_profile(prepared: Prepared, config: SimConfig, lo: int, hi: int):
     return t_switch, mu, u_count
 
 
-def _poisson_quantile(u: np.ndarray, mean: np.ndarray, shared=()) -> np.ndarray:
-    """Exact inverse-CDF Poisson draw, elementwise over (u, mean).
+class _InverseTable(NamedTuple):
+    """One shared mean's Poisson CDF and its guide table."""
 
-    The quantile is the count of CDF values <= u.  Shots whose mean is one
-    of ``shared`` (the samplers pass the model's bright and dark means, which
-    every undecayed shot has) use that mean's one table with a binary
-    search; every other shot (an in-window decay) gets a per-row table.  Both
-    paths compare the same floating-point CDF values, so the result does not
-    depend on which path ran.
+    mean: float
+    cdf: np.ndarray  # CDF on 0.._sampling_support_max(mean), then +inf
+    guide: np.ndarray  # guide[j]: count of CDF values <= j/K, j = 0..K
+
+
+def _inverse_table(mean: float) -> _InverseTable:
+    """Guide table of K buckets, K a power of two >= 4x the CDF length.
+
+    The CDF is the cumsum the row path computes, so both give the same
+    draws.  A bucket holds at most one CDF value wherever the pmf exceeds
+    1/K, so only shots in the tails (at most a few in 1e3) need more than
+    one step from their bucket's entry.
+    """
+    cdf = np.cumsum(poisson_pmf(np.arange(_sampling_support_max(mean) + 1), mean))
+    buckets = 1 << (4 * cdf.size - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
+    return _InverseTable(float(mean), np.append(cdf, np.inf), guide)
+
+
+def _shared_tables(model: DetectionModel) -> tuple[_InverseTable, ...]:
+    """Tables of the two means every undecayed shot has."""
+    return _inverse_table(model.mean_bright), _inverse_table(model.mean_dark)
+
+
+def _table_quantile(table: _InverseTable, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, 'right')`` through the guide table."""
+    buckets = table.guide.size - 1
+    # u*K is exact: K is a power of two.  The bucket's guide entry counts the
+    # CDF values <= j/K <= u, so the walk only moves up, and the +inf
+    # sentinel stops it at the end of the table.
+    drawn = table.guide[(u * buckets).astype(np.intp)]
+    drawn += table.cdf[drawn] <= u
+    far = np.flatnonzero(table.cdf[drawn] <= u)
+    drawn[far] = np.searchsorted(table.cdf, u[far], side="right")
+    return drawn
+
+
+def _row_quantile(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Count of per-row CDF values <= u, clipped at ``_sampling_support_max(mean) + 1``.
+
+    Columns are tabulated ``_ROW_BLOCK`` at a time.  Each block starts from
+    the previous block's last CDF value, added to its first element, so the
+    values are the same floats as one full-width cumsum.  A row stops once
+    its CDF passes u or its support ends.
+    """
+    top = _sampling_support_max(mean)
+    drawn = np.zeros(u.shape, dtype=np.int64)
+    live = np.arange(u.size)
+    carry = np.zeros(u.shape)
+    lo = 0
+    while live.size:
+        pmf = poisson_pmf(np.arange(lo, lo + _ROW_BLOCK), mean[live, None])
+        pmf[:, 0] += carry
+        cdf = np.cumsum(pmf, axis=1)
+        below = cdf <= u[live, None]
+        drawn[live] += below.sum(axis=1)
+        lo += _ROW_BLOCK
+        more = below[:, -1] & (top[live] >= lo)
+        carry = cdf[more, -1]
+        live = live[more]
+    return np.minimum(drawn, top + 1)
+
+
+def _poisson_quantile(u: np.ndarray, mean: np.ndarray, shared=()) -> np.ndarray:
+    """Exact inverse-CDF Poisson draw, elementwise over (u, mean), u in [0, 1].
+
+    The draw is the count of CDF values <= u.  Shots whose mean is that of
+    one of the ``shared`` tables (the samplers build them once per call for
+    the model's bright and dark means, which every undecayed shot has) start
+    from the table's guide entry and take one step; the far tails fall back
+    to a binary search.  Every other shot (an in-window decay) walks its own
+    CDF from 0 in short blocks until the CDF passes u.  Both paths compare
+    the same floating-point CDF values, so the result does not depend on
+    which path ran.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     out = np.empty(u.shape, dtype=np.int64)
     rows = np.ones(u.shape, dtype=bool)
-    for m in shared:
-        sel = mean == m
-        cdf = np.cumsum(poisson_pmf(np.arange(_sampling_support_max(m) + 1), m))
-        out[sel] = np.searchsorted(cdf, u[sel], side="right")
+    for table in shared:
+        sel = mean == table.mean
+        # integer indices: boolean-mask gathers cost ~4x more per shot here
+        idx = np.flatnonzero(sel)
+        out[idx] = _table_quantile(table, u[idx])
         rows &= ~sel
     idx = np.flatnonzero(rows)
-    if idx.size == 0:
-        return out
-    u_rows, mean_rows = u[idx], mean[idx]
-    # Row tables are batched to ~4M elements, bounding memory at large means.
-    width = _sampling_support_max(mean_rows.max()) + 1
-    chunk = max(1, 4_000_000 // width)
-    grid = np.arange(width)
-    for lo in range(0, idx.size, chunk):
-        m = mean_rows[lo : lo + chunk]
-        cdf = np.cumsum(poisson_pmf(grid[None, :], m[:, None]), axis=1)
-        drawn = (cdf <= u_rows[lo : lo + chunk, None]).sum(axis=1)
-        out[idx[lo : lo + chunk]] = np.minimum(drawn, _sampling_support_max(m) + 1)
+    out[idx] = _row_quantile(u[idx], mean[idx])
     return out
 
 
@@ -355,7 +424,7 @@ def _run_sharded(work, shots: int, chunk: int, threads: int) -> list:
 def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> np.ndarray:
     """Photon counts of shots ``0..shots-1``, independent of ``threads``."""
     out = np.empty(config.shots, dtype=np.int64)
-    shared = (config.model.mean_bright, config.model.mean_dark)
+    shared = _shared_tables(config.model)
 
     def count(lo: int, hi: int) -> None:
         _, mu, u_count = _window_profile(prepared, config, lo, hi)
@@ -370,10 +439,14 @@ def simulate_histogram(prepared: Prepared, config: SimConfig, threads: int = 1) 
     return CountHistogram.from_counts(simulate_counts(prepared, config, threads))
 
 
-def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int):
-    """Arrival times (shot-major) and counts of shots ``lo..hi-1``, in one pass."""
+def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int, shared=()):
+    """Arrival times (shot-major) and counts of shots ``lo..hi-1``, in one pass.
+
+    ``shared`` are the quantile tables of ``_shared_tables``; without them
+    every shot walks its own CDF, to the same counts.
+    """
     t_switch, mu, u_count = _window_profile(prepared, config, lo, hi)
-    n = _poisson_quantile(u_count, mu, (config.model.mean_bright, config.model.mean_dark))
+    n = _poisson_quantile(u_count, mu, shared)
     u_ev = _event_uniforms(config.seed, lo, n)
     t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), config.model)
     # One row per shot with two or more photons, padded with +inf so
@@ -396,8 +469,9 @@ def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     ``simulate_counts``; the count is then distributed over the window by
     inverse-CDF placement of each photon.
     """
+    shared = _shared_tables(config.model)
     parts = _run_sharded(
-        lambda lo, hi: _shard_traces(prepared, config, lo, hi),
+        lambda lo, hi: _shard_traces(prepared, config, lo, hi, shared),
         config.shots,
         _TRACE_CHUNK,
         threads,

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import shelveread.monte_carlo as mc
@@ -28,13 +30,15 @@ from shelveread.monte_carlo import (
     write_histogram_csv,
     write_traces,
 )
-from shelveread.monte_carlo import _poisson_quantile
+from shelveread.monte_carlo import _inverse_table, _poisson_quantile
 from shelveread.photon_statistics import (
     DetectionModel,
     ErrorRates,
+    _sampling_support_max,
     dark_pdf,
     observed_pdf_down,
     observed_pdf_up,
+    poisson_pmf,
 )
 
 
@@ -267,8 +271,8 @@ def test_poisson_quantile_paths_agree():
     rng = np.random.default_rng(0)
     means = np.repeat(np.linspace(0.5, 21.0, 33), 10)
     u = rng.random(means.size)
-    rows = _poisson_quantile(u, means)  # no shared mean: a table per row
-    tabled = _poisson_quantile(u, means, shared=np.unique(means))  # one table per mean
+    rows = _poisson_quantile(u, means)  # no shared mean: a walk per row
+    tabled = _poisson_quantile(u, means, shared=[_inverse_table(m) for m in np.unique(means)])
     np.testing.assert_array_equal(rows, tabled)
 
 
@@ -279,21 +283,96 @@ def test_poisson_quantile_mixed_multiplicity():
     means = means[perm]
     u = rng.random(means.size)
     # 20.9475 is a shared mean that no shot has; it selects no shot
-    mixed = _poisson_quantile(u, means, shared=(20.9475, 0.49875))
+    mixed = _poisson_quantile(u, means, shared=(_inverse_table(20.9475), _inverse_table(0.49875)))
     singles = np.array(
         [_poisson_quantile(np.array([ui]), np.array([mi]))[0] for ui, mi in zip(u, means)]
     )
     np.testing.assert_array_equal(mixed, singles)
 
 
+def _cdf(mean: float) -> np.ndarray:
+    return np.cumsum(poisson_pmf(np.arange(_sampling_support_max(mean) + 1), mean))
+
+
 def test_poisson_quantile_extremes():
-    means = np.full(4, 20.9475)
-    u = np.array([0.0, 1e-12, 0.5, 1.0 - 1e-12])
-    q = _poisson_quantile(u, means, shared=(20.9475,))
-    assert q[0] == 0 or u[0] == 0.0  # u=0 maps below the first CDF value
+    mean = 20.9475
+    cdf = _cdf(mean)
+    # u = 0 lies below the first CDF value; a u equal to a CDF value counts
+    # that value; the largest uniform the stream emits is 1 - 2**-53
+    u = np.array([0.0, 1e-12, cdf[20], 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53])
+    q = _poisson_quantile(u, np.full(u.size, mean), shared=(_inverse_table(mean),))
+    assert q[0] == 0
+    assert q[2] == 21
     assert np.all(np.diff(q) >= 0)
     assert q[-1] < 200
-    np.testing.assert_array_equal(_poisson_quantile(u, means), q)
+    np.testing.assert_array_equal(q, np.searchsorted(cdf, u, side="right"))
+    np.testing.assert_array_equal(_poisson_quantile(u, np.full(u.size, mean)), q)
+
+
+def _probes(values: np.ndarray, grid) -> np.ndarray:
+    """``values``, their float neighbours, the stream's 2**-53 grid points on
+    either side of them, 0, 1 - 2**-53 and ``grid * 2**-53``, all in [0, 1)."""
+    below = np.floor(values * 2.0**53) * 2.0**-53
+    u = np.concatenate(
+        [
+            values,
+            np.nextafter(values, 0.0),
+            np.nextafter(values, 1.0),
+            below,
+            below + 2.0**-53,
+            [0.0, 1.0 - 2.0**-53],
+            np.asarray(grid, dtype=float) * 2.0**-53,
+        ]
+    )
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+_MEANS = st.floats(min_value=0.0, max_value=2500.0)
+_GRID = st.lists(st.integers(min_value=0, max_value=2**53 - 1), max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mean=_MEANS, grid=_GRID)
+@example(mean=0.0, grid=[])
+@example(mean=20.9475, grid=[])
+@example(mean=2500.0, grid=[])
+@example(mean=0.4625, grid=[])  # the CDF ends below 1 - 2**-53: the +inf sentinel stops the walk
+def test_guide_lookup_matches_binary_search(mean, grid):
+    # every CDF value, every bucket edge j/K and their neighbours
+    table = _inverse_table(mean)
+    buckets = table.guide.size - 1
+    cdf = _cdf(mean)
+    u = _probes(np.concatenate([cdf, np.arange(buckets) / buckets]), grid)
+    np.testing.assert_array_equal(mc._table_quantile(table, u), np.searchsorted(cdf, u, "right"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(means=st.lists(_MEANS, min_size=1, max_size=3), grid=_GRID)
+@example(means=[0.0, 20.9475], grid=[])
+@example(means=[2500.0, 0.49875], grid=[2**52, 2**53 - 1])
+@example(means=[0.4625], grid=[])  # support ends at a block edge, CDF there < 1 - 2**-53
+def test_row_walk_matches_full_width_count(means, grid):
+    # Probes: the CDF values at the columns where a few fixed levels and the
+    # grid's uniforms land, and at the block edges around them, where the
+    # walk carries its running sum.  Every row is checked against a table as
+    # wide as the largest mean's support.
+    block = mc._ROW_BLOCK
+    levels = np.concatenate([[1e-9, 0.01, 0.5, 0.99, 1.0 - 1e-9], np.asarray(grid) * 2.0**-53])
+    width = int(_sampling_support_max(max(means))) + 1
+    u_rows, mean_rows, expected = [], [], []
+    for mean in means:
+        cdf = _cdf(mean)
+        cols = np.searchsorted(cdf, levels)
+        edges = cols // block * block
+        cols = np.clip(np.concatenate([cols, edges - 1, edges, edges + block - 1]), 0, cdf.size - 1)
+        u = _probes(cdf[cols], grid)
+        full = np.cumsum(poisson_pmf(np.arange(width)[None, :], np.array([[mean]])), axis=1)
+        count = (full <= u[:, None]).sum(axis=1)
+        u_rows.append(u)
+        mean_rows.append(np.full(u.size, mean))
+        expected.append(np.minimum(count, _sampling_support_max(mean) + 1))
+    walked = mc._row_quantile(np.concatenate(u_rows), np.concatenate(mean_rows))
+    np.testing.assert_array_equal(walked, np.concatenate(expected))
 
 
 @pytest.mark.parametrize("law", list(DecayTimeLaw))
