@@ -336,7 +336,7 @@ _GRID = st.lists(st.integers(min_value=0, max_value=2**53 - 1), max_size=30)
 @example(mean=0.0, grid=[])
 @example(mean=20.9475, grid=[])
 @example(mean=2500.0, grid=[])
-@example(mean=0.4625, grid=[])  # the CDF ends below 1 - 2**-53: the +inf sentinel stops the walk
+@example(mean=0.4625, grid=[])  # CDF ends at 1 - 2**-53: u = 1 - 2**-53 walks to the +inf sentinel
 def test_guide_lookup_matches_binary_search(mean, grid):
     # every CDF value, every bucket edge j/K and their neighbours
     table = _inverse_table(mean)
@@ -350,7 +350,7 @@ def test_guide_lookup_matches_binary_search(mean, grid):
 @given(means=st.lists(_MEANS, min_size=1, max_size=3), grid=_GRID)
 @example(means=[0.0, 20.9475], grid=[])
 @example(means=[2500.0, 0.49875], grid=[2**52, 2**53 - 1])
-@example(means=[0.4625], grid=[])  # support ends at a block edge, CDF there < 1 - 2**-53
+@example(means=[0.4625], grid=[])  # support ends at a block edge with the CDF at 1 - 2**-53
 def test_row_walk_matches_full_width_count(means, grid):
     # Probes: the CDF values at the columns where a few fixed levels and the
     # grid's uniforms land, and at the block edges around them, where the
