@@ -87,3 +87,13 @@ def read_json(path):
     if isinstance(payload, dict):
         payload.pop("metadata", None)
     return payload
+
+
+def json_object(payload, keys: Iterable[str] = ()) -> dict:
+    """``payload`` if it is a JSON object that holds every key in ``keys``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"missing keys {missing}")
+    return payload

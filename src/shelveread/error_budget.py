@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._files import read_json, write_json
+from ._files import json_object, read_json, write_json
 
 __all__ = [
     "PulseGroup",
@@ -169,4 +169,9 @@ def write_report_json(
 
 
 def read_report_json(path) -> dict[str, BudgetReport]:
-    return {name: BudgetReport(**raw) for name, raw in read_json(path).items()}
+    try:
+        return {name: BudgetReport(**raw) for name, raw in json_object(read_json(path)).items()}
+    except (TypeError, ValueError) as exc:
+        # BudgetReport(**raw) reports a missing or unknown key, or a report
+        # that is not an object, as a TypeError
+        raise ValueError(f"{path}: {exc}") from None

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import read_json, write_json
+from ._files import json_object, read_json, write_json
 from .monte_carlo import CountHistogram
 from .photon_statistics import MAX_DECAY_FRACTION, _readout_pmfs, count_support_max
 
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _PARAM_NAMES = ("mean_bright", "mean_dark", "eps_down_tot", "eps_up_tot")
+# the other keys ``read_fit_json`` requires
+_FIT_KEYS = ("std_errors", "log_likelihood", "converged", "n_iterations", "t_det_s", "lifetime_s")
 
 _MAX_ITERATIONS, _MAX_HALVINGS = 200, 60  # Fisher-scoring steps; halvings per step
 _SCORE_TOL = 1e-11  # stop rule: largest per-shot score over the free parameters
@@ -453,25 +455,22 @@ def write_fit_json(result: FitResult, path, metadata: dict | None = None) -> Non
 
 def read_fit_json(path) -> FitResult:
     """Reconstruct a ``FitResult`` written by ``write_fit_json``."""
-    payload = read_json(path)
-    params = ReadoutParams(
-        payload["mean_bright"],
-        payload["mean_dark"],
-        payload["eps_down_tot"],
-        payload["eps_up_tot"],
-    )
-    std_errors = {
-        k: (np.nan if v is None else float(v))
-        for k, v in payload["std_errors"].items()
-    }
-    return FitResult(
-        params=params,
-        std_errors=std_errors,
-        log_likelihood=payload["log_likelihood"],
-        converged=payload["converged"],
-        n_iterations=payload["n_iterations"],
-        t_det=payload["t_det_s"],
-        lifetime=payload["lifetime_s"],
-        mode=payload.get("mode", "joint"),
-        details=payload.get("details", {}),
-    )
+    try:
+        payload = json_object(read_json(path), _PARAM_NAMES + _FIT_KEYS)
+        std_errors = {
+            k: (np.nan if v is None else float(v))
+            for k, v in json_object(payload["std_errors"]).items()
+        }
+        return FitResult(
+            params=ReadoutParams(*(payload[name] for name in _PARAM_NAMES)),
+            std_errors=std_errors,
+            log_likelihood=payload["log_likelihood"],
+            converged=payload["converged"],
+            n_iterations=payload["n_iterations"],
+            t_det=payload["t_det_s"],
+            lifetime=payload["lifetime_s"],
+            mode=payload.get("mode", "joint"),
+            details=payload.get("details", {}),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

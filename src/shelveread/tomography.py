@@ -8,11 +8,12 @@ perfectly prepared |+z> state that never fluoresces gives p_z = +1.
 
 From the Bloch vectors the module reconstructs density matrices, computes
 state fidelities against the six cardinal pure states, and performs process
-tomography: the chi matrix in the fixed operator basis {I, sigma_x,
-i*sigma_y, sigma_z} is obtained by solving the linear system that the four
-input states {+z, -z, +x, +y} impose.  Physicality of the raw chi is
-reported, not enforced; the supported correction is nulling the measured
-Bloch components orthogonal to each preparation axis before
+tomography: the outputs for the four input states {+z, -z, +x, +y} give the
+channel's Choi matrix in closed form, and one constant change of basis
+turns it into the chi matrix in the fixed operator basis {I, sigma_x,
+i*sigma_y, sigma_z} (Nielsen & Chuang, Box 8.5).  Physicality of the raw
+chi is reported, not enforced; the supported correction is nulling the
+measured Bloch components orthogonal to each preparation axis before
 reconstruction.
 """
 
@@ -23,7 +24,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._files import read_csv, read_grid_csv, read_json, write_csv, write_grid_csv, write_json
+from ._files import (
+    json_object, read_csv, read_grid_csv, read_json, write_csv, write_grid_csv, write_json
+)
 
 __all__ = [
     "PREPARED_LABELS",
@@ -66,7 +69,11 @@ _SIGMA = (
 )
 # Process-matrix operator basis: {I, sigma_x, i*sigma_y, sigma_z} (all real).
 CHI_BASIS_LABELS = ("I", "sigma_x", "i*sigma_y", "sigma_z")
-_CHI_BASIS = (_I2, _SIGMA[0], 1j * _SIGMA[1], _SIGMA[2])
+_CHI_BASIS = np.array((_I2, _SIGMA[0], 1j * _SIGMA[1], _SIGMA[2]))
+# V, whose column m is sum_i |i> (x) E_m|i>: the Choi matrix of the process
+# chi is V chi V^dag, and V^dag V = 2 I.
+_CHOI_FROM_CHI = _CHI_BASIS.transpose(2, 1, 0).reshape(4, 4)
+_PAULI = np.array((_I2, *_SIGMA))
 
 _CHI_INPUT_LABELS = ("+z", "-z", "+x", "+y")
 
@@ -308,10 +315,7 @@ def null_orthogonal_projections(
 
 
 def _trace_preservation_defect(chi: np.ndarray) -> float:
-    acc = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            acc += chi[m, n] * (_CHI_BASIS[n].conj().T @ _CHI_BASIS[m])
+    acc = np.einsum("mn,nba,mbc->ac", chi, _CHI_BASIS.conj(), _CHI_BASIS)
     return float(np.max(np.abs(acc - _I2)))
 
 
@@ -323,32 +327,24 @@ def trace_preservation_defect(chi: ChiMatrix) -> float:
 def reconstruct_chi(outputs: Mapping[str, DensityMatrix]) -> ChiMatrix:
     """Process matrix from the outputs for inputs {+z, -z, +x, +y}.
 
-    Solves the 16x16 linear system stating that the chi representation
-    reproduces all four measured output matrices.  Those inputs span the
-    Hermitian 2x2 matrices, so the solution is unique; Hermiticity and
-    trace preservation then follow from the outputs being valid states.
+    The outputs give the Choi matrix J = sum_ij |i><j| (x) E(|i><j|) in
+    closed form: its diagonal blocks are the outputs for +z = |0><0| and
+    -z = |1><1|, and its off-diagonal block is E(|0><1|) =
+    rho'(+x) + i rho'(+y) - (1 + i)(rho'(+z) + rho'(-z))/2.  Then chi =
+    V^dag J V / 4 with V the constant Choi image of the operator basis
+    (Nielsen & Chuang, Box 8.5).  Those inputs span the Hermitian 2x2
+    matrices, so chi is unique; Hermiticity and trace preservation follow
+    from the outputs being valid states.
     """
     missing = [label for label in _CHI_INPUT_LABELS if label not in outputs]
     if missing:
         raise ValueError(f"missing outputs for input states: {missing}")
 
-    system = np.zeros((16, 16), dtype=complex)
-    rhs = np.zeros(16, dtype=complex)
-    for j, label in enumerate(_CHI_INPUT_LABELS):
-        rho_in = pure_state(label).matrix
-        rho_out = outputs[label].matrix
-        for k in range(2):
-            for l in range(2):
-                row = 4 * j + 2 * k + l
-                rhs[row] = rho_out[k, l]
-                for m in range(4):
-                    for n in range(4):
-                        term = _CHI_BASIS[m] @ rho_in @ _CHI_BASIS[n].conj().T
-                        system[row, 4 * m + n] = term[k, l]
-    if np.linalg.cond(system) > 1e12:
-        raise ValueError("input set is numerically singular")
-    chi = np.linalg.solve(system, rhs).reshape(4, 4)
-    chi = 0.5 * (chi + chi.conj().T)  # discard solver round-off asymmetry
+    up, down, plus_x, plus_y = (outputs[label].matrix for label in _CHI_INPUT_LABELS)
+    coherence = plus_x + 1j * plus_y - 0.5 * (1 + 1j) * (up + down)  # E(|0><1|)
+    choi = np.block([[up, coherence], [coherence.conj().T, down]])
+    chi = _CHOI_FROM_CHI.conj().T @ choi @ _CHOI_FROM_CHI / 4
+    chi = 0.5 * (chi + chi.conj().T)  # discard round-off asymmetry
     return ChiMatrix(chi)
 
 
@@ -364,12 +360,7 @@ def chi_from_projections(projections: Mapping[str, BlochVector]) -> ChiMatrix:
 
 def apply_chi(chi: ChiMatrix, rho: DensityMatrix) -> DensityMatrix:
     """Forward action sum_mn chi_mn E_m rho E_n^dag."""
-    acc = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            acc += chi.matrix[m, n] * (
-                _CHI_BASIS[m] @ rho.matrix @ _CHI_BASIS[n].conj().T
-            )
+    acc = np.einsum("mn,mab,bc,ndc->ad", chi.matrix, _CHI_BASIS, rho.matrix, _CHI_BASIS.conj())
     acc = 0.5 * (acc + acc.conj().T)
     return DensityMatrix(acc)
 
@@ -380,17 +371,15 @@ def process_fidelity(chi: ChiMatrix) -> float:
 
 
 def _affine_from_chi(chi: ChiMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch-sphere affine form of the channel: p -> lam @ p + shift."""
-    center = bloch_from_state(apply_chi(chi, DensityMatrix(0.5 * _I2))).as_array()
-    lam = np.zeros((3, 3))
-    for i in range(3):
-        p = np.zeros(3)
-        p[i] = 1.0
-        out = bloch_from_state(
-            apply_chi(chi, reconstruct_state(BlochVector(*p)))
-        ).as_array()
-        lam[:, i] = out - center
-    return lam, center
+    """Bloch-sphere affine form of the channel: p -> lam @ p + shift.
+
+    Both come from the Pauli transfer matrix R_ij = Tr(sigma_i E(sigma_j))/2,
+    with sigma_0 = I: lam = R[1:, 1:] and shift = R[1:, 0].
+    """
+    ptm = np.einsum(
+        "iab,mn,mbc,jcd,nad->ij", _PAULI, chi.matrix, _CHI_BASIS, _PAULI, _CHI_BASIS.conj()
+    ).real / 2
+    return ptm[1:, 1:], ptm[1:, 0]
 
 
 def bloch_error_surface(
@@ -458,11 +447,13 @@ def write_chi_json(chi: ChiMatrix, path, metadata: dict | None = None) -> None:
 
 
 def read_chi_json(path) -> ChiMatrix:
-    payload = read_json(path)
-    if tuple(payload["basis"]) != CHI_BASIS_LABELS:
-        raise ValueError(f"unexpected operator basis {payload['basis']}")
-    matrix = np.array(payload["real"]) + 1j * np.array(payload["imag"])
-    return ChiMatrix(matrix)
+    try:
+        payload = json_object(read_json(path), ("basis", "real", "imag"))
+        if tuple(payload["basis"]) != CHI_BASIS_LABELS:
+            raise ValueError(f"unexpected operator basis {payload['basis']}")
+        return ChiMatrix(np.array(payload["real"]) + 1j * np.array(payload["imag"]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_surface_csv(theta_deg, phi_deg, error, path, metadata: dict | None = None) -> None:

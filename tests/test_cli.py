@@ -207,6 +207,20 @@ def test_tomo_process_raw_not_physical(tmp_path):
     assert process["min_eigenvalue"] < -1e-3
 
 
+def test_tomo_records_missing_an_axis(tmp_path, capsys):
+    # the library's fill_missing_orthogonal keyword is not a CLI option, so
+    # the message names the records file and the missing pair instead
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "prepared,axis,shots,bright_count\n"
+        + "".join(f"{label},{label[1]},1000,10\n" for label in ("+z", "-z", "+x", "+y"))
+    )
+    config = _write_config(tmp_path, {"tomo": {"mode": "process", "records": str(records)}})
+    assert main(["tomo", "--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {records}: state +z: axis 'x' missing\n"
+
+
 def test_budget_default(tmp_path, capsys):
     assert main(["budget", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -169,3 +169,9 @@ def test_report_json_round_trip(tmp_path, bundled_budgets):
     write_report_json(reports, path, metadata={"seed": 0})
     back = read_report_json(path)
     assert back == reports
+    # a malformed file is a one-line ValueError that names it
+    for payload in ("[1, 2]", '{"a": {"x": 1}}', '{"a": 3}'):
+        path.write_text(payload + "\n")
+        with pytest.raises(ValueError) as info:
+            read_report_json(path)
+        assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value), payload

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -341,3 +342,18 @@ def test_json_encodes_nan_std_errors(tmp_path):
     assert math.isnan(back.std_errors["eps_down_tot"])
     assert back.std_errors["eps_up_tot"] == 1e-4
     assert not back.converged
+
+
+def test_read_fit_json_rejects_malformed_files(tmp_path):
+    # each is a one-line ValueError that names the file
+    path = tmp_path / "fit.json"
+    full = {
+        "mean_bright": 20.0, "mean_dark": 0.5, "eps_down_tot": 1e-4, "eps_up_tot": 1e-3,
+        "std_errors": [], "log_likelihood": -1.0, "converged": True, "n_iterations": 3,
+        "t_det_s": T_DET, "lifetime_s": LIFETIME,
+    }
+    for payload in ({"mean_bright": 1}, [1, 2], full, dict(full, std_errors={"mean_bright": "x"})):
+        path.write_text(json.dumps(payload) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_fit_json(path)
+        assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value), payload

@@ -15,6 +15,7 @@ from shelveread.tomography import (
     ChiMatrix,
     DensityMatrix,
     TomographyRecord,
+    _affine_from_chi,
     apply_chi,
     average_fidelity,
     bloch_error_surface,
@@ -228,6 +229,87 @@ def test_reconstruct_chi_missing_input():
         reconstruct_chi(outputs)
 
 
+_PAULI = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+# E_m of the chi basis {I, sigma_x, i*sigma_y, sigma_z}, built here from the labels
+_BASIS = (_PAULI[0], _PAULI[1], 1j * _PAULI[2], _PAULI[3])
+
+
+def _rotation(angle, axis):
+    n = np.asarray(axis, float) / np.linalg.norm(axis)
+    generator = sum(c * pauli for c, pauli in zip(n, _PAULI[1:]))
+    return np.cos(angle / 2) * _PAULI[0] - 1j * np.sin(angle / 2) * generator
+
+
+_ROTATION = [_rotation(0.7, (0.3, -0.5, 0.8))]
+_DAMPING = [np.diag([1.0, np.sqrt(0.8)]), np.sqrt(0.2) * np.array([[0.0, 1.0], [0.0, 0.0]])]
+KRAUS_CHANNELS = {
+    "rotation": _ROTATION,
+    "damping": _DAMPING,
+    "damping_then_rotation": [_ROTATION[0] @ k for k in _DAMPING],
+}
+
+
+def _kraus_apply(kraus, rho):
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def _kraus_chi(kraus):
+    """chi = sum_k a_k a_k^dag with K_k = sum_m a_km E_m, a_km = Tr(E_m^dag K_k)/2."""
+    chi = np.zeros((4, 4), dtype=complex)
+    for k in kraus:
+        a = np.array([np.trace(e.conj().T @ k) / 2 for e in _BASIS])
+        chi += np.outer(a, a.conj())
+    return chi
+
+
+def _exact_chi(kraus):
+    outputs = {
+        label: DensityMatrix(_kraus_apply(kraus, pure_state(label).matrix))
+        for label in ("+z", "-z", "+x", "+y")
+    }
+    return reconstruct_chi(outputs)
+
+
+@pytest.mark.parametrize("name", sorted(KRAUS_CHANNELS))
+def test_chi_matches_kraus_oracle(name):
+    # complex, off-diagonal chi: a conjugated or transposed basis change fails here
+    kraus = KRAUS_CHANNELS[name]
+    chi = _exact_chi(kraus)
+    np.testing.assert_allclose(chi.matrix, _kraus_chi(kraus), rtol=0, atol=1e-12)
+    assert trace_preservation_defect(chi) < 1e-12
+
+    rho = reconstruct_state(BlochVector(0.3, -0.4, 0.5))
+    np.testing.assert_allclose(
+        apply_chi(chi, rho).matrix, _kraus_apply(kraus, rho.matrix), rtol=0, atol=1e-12
+    )
+    # the error surface carries the channel's shift (damping) and rotation
+    theta, phi, error = bloch_error_surface(chi, np.array([0, 60, 180]), np.array([0, 100]))
+    for i, t in enumerate(np.deg2rad(theta)):
+        for j, f in enumerate(np.deg2rad(phi)):
+            psi = np.array([np.cos(t / 2), np.exp(1j * f) * np.sin(t / 2)])
+            out = _kraus_apply(kraus, np.outer(psi, psi.conj()))
+            assert error[i, j] == pytest.approx(1.0 - (psi.conj() @ out @ psi).real, abs=1e-12)
+
+
+def test_six_state_mean_fidelity_is_trace_of_affine_map(bundled_records):
+    # Bowdrey et al. 2002: the mean over the six cardinal states is 1/2 + tr(M)/6
+    nulled = null_orthogonal_projections(projections_from_records(bundled_records))
+    chis = [chi_from_projections(nulled)]
+    chis += [_exact_chi(KRAUS_CHANNELS[name]) for name in sorted(KRAUS_CHANNELS)]
+    for chi in chis:
+        mean = np.mean([
+            state_fidelity(apply_chi(chi, pure_state(label)), pure_state(label))
+            for label in PREPARED_LABELS
+        ])
+        lam, _ = _affine_from_chi(chi)
+        assert abs(mean - (0.5 + np.trace(lam) / 6)) < 1e-12
+
+
 def test_error_surface_shapes_and_identity(bundled_records):
     ident = chi_from_projections(projections_from_records(_ideal_records()))
     theta, phi, error = bloch_error_surface(ident)
@@ -326,6 +408,12 @@ def test_chi_json_round_trip(tmp_path, bundled_records):
     np.testing.assert_array_equal(back.matrix, chi.matrix)
     text = path.read_text()
     assert all(label in text for label in CHI_BASIS_LABELS)
+    # a malformed file is a one-line ValueError that names it
+    for payload in ('{"real": [[1]]}', "[1, 2]", '{"basis": 3, "real": [], "imag": []}'):
+        path.write_text(payload + "\n")
+        with pytest.raises(ValueError) as info:
+            read_chi_json(path)
+        assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value), payload
 
 
 def test_surface_csv_round_trip(tmp_path):
