@@ -3,9 +3,10 @@
 A CSV artifact is ``# key: value`` metadata lines, a header row, then one
 comma-joined row per record, each value written with ``str``, which gives
 the shortest round-trip form of a float.  Lines end in ``\\n``.  Readers
-skip ``#`` and blank lines and check the header and the field count of
-every row.  A grid CSV holds one ``x,y,value`` row per grid point, x-major,
-and is read back only if it holds each point of a rectangular grid once.
+skip ``#`` and blank lines, check the header and the field count of every
+row, and name the file and the row in any error a row causes.  A grid CSV
+holds one ``x,y,value`` row per grid point, x-major, and is read back only
+if it holds each point of a rectangular grid once.
 
 A JSON artifact is ``json.dumps(payload, indent=2)`` and a newline, with
 ``metadata`` as its last key; the reader drops that key.
@@ -31,8 +32,12 @@ def write_csv(path, header: Sequence[str], rows: Iterable, metadata: dict | None
     _write_lines(path, header, (",".join(map(str, row)) for row in rows), metadata)
 
 
-def read_csv(path, header: Sequence[str]) -> list[list[str]]:
-    """The rows of a CSV written by ``write_csv``, as lists of strings."""
+def read_csv(path, header: Sequence[str], parse=list) -> list:
+    """``parse`` of each row of a CSV written by ``write_csv``, given as a list of strings.
+
+    A ``ValueError`` from ``parse`` is raised again, prefixed with the path
+    and the row.
+    """
     lines = (
         line
         for line in Path(path).read_text().splitlines()
@@ -45,7 +50,10 @@ def read_csv(path, header: Sequence[str]) -> list[list[str]]:
         row = line.split(",")
         if len(row) != len(header):
             raise ValueError(f"{path}: row {line!r} has {len(row)} fields, expected {len(header)}")
-        rows.append(row)
+        try:
+            rows.append(parse(row))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {line!r}: {exc}") from None
     return rows
 
 
@@ -64,7 +72,7 @@ def write_grid_csv(path, header: Sequence[str], x, y, values, metadata: dict | N
 
 def read_grid_csv(path, header: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read ``(x, y, values)`` written by ``write_grid_csv``, in any row order."""
-    raw = np.array(read_csv(path, header), dtype=float).reshape(-1, 3)
+    raw = np.array(read_csv(path, header, lambda row: [float(v) for v in row])).reshape(-1, 3)
     x, i = np.unique(raw[:, 0], return_inverse=True)
     y, j = np.unique(raw[:, 1], return_inverse=True)
     cells = i * y.size + j

@@ -16,12 +16,22 @@ counts marginalize exactly to the closed-form count distributions
 ``photon_statistics.observed_pdf_down``/``observed_pdf_up``, which both come
 from the one readout model in ``photon_statistics._readout_pmfs``.
 
+Each chunk of shots is classified from the raw 64-bit words of its block 0,
+not from their uniforms: the flip draw, and under the uniform law the decay
+draw, is the integer compare ``w < ceil(p * 2**53) * 2**11``, which holds
+exactly when the word's uniform ``(w >> 11) * 2**-53`` is below p.  Only
+the count uniform becomes a float for every shot; the decay position does
+so for decayed shots alone, and the exponential law's decay uniform for
+dark shots alone.
+
 The count is the exact inverse CDF, the number of Poisson CDF values <= the
-shot's uniform.  Undecayed shots, which have the bright or the dark mean,
-start from a guide table of that mean's CDF (Chen & Asau 1974) built once per
-``simulate_*`` call; decayed shots walk their own CDF in short blocks and
-stop where it passes u.  Both read the same CDF floats, so no draw depends on
-the path, the chunking or the thread count.
+shot's uniform.  Every shot of a chunk is drawn in one pass from a guide
+table (Chen & Asau 1974) of its prepared state's mean; the flipped shots are
+then redrawn from the other state's table, and the in-window decays, the
+only shots with a mean of their own, walk their own CDF in short blocks
+until it passes u.  The two tables are built once per ``simulate_*`` call.
+All paths read the same CDF floats, so no draw depends on the path, the
+chunking or the thread count.
 
 Histograms are exchanged as ``n,count,frequency`` CSV in the one artifact
 format of ``_files`` (``write_histogram_csv``/``read_histogram_csv``).
@@ -34,6 +44,7 @@ bit, photonless shots included.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,10 +85,10 @@ __all__ = [
 # trace chunk is kept small: at ~20 events per bright shot its per-event
 # arrays are ~1.4 MB, so peak memory is set by the output, not by how the
 # threads' chunks happen to overlap in time.  The count chunk was chosen by
-# timing 2 x 3e6 paper-point shots on 2 threads (medians of 9): 0.30 s at
-# 2**16, against 0.44 s at the trace size 2**13 (per-chunk Philox setup and
-# numpy call overhead) and 0.47 s at 2**20 (the chunk's arrays fall out of
-# cache).
+# timing 2 x 3e6 paper-point shots on 2 threads (2-core Xeon, two rounds of
+# medians of 9): 0.222 / 0.235 s at 2**15 (per-chunk Philox setup and numpy
+# call overhead), 0.202 / 0.194 s at 2**16 and 0.196 / 0.200 s at 2**17,
+# which doubles the chunk's arrays for no measurable gain.
 _COUNT_CHUNK = 1 << 16
 _TRACE_CHUNK = 1 << 13
 # CDF columns a decayed shot's row tabulates per step of its walk.
@@ -248,14 +259,33 @@ class CountHistogram:
 # generator walks a block for consecutive shots.  ``RNG_STREAM`` names this
 # layout in every CLI artifact; change it whenever any shot's values change.
 
-def _uniforms(seed: int, block: int, lo: int, n: int) -> np.ndarray:
-    """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array on [0, 1)."""
+def _words(seed: int, block: int, lo: int, n: int) -> np.ndarray:
+    """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array of raw uint64 words."""
     bits = np.random.Philox(
         counter=np.array([lo, block, 0, 0], dtype=np.uint64),
         key=np.array([seed, 0], dtype=np.uint64),
     )
-    words = bits.random_raw(4 * n).reshape(n, 4)
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return bits.random_raw(4 * n).reshape(n, 4)
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """The uniform of each raw word on [0, 1): its top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _uniforms(seed: int, block: int, lo: int, n: int) -> np.ndarray:
+    """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array on [0, 1)."""
+    return _unit(_words(seed, block, lo, n))
+
+
+def _threshold(p: float) -> np.uint64:
+    """Raw-word bound of a draw below ``p``: ``w < _threshold(p)`` iff ``_unit(w) < p``.
+
+    For 0 <= p < 1, ``p * 2**53`` is exact, so ``(w >> 11) * 2**-53 < p``
+    iff ``w >> 11 < ceil(p * 2**53)`` iff ``w < ceil(p * 2**53) * 2**11``,
+    which is at most 2**64 - 2**11.
+    """
+    return np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
 def _event_uniforms(seed: int, lo: int, n_events: np.ndarray) -> np.ndarray:
@@ -272,40 +302,54 @@ def _event_uniforms(seed: int, lo: int, n_events: np.ndarray) -> np.ndarray:
     return u
 
 
-def _window_profile(prepared: Prepared, config: SimConfig, lo: int, hi: int):
-    """Rate-switch instant T and window mean for shots ``lo..hi-1``.
+class _Window(NamedTuple):
+    """Shots ``lo..hi-1`` of one prepared state, classified by ``_window_profile``."""
+
+    u_count: np.ndarray  # every shot's count uniform
+    dark: np.ndarray  # mask of the shots whose effective state is dark
+    flipped: np.ndarray  # indices of the shots whose effective state is not the prepared one
+    decayed: np.ndarray  # indices of the in-window decays
+    t_decay: np.ndarray  # their decay instants
+    mu_decay: np.ndarray  # their window means
+
+
+def _window_profile(prepared: Prepared, config: SimConfig, lo: int, hi: int) -> _Window:
+    """Classify shots ``lo..hi-1`` from the raw words of their block 0.
 
     Every window is modeled as dark rate on [0, T) and bright rate on
     [T, t_det]: an effectively bright shot has T = 0 and mean exactly
     ``model.mean_bright``, an undecayed dark shot T = t_det and mean exactly
-    ``model.mean_dark``; only in-window decays have a mean of their own.
-    Returns ``(T, mu, u_count)`` where ``u_count`` is the reserved uniform
-    for the total-count draw.
+    ``model.mean_dark``; only in-window decays have a T and a mean of their
+    own.  Lane 0 flips the prepared state and, under the uniform law, lane 1
+    decides a dark shot's decay: both are integer compares on the raw words
+    (``_threshold``).  Only the lanes a shot uses become floats: lane 3, the
+    count uniform, for every shot, lane 2 (the decay position) for decayed
+    shots, and lane 1 for dark shots under the exponential law.
     """
-    u_flip, u_decay, u_pos, u_count = _uniforms(config.seed, 0, lo, hi - lo).T
+    w_flip, w_decay, w_pos, w_count = _words(config.seed, 0, lo, hi - lo).T
     model = config.model
-    t_det = model.t_det
     eps = (
         config.errors.eps_down_tot
         if prepared is Prepared.DOWN
         else config.errors.eps_up_tot
     )
-    flipped = u_flip < eps
-    effective_dark = flipped if prepared is Prepared.DOWN else ~flipped
+    flip = w_flip < _threshold(eps)
+    dark = flip if prepared is Prepared.DOWN else ~flip
     if config.decay_time_law is DecayTimeLaw.UNIFORM_FIRST_ORDER:
-        decayed = u_decay < model.decay_fraction
-        t_switch = np.where(decayed, u_pos * t_det, t_det)
+        decayed = np.flatnonzero(dark & (w_decay < _threshold(model.decay_fraction)))
+        t_decay = _unit(w_pos[decayed]) * model.t_det
     else:
-        t_switch = np.minimum(-model.lifetime * np.log1p(-u_decay), t_det)
-    t_switch = np.where(effective_dark, t_switch, 0.0)
-    mu = model.rate_dark * t_switch + model.rate_bright * (t_det - t_switch)
-    return t_switch, mu, u_count
+        decayed = np.flatnonzero(dark)
+        t_decay = -model.lifetime * np.log1p(-_unit(w_decay[decayed]))
+        inside = t_decay < model.t_det
+        decayed, t_decay = decayed[inside], t_decay[inside]
+    mu_decay = model.rate_dark * t_decay + model.rate_bright * (model.t_det - t_decay)
+    return _Window(_unit(w_count), dark, np.flatnonzero(flip), decayed, t_decay, mu_decay)
 
 
 class _InverseTable(NamedTuple):
-    """One shared mean's Poisson CDF and its guide table."""
+    """One model mean's Poisson CDF and its guide table."""
 
-    mean: float
     cdf: np.ndarray  # CDF on 0.._sampling_support_max(mean), then +inf
     guide: np.ndarray  # guide[j]: count of CDF values <= j/K, j = 0..K
 
@@ -321,12 +365,13 @@ def _inverse_table(mean: float) -> _InverseTable:
     cdf = np.cumsum(poisson_pmf(np.arange(_sampling_support_max(mean) + 1), mean))
     buckets = 1 << (4 * cdf.size - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
-    return _InverseTable(float(mean), np.append(cdf, np.inf), guide)
+    return _InverseTable(np.append(cdf, np.inf), guide)
 
 
-def _shared_tables(model: DetectionModel) -> tuple[_InverseTable, ...]:
-    """Tables of the two means every undecayed shot has."""
-    return _inverse_table(model.mean_bright), _inverse_table(model.mean_dark)
+def _state_tables(prepared: Prepared, model: DetectionModel) -> tuple[_InverseTable, _InverseTable]:
+    """Tables of the prepared state's model mean and of the other state's, in that order."""
+    bright, dark = _inverse_table(model.mean_bright), _inverse_table(model.mean_dark)
+    return (bright, dark) if prepared is Prepared.DOWN else (dark, bright)
 
 
 def _table_quantile(table: _InverseTable, u: np.ndarray) -> np.ndarray:
@@ -368,31 +413,32 @@ def _row_quantile(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return np.minimum(drawn, top + 1)
 
 
-def _poisson_quantile(u: np.ndarray, mean: np.ndarray, shared=()) -> np.ndarray:
+def _poisson_quantile(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Exact inverse-CDF Poisson draw, elementwise over (u, mean), u in [0, 1].
 
-    The draw is the count of CDF values <= u.  Shots whose mean is that of
-    one of the ``shared`` tables (the samplers build them once per call for
-    the model's bright and dark means, which every undecayed shot has) start
-    from the table's guide entry and take one step; the far tails fall back
-    to a binary search.  Every other shot (an in-window decay) walks its own
-    CDF from 0 in short blocks until the CDF passes u.  Both paths compare
-    the same floating-point CDF values, so the result does not depend on
-    which path ran.
+    The draw is the count of CDF values <= u, found by walking each row's
+    CDF from 0 in short blocks (``_row_quantile``).  The samplers' guide
+    tables compare the same floating-point CDF values, so a shot gets the
+    same count whichever path draws it.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    out = np.empty(u.shape, dtype=np.int64)
-    rows = np.ones(u.shape, dtype=bool)
-    for table in shared:
-        sel = mean == table.mean
-        # integer indices: boolean-mask gathers cost ~4x more per shot here
-        idx = np.flatnonzero(sel)
-        out[idx] = _table_quantile(table, u[idx])
-        rows &= ~sel
-    idx = np.flatnonzero(rows)
-    out[idx] = _row_quantile(u[idx], mean[idx])
-    return out
+    return _row_quantile(u, mean)
+
+
+def _shot_counts(window: _Window, tables: tuple[_InverseTable, _InverseTable]) -> np.ndarray:
+    """Counts of a window's shots, ``tables`` as ``_state_tables`` orders them.
+
+    Every shot is drawn from the prepared state's table in one pass; the
+    flipped shots are then redrawn from the other state's table and the
+    in-window decays by the row walk, each by index.
+    """
+    own, other = tables
+    u, flipped, decayed = window.u_count, window.flipped, window.decayed
+    n = _table_quantile(own, u)
+    n[flipped] = _table_quantile(other, u[flipped])
+    n[decayed] = _poisson_quantile(u[decayed], window.mu_decay)
+    return n
 
 
 def _event_times(u: np.ndarray, t_switch: np.ndarray, mu: np.ndarray, model: DetectionModel):
@@ -424,11 +470,10 @@ def _run_sharded(work, shots: int, chunk: int, threads: int) -> list:
 def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> np.ndarray:
     """Photon counts of shots ``0..shots-1``, independent of ``threads``."""
     out = np.empty(config.shots, dtype=np.int64)
-    shared = _shared_tables(config.model)
+    tables = _state_tables(prepared, config.model)
 
     def count(lo: int, hi: int) -> None:
-        _, mu, u_count = _window_profile(prepared, config, lo, hi)
-        out[lo:hi] = _poisson_quantile(u_count, mu, shared)
+        out[lo:hi] = _shot_counts(_window_profile(prepared, config, lo, hi), tables)
 
     _run_sharded(count, config.shots, _COUNT_CHUNK, threads)
     return out
@@ -439,16 +484,23 @@ def simulate_histogram(prepared: Prepared, config: SimConfig, threads: int = 1) 
     return CountHistogram.from_counts(simulate_counts(prepared, config, threads))
 
 
-def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int, shared=()):
+def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int, tables):
     """Arrival times (shot-major) and counts of shots ``lo..hi-1``, in one pass.
 
-    ``shared`` are the quantile tables of ``_shared_tables``; without them
-    every shot walks its own CDF, to the same counts.
+    ``tables`` are those of ``_state_tables``.  The rate-switch instant T and
+    the window mean of each shot come from its class (T = 0 and
+    ``mean_bright`` for bright shots, T = t_det and ``mean_dark`` for dark
+    ones), overwritten for the in-window decays.
     """
-    t_switch, mu, u_count = _window_profile(prepared, config, lo, hi)
-    n = _poisson_quantile(u_count, mu, shared)
+    window = _window_profile(prepared, config, lo, hi)
+    n = _shot_counts(window, tables)
+    model = config.model
+    t_switch = np.where(window.dark, model.t_det, 0.0)
+    mu = np.where(window.dark, model.mean_dark, model.mean_bright)
+    t_switch[window.decayed] = window.t_decay
+    mu[window.decayed] = window.mu_decay
     u_ev = _event_uniforms(config.seed, lo, n)
-    t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), config.model)
+    t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), model)
     # One row per shot with two or more photons, padded with +inf so
     # padding sorts last; the mask reads the sorted rows back shot-major.
     multi = n > 1
@@ -469,9 +521,9 @@ def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     ``simulate_counts``; the count is then distributed over the window by
     inverse-CDF placement of each photon.
     """
-    shared = _shared_tables(config.model)
+    tables = _state_tables(prepared, config.model)
     parts = _run_sharded(
-        lambda lo, hi: _shard_traces(prepared, config, lo, hi, shared),
+        lambda lo, hi: _shard_traces(prepared, config, lo, hi, tables),
         config.shots,
         _TRACE_CHUNK,
         threads,
@@ -491,7 +543,8 @@ def simulate_shot(prepared: Prepared, config: SimConfig, shot_index: int) -> Pho
     """
     if not 0 <= shot_index < config.shots:
         raise ValueError(f"shot_index must lie in [0, {config.shots}), got {shot_index}")
-    times, _ = _shard_traces(prepared, config, shot_index, shot_index + 1)
+    tables = _state_tables(prepared, config.model)
+    times, _ = _shard_traces(prepared, config, shot_index, shot_index + 1, tables)
     return PhotonTrace(times, config.model.t_det)
 
 
@@ -509,7 +562,7 @@ def write_histogram_csv(hist: CountHistogram, path, metadata: dict | None = None
 
 def read_histogram_csv(path) -> CountHistogram:
     """Read a histogram written by ``write_histogram_csv``."""
-    rows = [(int(n), int(c), float(f)) for n, c, f in read_csv(path, _HISTOGRAM_HEADER)]
+    rows = read_csv(path, _HISTOGRAM_HEADER, lambda row: (int(row[0]), int(row[1]), float(row[2])))
     if not rows:
         raise ValueError(f"{path}: empty histogram file")
     n_values = [n for n, _, _ in rows]
@@ -520,8 +573,11 @@ def read_histogram_csv(path) -> CountHistogram:
     total = int(bins.sum())
     for n, c, f in rows:
         if total and abs(f - c / total) > 1e-9:
-            raise ValueError(f"frequency column inconsistent at n={n}")
-    return CountHistogram(bins, total)
+            raise ValueError(f"{path}: frequency column inconsistent at n={n}")
+    try:
+        return CountHistogram(bins, total)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 _TRACE_KEYS = ("timestamps", "offsets", "t_det", "metadata")

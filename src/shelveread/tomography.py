@@ -431,10 +431,11 @@ def write_records_csv(
 
 
 def read_records_csv(path) -> list[TomographyRecord]:
-    return [
-        TomographyRecord(prepared, axis, int(shots), int(bright))
-        for prepared, axis, shots, bright in read_csv(path, _RECORDS_HEADER)
-    ]
+    def record(row: list[str]) -> TomographyRecord:
+        prepared, axis, shots, bright = row
+        return TomographyRecord(prepared, axis, int(shots), int(bright))
+
+    return read_csv(path, _RECORDS_HEADER, record)
 
 
 def write_chi_json(chi: ChiMatrix, path, metadata: dict | None = None) -> None:

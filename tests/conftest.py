@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shelveread import DetectionModel, ErrorRates, Prepared, SimConfig
+import shelveread.monte_carlo as mc
 from shelveread.monte_carlo import simulate_traces
 
 
@@ -47,3 +48,46 @@ def big_ensembles(optimum_model, measured_errors):
         threads=4,
     )
     return {"down": down, "up": up, "shots": shots}
+
+
+def _reference_shots(prepared, config, lo, hi):
+    """``(T, mu, counts)`` of shots ``lo..hi-1`` in the float layout.
+
+    Each shot's four block-0 uniforms (``_uniforms``) decide its flip, decay
+    and decay instant as floats, and every count is the table-free
+    ``_poisson_quantile``.  The samplers must reproduce this bit for bit.
+    """
+    u_flip, u_decay, u_pos, u_count = mc._uniforms(config.seed, 0, lo, hi - lo).T
+    model = config.model
+    down = prepared is Prepared.DOWN
+    eps = config.errors.eps_down_tot if down else config.errors.eps_up_tot
+    flipped = u_flip < eps
+    dark = flipped if down else ~flipped
+    if config.decay_time_law is mc.DecayTimeLaw.UNIFORM_FIRST_ORDER:
+        t_switch = np.where(u_decay < model.decay_fraction, u_pos * model.t_det, model.t_det)
+    else:
+        t_switch = np.minimum(-model.lifetime * np.log1p(-u_decay), model.t_det)
+    t_switch = np.where(dark, t_switch, 0.0)
+    mu = model.rate_dark * t_switch + model.rate_bright * (model.t_det - t_switch)
+    return t_switch, mu, mc._poisson_quantile(u_count, mu)
+
+
+def _reference_times(config, lo, t_switch, mu, n):
+    """Arrival times of shots ``lo..`` with the given T, mean and count.
+
+    ``_event_times`` of each shot's event uniforms, sorted per shot by
+    ``lexsort``.
+    """
+    u_ev = mc._event_uniforms(config.seed, lo, n)
+    t_ev = mc._event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), config.model)
+    return t_ev[np.lexsort((t_ev, np.repeat(np.arange(n.size), n)))]
+
+
+@pytest.fixture(scope="session")
+def reference_shots():
+    return _reference_shots
+
+
+@pytest.fixture(scope="session")
+def reference_times():
+    return _reference_times

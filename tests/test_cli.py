@@ -221,6 +221,40 @@ def test_tomo_records_missing_an_axis(tmp_path, capsys):
     assert err == f"error: {records}: state +z: axis 'x' missing\n"
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("+z,z,abc,1", "invalid literal for int() with base 10: 'abc'"),
+        ("+z,z,10,11", "bright_count must lie in [0, shots], got 11"),
+    ],
+)
+def test_tomo_bad_record_row_names_file_and_row(tmp_path, capsys, row, message):
+    records = tmp_path / "records.csv"
+    records.write_text(f"prepared,axis,shots,bright_count\n{row}\n")
+    config = _write_config(tmp_path, {"tomo": {"mode": "state", "records": str(records)}})
+    assert main(["tomo", "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {records}: row {row!r}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ("0,1,0.5\n1,x,0.5\n", "row '1,x,0.5': invalid literal for int() with base 10: 'x'"),
+        ("0,1,0.5\n1,1,nan?\n", "row '1,1,nan?': could not convert string to float: 'nan?'"),
+        ("0,1,0.5\n1,1,0.9\n", "frequency column inconsistent at n=1"),
+        ("0,2,2.0\n1,-1,-1.0\n", "counts_per_bin must be a 1-D array of counts >= 0"),
+    ],
+)
+def test_fit_bad_histogram_row_names_file_and_row(tmp_path, capsys, rows, message):
+    good = "n,count,frequency\n0,1,0.5\n1,1,0.5\n"
+    (tmp_path / "hist_down.csv").write_text(good)
+    bad = tmp_path / "hist_up.csv"
+    bad.write_text("n,count,frequency\n" + rows)
+    config = _write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["fit", "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 def test_budget_default(tmp_path, capsys):
     assert main(["budget", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

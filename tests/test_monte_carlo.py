@@ -271,19 +271,31 @@ def test_poisson_quantile_paths_agree():
     rng = np.random.default_rng(0)
     means = np.repeat(np.linspace(0.5, 21.0, 33), 10)
     u = rng.random(means.size)
-    rows = _poisson_quantile(u, means)  # no shared mean: a walk per row
-    tabled = _poisson_quantile(u, means, shared=[_inverse_table(m) for m in np.unique(means)])
-    np.testing.assert_array_equal(rows, tabled)
+    rows = _poisson_quantile(u, means)  # no table: a walk per row
+    for mean in np.unique(means):
+        sel = means == mean
+        np.testing.assert_array_equal(mc._table_quantile(_inverse_table(mean), u[sel]), rows[sel])
 
 
 def test_poisson_quantile_mixed_multiplicity():
+    # A window of shots in the prepared state's class, flipped shots and
+    # in-window decays in shuffled order: drawn from the two tables and the
+    # row walk by index, each shot gets the count it gets alone
     rng = np.random.default_rng(1)
-    means = np.concatenate([np.full(1000, 0.49875), np.linspace(0.6, 20.9, 40)])
-    perm = rng.permutation(means.size)
-    means = means[perm]
+    own, other = 0.49875, 20.9475
+    means = np.concatenate([np.full(1000, own), np.full(30, other), np.linspace(0.6, 20.9, 40)])
+    means = means[rng.permutation(means.size)]
     u = rng.random(means.size)
-    # 20.9475 is a shared mean that no shot has; it selects no shot
-    mixed = _poisson_quantile(u, means, shared=(_inverse_table(20.9475), _inverse_table(0.49875)))
+    decayed = np.flatnonzero((means != own) & (means != other))
+    window = mc._Window(
+        u_count=u,
+        dark=means == own,
+        flipped=np.flatnonzero(means != own),
+        decayed=decayed,
+        t_decay=np.zeros(decayed.size),
+        mu_decay=means[decayed],
+    )
+    mixed = mc._shot_counts(window, (_inverse_table(own), _inverse_table(other)))
     singles = np.array(
         [_poisson_quantile(np.array([ui]), np.array([mi]))[0] for ui, mi in zip(u, means)]
     )
@@ -300,7 +312,7 @@ def test_poisson_quantile_extremes():
     # u = 0 lies below the first CDF value; a u equal to a CDF value counts
     # that value; the largest uniform the stream emits is 1 - 2**-53
     u = np.array([0.0, 1e-12, cdf[20], 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53])
-    q = _poisson_quantile(u, np.full(u.size, mean), shared=(_inverse_table(mean),))
+    q = mc._table_quantile(_inverse_table(mean), u)
     assert q[0] == 0
     assert q[2] == 21
     assert np.all(np.diff(q) >= 0)
@@ -377,19 +389,30 @@ def test_row_walk_matches_full_width_count(means, grid):
 
 @pytest.mark.parametrize("law", list(DecayTimeLaw))
 @pytest.mark.parametrize("rate_dark", [1.75e3, 0.0])
-def test_undecayed_shots_have_a_model_mean(law, rate_dark):
-    # the samplers table only the two model means, so an undecayed shot with
-    # any other mean would silently take the slower per-row path
+def test_undecayed_shots_have_a_model_mean(law, rate_dark, reference_shots, monkeypatch):
+    # Every shot but an in-window decay has one of the two model means and
+    # is drawn from that mean's table: only the decays reach the row walk.
     model = DetectionModel(
         rate_bright=73.5e3, rate_dark=rate_dark, lifetime=285e-6 / 0.072, t_det=285e-6
     )
     config = _config(model, errors=ErrorRates(0.3, 0.3), shots=20_000, seed=4, decay_time_law=law)
+    row_quantile, walked = mc._row_quantile, []
+
+    def spy(u, mean):
+        walked.append(mean)
+        return row_quantile(u, mean)
+
+    monkeypatch.setattr(mc, "_row_quantile", spy)
     for prepared in Prepared:
-        t_switch, mu, _ = mc._window_profile(prepared, config, 0, config.shots)
+        t_switch, mu, n = reference_shots(prepared, config, 0, config.shots)
         bright, dark = t_switch == 0.0, t_switch == model.t_det
-        assert bright.any() and dark.any() and not np.all(bright | dark)
+        decayed = ~(bright | dark)
+        assert bright.any() and dark.any() and decayed.any()
         assert np.all(mu[bright] == model.mean_bright)
         assert np.all(mu[dark] == model.mean_dark)
+        walked.clear()
+        np.testing.assert_array_equal(simulate_counts(prepared, config), n)
+        np.testing.assert_array_equal(np.concatenate(walked), mu[decayed])
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,27 @@
 from __future__ import annotations
 
 import hashlib
+import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shelveread import RNG_STREAM
 from shelveread.monte_carlo import (
     DecayTimeLaw,
     Prepared,
     SimConfig,
-    _event_times,
     _event_uniforms,
     _poisson_quantile,
     _shard_traces,
+    _state_tables,
+    _threshold,
     _uniforms,
-    _window_profile,
+    _unit,
     simulate_counts,
     simulate_shot,
     simulate_traces,
@@ -76,21 +82,19 @@ def test_simulated_shot_follows_layout(measured_model):
     )
 
 
-def test_trace_times_match_lexsort_reference():
+def test_trace_times_match_lexsort_reference(reference_shots, reference_times):
     # UP shots at a large decay fraction and preparation error: the chunk
     # holds photonless shots, shots that decay inside the window, and
     # flipped (bright) shots with many photons spread over several blocks
     model = DetectionModel(73.5e3, 1.75e3, 280e-6 / 0.072, 280e-6)
     config = SimConfig(model=model, errors=ErrorRates(0.3, 0.3), shots=10_000, seed=5)
     lo, hi = 3000, 5000
-    t_switch, mu, u_count = _window_profile(Prepared.UP, config, lo, hi)
-    n = _poisson_quantile(u_count, mu)
+    t_switch, mu, n = reference_shots(Prepared.UP, config, lo, hi)
     assert np.any(n == 0) and np.any(n > 4)
     assert np.any((t_switch > 0.0) & (t_switch < model.t_det))
-    u_ev = _event_uniforms(config.seed, lo, n)
-    t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), model)
-    reference = t_ev[np.lexsort((t_ev, np.repeat(np.arange(n.size), n)))]
-    times, counts = _shard_traces(Prepared.UP, config, lo, hi)
+    reference = reference_times(config, lo, t_switch, mu, n)
+    tables = _state_tables(Prepared.UP, model)
+    times, counts = _shard_traces(Prepared.UP, config, lo, hi, tables)
     np.testing.assert_array_equal(counts, n)
     np.testing.assert_array_equal(times.view(np.uint64), reference.view(np.uint64))
 
@@ -110,6 +114,64 @@ def test_uniformity_coarse():
     u = _uniforms(12345, 9, 0, 25_000).reshape(-1)
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(np.mean(u < 0.25) - 0.25) < 0.005
+
+
+def _exact_threshold(p: float) -> int:
+    return math.ceil(Fraction(p) * 2**53) << 11
+
+
+_PROBABILITIES = st.one_of(
+    st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
+    st.integers(min_value=0, max_value=2**52 - 1).map(lambda k: k * 2.0**-53),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_PROBABILITIES, random_words=st.lists(st.integers(0, 2**64 - 1), max_size=20))
+@example(p=0.0, random_words=[0, 2**64 - 1])
+@example(p=2.0**-53, random_words=[])
+@example(p=5e-324, random_words=[])
+@example(p=0.1, random_words=[])
+@example(p=float(np.nextafter(0.5, 0.0)), random_words=[2**63, 2**64 - 1])
+def test_threshold_matches_float_compare(p, random_words):
+    # p, its float neighbours in [0, 0.5), and the words on either side of
+    # each bound c * 2**11, c = ceil(p * 2**53), and at the top of its step
+    for q in {p, float(np.nextafter(p, 0.0)), float(np.nextafter(p, 0.5))}:
+        if not 0.0 <= q < 0.5:
+            continue
+        bound = _exact_threshold(q)
+        assert int(_threshold(q)) == bound
+        words = [bound - 1, bound, bound + 2**11 - 1, *random_words]
+        words = np.array([w for w in words if 0 <= w < 2**64], dtype=np.uint64)
+        expected = [float(int(w) >> 11) * 2.0**-53 < q for w in words]
+        np.testing.assert_array_equal(words < _threshold(q), expected)
+        np.testing.assert_array_equal(_unit(words) < q, expected)
+
+
+_BELOW_HALF = float(np.nextafter(0.5, 0.0))
+
+
+@pytest.mark.parametrize("law", list(DecayTimeLaw))
+@pytest.mark.parametrize(
+    "rate_dark,eps",
+    [(1.75e3, 0.3), (0.0, 0.3), (1.75e3, 0.0), (1.75e3, _BELOW_HALF)],
+    ids=["high_decay", "no_background", "no_errors", "eps_below_half"],
+)
+def test_samplers_match_float_layout(law, rate_dark, eps, reference_shots, reference_times):
+    # The raw-word classification, the per-state tables and the class-built
+    # T and mean against the float layout they replace.  Neither shot count
+    # is a multiple of either chunk, and each spans more than one chunk.
+    model = DetectionModel(73.5e3, rate_dark, 285e-6 / 0.072, 285e-6)
+    errors = ErrorRates(eps, eps)
+    for prepared, seed in ((Prepared.DOWN, 3), (Prepared.UP, 4)):
+        config = SimConfig(model, errors, shots=73_731, seed=seed, decay_time_law=law)
+        t_switch, mu, n = reference_shots(prepared, config, 0, config.shots)
+        np.testing.assert_array_equal(simulate_counts(prepared, config, threads=2), n)
+        shots = 8_197
+        batch = simulate_traces(prepared, replace(config, shots=shots), threads=2)
+        np.testing.assert_array_equal(batch.counts, n[:shots])
+        times = reference_times(config, 0, t_switch[:shots], mu[:shots], n[:shots])
+        np.testing.assert_array_equal(batch.timestamps.view(np.uint64), times.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
