@@ -213,6 +213,13 @@ def optimize(
 # ---------------------------------------------------------------------------
 # Time-resolved classification
 
+# Traces plus photons per slice of ``classify_traces``; a slice's
+# temporaries are about ten arrays of that length.  Classifying 3e5
+# optimum-point DOWN / UP traces (2-core Xeon, medians of 9) took 113 / 21
+# ms at 2**15 to 2**17, 125 / 23 ms at 2**18 and 208 / 27 ms at 2**19,
+# against 234 / 27 ms for one whole-batch evaluation.
+_SLICE = 1 << 16
+
 
 def _log_ratio_dark_bright(
     flat_times: np.ndarray, offsets: np.ndarray, model: DetectionModel
@@ -293,10 +300,27 @@ def classify_traces(batch, model: DetectionModel) -> np.ndarray:
     Returns a boolean array, True where the trace is called bright.  The
     decisions are identical to calling ``classify_time_resolved`` on each
     trace individually, and the same inputs are rejected.
+
+    The log ratios are evaluated over slices of whole traces, each holding
+    at most ``_SLICE`` traces plus photons (a longer trace alone), so their
+    temporaries are bounded by the slice for any batch size and brightness;
+    the input check alone takes one byte per photon.  Each trace is its own
+    segment of the sum, so every log ratio equals that of one whole-batch
+    evaluation.
     """
     flat, offsets = _validate_trace_times(batch.timestamps, batch.offsets, model.t_det)
-    log_ratio = _log_ratio_dark_bright(flat, offsets, model)
-    return log_ratio < 0.0
+    bright = np.empty(offsets.size - 1, dtype=bool)
+    lo = 0
+    while lo < bright.size:
+        ends = offsets[lo : lo + _SLICE + 1]
+        # the most traces whose traces plus photons fit the slice, at least one
+        work = ends - ends[0] + np.arange(ends.size)
+        k = max(1, int(np.searchsorted(work, _SLICE, side="right")) - 1)
+        ends = ends[: k + 1]
+        log_ratio = _log_ratio_dark_bright(flat[ends[0] : ends[-1]], ends - ends[0], model)
+        bright[lo : lo + k] = log_ratio < 0.0
+        lo += k
+    return bright
 
 
 # ---------------------------------------------------------------------------

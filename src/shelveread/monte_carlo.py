@@ -33,6 +33,14 @@ until it passes u.  The two tables are built once per ``simulate_*`` call.
 All paths read the same CDF floats, so no draw depends on the path, the
 chunking or the thread count.
 
+Trace mode makes two passes over the same chunks.  The first draws every
+shot's count, as count mode does, and keeps each chunk's ``_Window``; the
+counts fix the offsets of the one output array.  The second writes each
+chunk's sorted arrival times into its slice of that array.  Event block b
+is drawn by numpy's ``Generator.random`` straight into row b of a
+``(blocks, shots, 4)`` slab, over the span of shots that need the block,
+and one gather reads the events shot-major from the slab.
+
 Histograms are exchanged as ``n,count,frequency`` CSV in the one artifact
 format of ``_files`` (``write_histogram_csv``/``read_histogram_csv``).
 Trace batches are one lossless ``.npz`` archive (``write_traces``/
@@ -82,15 +90,23 @@ __all__ = [
 ]
 
 # Shots per vectorized pass; each chunk is one task of the thread pool.  A
-# trace chunk is kept small: at ~20 events per bright shot its per-event
-# arrays are ~1.4 MB, so peak memory is set by the output, not by how the
-# threads' chunks happen to overlap in time.  The count chunk was chosen by
+# trace chunk is kept small, so peak memory is set by the output, not by
+# how the threads' chunks happen to overlap in time: at ~20 events per
+# bright shot its per-event arrays are ~0.7 MB and its event slab ~1.3 MB.
+# It was chosen by timing 3e5 DOWN and 3e5 UP optimum-point trace shots on
+# 2 threads, one chunk size per process (2-core Xeon, medians of 3
+# processes of 7 calls): 0.37 / 0.20 s at 2**11, 0.29 / 0.13 s at 2**12,
+# 0.40 / 0.11 s at 2**13 and 0.33 / 0.10 s at 2**14, where UP pays per
+# chunk and DOWN at 2**13 and 2**14 re-faults its freed temporaries (68k
+# and 29k page faults a call, against 1.5k).  At 2**12 the CLI's traced
+# ``simulate`` process (2 x 2e4 shots, 2 threads) peaks at 48.4 MiB RSS,
+# against 55.3 MiB at 2**13 (medians of 5).  The count chunk was chosen by
 # timing 2 x 3e6 paper-point shots on 2 threads (2-core Xeon, two rounds of
 # medians of 9): 0.222 / 0.235 s at 2**15 (per-chunk Philox setup and numpy
 # call overhead), 0.202 / 0.194 s at 2**16 and 0.196 / 0.200 s at 2**17,
 # which doubles the chunk's arrays for no measurable gain.
 _COUNT_CHUNK = 1 << 16
-_TRACE_CHUNK = 1 << 13
+_TRACE_CHUNK = 1 << 12
 # CDF columns a decayed shot's row tabulates per step of its walk.
 _ROW_BLOCK = 16
 
@@ -259,13 +275,17 @@ class CountHistogram:
 # generator walks a block for consecutive shots.  ``RNG_STREAM`` names this
 # layout in every CLI artifact; change it whenever any shot's values change.
 
-def _words(seed: int, block: int, lo: int, n: int) -> np.ndarray:
-    """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array of raw uint64 words."""
-    bits = np.random.Philox(
+def _philox(seed: int, block: int, lo: int) -> np.random.Philox:
+    """The generator whose first 256-bit block is block ``block`` of shot ``lo``."""
+    return np.random.Philox(
         counter=np.array([lo, block, 0, 0], dtype=np.uint64),
         key=np.array([seed, 0], dtype=np.uint64),
     )
-    return bits.random_raw(4 * n).reshape(n, 4)
+
+
+def _words(seed: int, block: int, lo: int, n: int) -> np.ndarray:
+    """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array of raw uint64 words."""
+    return _philox(seed, block, lo).random_raw(4 * n).reshape(n, 4)
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -273,9 +293,14 @@ def _unit(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def _uniforms(seed: int, block: int, lo: int, n: int) -> np.ndarray:
-    """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array on [0, 1)."""
-    return _unit(_words(seed, block, lo, n))
+def _uniforms(seed: int, block: int, lo: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array on [0, 1), in ``out`` if given.
+
+    numpy's ``Generator.random`` maps each Philox word w to
+    ``(w >> 11) * 2**-53``, which is ``_unit(w)``, so these are the uniforms
+    of ``_words`` drawn without a separate conversion pass.
+    """
+    return np.random.Generator(_philox(seed, block, lo)).random((n, 4), out=out)
 
 
 def _threshold(p: float) -> np.uint64:
@@ -289,17 +314,29 @@ def _threshold(p: float) -> np.uint64:
 
 
 def _event_uniforms(seed: int, lo: int, n_events: np.ndarray) -> np.ndarray:
-    """First ``n_events[i]`` event uniforms of shot ``lo + i``, flattened shot-major."""
-    starts = np.cumsum(n_events) - n_events
-    u = np.empty(int(n_events.sum()))
-    for block in range(1, (int(n_events.max(initial=0)) + 3) // 4 + 1):
-        first = 4 * (block - 1)
-        need = np.flatnonzero(n_events > first)
-        span = _uniforms(seed, block, lo + int(need[0]), int(need[-1] - need[0]) + 1)
-        lanes = np.arange(4) < np.minimum(n_events[need] - first, 4)[:, None]
-        dest = (starts[need] + first)[:, None] + np.arange(4)
-        u[dest[lanes]] = span[need - need[0]][lanes]
-    return u
+    """First ``n_events[i]`` event uniforms of shot ``lo + i``, flattened shot-major.
+
+    Event block b + 1 is drawn into row b of a ``(blocks, shots, 4)`` slab,
+    over the span from the first to the last shot with more than 4b events.
+    Event j of shot s then sits at flat index ``(j >> 2) * 4 * shots + 4 * s
+    + (j & 3)``, and one gather reads every event.  Slab lanes outside the
+    spans are never written and never read.
+    """
+    shots = n_events.size
+    slab = np.empty(((int(n_events.max(initial=0)) + 3) // 4, shots, 4))
+    for b in range(slab.shape[0]):
+        need = n_events > 4 * b
+        first, last = int(need.argmax()), shots - int(need[::-1].argmax())
+        _uniforms(seed, b + 1, lo + first, last - first, out=slab[b, first:last])
+    # the index of event j of shot s, built in place to keep few event-sized arrays
+    j = np.arange(int(n_events.sum()))
+    j -= np.repeat(np.cumsum(n_events) - n_events, n_events)
+    index = np.repeat(np.arange(0, 4 * shots, 4), n_events)
+    index += j & 3
+    j >>= 2
+    j *= 4 * shots
+    index += j
+    return slab.reshape(-1)[index]
 
 
 class _Window(NamedTuple):
@@ -442,13 +479,22 @@ def _shot_counts(window: _Window, tables: tuple[_InverseTable, _InverseTable]) -
 
 
 def _event_times(u: np.ndarray, t_switch: np.ndarray, mu: np.ndarray, model: DetectionModel):
-    """Map event-stream uniforms through the window's cumulative rate."""
+    """Map event-stream uniforms through the window's cumulative rate.
+
+    Built in place in two event-sized arrays, so a chunk's temporaries stay
+    few and the allocator can reuse them from chunk to chunk.
+    """
     mass = u * mu
     mass_dark = model.rate_dark * t_switch
+    before = mass < mass_dark
+    # after the switch: T + (mass - mass_dark) / rate_bright
+    times = np.subtract(mass, mass_dark, out=mass_dark)
+    times /= model.rate_bright
+    times += t_switch
     with np.errstate(divide="ignore", invalid="ignore"):
-        before = mass / model.rate_dark
-    after = t_switch + (mass - mass_dark) / model.rate_bright
-    return np.where(mass < mass_dark, before, after)
+        mass /= model.rate_dark
+    np.copyto(times, mass, where=before)
+    return times
 
 
 def _run_sharded(work, shots: int, chunk: int, threads: int) -> list:
@@ -484,33 +530,43 @@ def simulate_histogram(prepared: Prepared, config: SimConfig, threads: int = 1) 
     return CountHistogram.from_counts(simulate_counts(prepared, config, threads))
 
 
-def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int, tables):
-    """Arrival times (shot-major) and counts of shots ``lo..hi-1``, in one pass.
+def _arrival_times(config: SimConfig, lo: int, window: _Window, n: np.ndarray, out: np.ndarray) -> None:
+    """Write the sorted arrival times of shots ``lo..`` into ``out``, shot-major.
 
-    ``tables`` are those of ``_state_tables``.  The rate-switch instant T and
-    the window mean of each shot come from its class (T = 0 and
-    ``mean_bright`` for bright shots, T = t_det and ``mean_dark`` for dark
-    ones), overwritten for the in-window decays.
+    ``window`` and the counts ``n`` are the shots' ``_window_profile`` and
+    ``_shot_counts``.  The rate-switch instant T and the window mean of each
+    shot come from its class (T = 0 and ``mean_bright`` for bright shots,
+    T = t_det and ``mean_dark`` for dark ones), overwritten for the
+    in-window decays.
     """
-    window = _window_profile(prepared, config, lo, hi)
-    n = _shot_counts(window, tables)
     model = config.model
     t_switch = np.where(window.dark, model.t_det, 0.0)
     mu = np.where(window.dark, model.mean_dark, model.mean_bright)
     t_switch[window.decayed] = window.t_decay
     mu[window.decayed] = window.mu_decay
     u_ev = _event_uniforms(config.seed, lo, n)
-    t_ev = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), model)
+    out[:] = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), model)
     # One row per shot with two or more photons, padded with +inf so
     # padding sorts last; the mask reads the sorted rows back shot-major.
     multi = n > 1
     multi_ev = np.repeat(multi, n)
     mask = np.arange(n.max(initial=0)) < n[multi, None]
     rows = np.full(mask.shape, np.inf)
-    rows[mask] = t_ev[multi_ev]
+    rows[mask] = out[multi_ev]
     rows.sort(axis=1)
-    t_ev[multi_ev] = rows[mask]
-    return t_ev, n
+    out[multi_ev] = rows[mask]
+
+
+def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int, tables):
+    """Arrival times (shot-major) and counts of shots ``lo..hi-1``, in one pass.
+
+    ``tables`` are those of ``_state_tables``.
+    """
+    window = _window_profile(prepared, config, lo, hi)
+    n = _shot_counts(window, tables)
+    times = np.empty(int(n.sum()))
+    _arrival_times(config, lo, window, n, times)
+    return times, n
 
 
 def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> TraceBatch:
@@ -519,18 +575,28 @@ def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     The total count of each shot is drawn exactly as in count mode (same
     reserved uniform), so trace counts agree shot-by-shot with
     ``simulate_counts``; the count is then distributed over the window by
-    inverse-CDF placement of each photon.
+    inverse-CDF placement of each photon.  A first pass over the chunks
+    draws every count, which fixes the offsets; a second writes each
+    chunk's times into its slice of the one output array.
     """
     tables = _state_tables(prepared, config.model)
-    parts = _run_sharded(
-        lambda lo, hi: _shard_traces(prepared, config, lo, hi, tables),
-        config.shots,
-        _TRACE_CHUNK,
-        threads,
-    )
-    times = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    chunk = _TRACE_CHUNK
+    offsets = np.zeros(config.shots + 1, dtype=np.int64)
+
+    def count(lo: int, hi: int) -> _Window:
+        window = _window_profile(prepared, config, lo, hi)
+        offsets[lo + 1 : hi + 1] = _shot_counts(window, tables)
+        return window
+
+    windows = _run_sharded(count, config.shots, chunk, threads)
+    np.cumsum(offsets, out=offsets)
+    times = np.empty(int(offsets[-1]))
+
+    def place(lo: int, hi: int) -> None:
+        n = np.diff(offsets[lo : hi + 1])
+        _arrival_times(config, lo, windows[lo // chunk], n, times[offsets[lo] : offsets[hi]])
+
+    _run_sharded(place, config.shots, chunk, threads)
     return TraceBatch(times, offsets, config.model.t_det)
 
 
@@ -562,18 +628,21 @@ def write_histogram_csv(hist: CountHistogram, path, metadata: dict | None = None
 
 def read_histogram_csv(path) -> CountHistogram:
     """Read a histogram written by ``write_histogram_csv``."""
-    rows = read_csv(path, _HISTOGRAM_HEADER, lambda row: (int(row[0]), int(row[1]), float(row[2])))
+    rows = read_csv(
+        path, _HISTOGRAM_HEADER, lambda row: (int(row[0]), int(row[1]), float(row[2]), ",".join(row))
+    )
     if not rows:
         raise ValueError(f"{path}: empty histogram file")
-    n_values = [n for n, _, _ in rows]
+    n_values = [n for n, _, _, _ in rows]
     if min(n_values) < 0 or len(set(n_values)) < len(rows):
         raise ValueError(f"{path}: bins n must be distinct non-negative counts")
     bins = np.zeros(max(n_values) + 1, dtype=np.int64)
-    bins[n_values] = [c for _, c, _ in rows]
+    bins[n_values] = [c for _, c, _, _ in rows]
     total = int(bins.sum())
-    for n, c, f in rows:
-        if total and abs(f - c / total) > 1e-9:
-            raise ValueError(f"{path}: frequency column inconsistent at n={n}")
+    for _, c, f, line in rows:
+        # written as "not <=" so that a NaN frequency fails too
+        if total and not abs(f - c / total) <= 1e-9:
+            raise ValueError(f"{path}: frequency column inconsistent in row {line!r}")
     try:
         return CountHistogram(bins, total)
     except ValueError as exc:

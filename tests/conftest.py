@@ -75,10 +75,14 @@ def _reference_shots(prepared, config, lo, hi):
 def _reference_times(config, lo, t_switch, mu, n):
     """Arrival times of shots ``lo..`` with the given T, mean and count.
 
-    ``_event_times`` of each shot's event uniforms, sorted per shot by
-    ``lexsort``.
+    Each block's ``_uniforms`` over all the shots, side by side, give one
+    row per shot holding its event uniforms in order; the rows cut to each
+    shot's count, read row-major, are the events shot-major.  They go
+    through ``_event_times`` and are sorted per shot by ``lexsort``.
     """
-    u_ev = mc._event_uniforms(config.seed, lo, n)
+    blocks = [mc._uniforms(config.seed, b, lo, n.size) for b in range(1, (n.max(initial=0) + 3) // 4 + 1)]
+    rows = np.hstack([np.empty((n.size, 0)), *blocks])
+    u_ev = rows[np.arange(rows.shape[1]) < n[:, None]]
     t_ev = mc._event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), config.model)
     return t_ev[np.lexsort((t_ev, np.repeat(np.arange(n.size), n)))]
 

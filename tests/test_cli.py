@@ -241,7 +241,8 @@ def test_tomo_bad_record_row_names_file_and_row(tmp_path, capsys, row, message):
     [
         ("0,1,0.5\n1,x,0.5\n", "row '1,x,0.5': invalid literal for int() with base 10: 'x'"),
         ("0,1,0.5\n1,1,nan?\n", "row '1,1,nan?': could not convert string to float: 'nan?'"),
-        ("0,1,0.5\n1,1,0.9\n", "frequency column inconsistent at n=1"),
+        ("0,1,0.5\n1,1,0.9\n", "frequency column inconsistent in row '1,1,0.9'"),
+        ("0,1,0.5\n1,1,nan\n", "frequency column inconsistent in row '1,1,nan'"),
         ("0,2,2.0\n1,-1,-1.0\n", "counts_per_bin must be a 1-D array of counts >= 0"),
     ],
 )

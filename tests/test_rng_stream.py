@@ -54,14 +54,21 @@ def test_state_uniforms_match_per_shot_generators(seed, lo, n):
 
 
 def test_event_blocks_match_per_shot_generators():
-    seed, lo = 9, 500
-    n_events = np.array([0, 9, 3, 0, 13, 4])
-    got = _event_uniforms(seed, lo, n_events)
-    expected = []
-    for i, n in enumerate(n_events):
-        blocks = [_oracle_block(seed, lo + i, b) for b in range(1, (n + 3) // 4 + 1)]
-        expected.append(np.concatenate(blocks)[:n] if blocks else np.empty(0))
-    np.testing.assert_array_equal(got, np.concatenate(expected))
+    cases = [
+        (9, 500, [0, 9, 3, 0, 13, 4]),
+        # photonless and short shots inside the spans of the long shots' blocks
+        (9, 500, [14, 0, 1, 3, 0, 2, 17, 5, 0, 0, 6]),
+        # one shot needs 11 blocks, its neighbours one or none
+        (2**64 - 1, 2**40, [0, 2, 41, 0, 1]),
+        (7, 0, [0, 0, 0]),
+    ]
+    for seed, lo, n_events in cases:
+        got = _event_uniforms(seed, lo, np.array(n_events))
+        expected = [np.empty(0)]
+        for i, n in enumerate(n_events):
+            blocks = [_oracle_block(seed, lo + i, b) for b in range(1, (n + 3) // 4 + 1)]
+            expected.append(np.concatenate(blocks)[:n] if blocks else np.empty(0))
+        np.testing.assert_array_equal(got, np.concatenate(expected))
 
 
 def test_simulated_shot_follows_layout(measured_model):
