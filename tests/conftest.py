@@ -77,13 +77,19 @@ def _reference_times(config, lo, t_switch, mu, n):
 
     Each block's ``_uniforms`` over all the shots, side by side, give one
     row per shot holding its event uniforms in order; the rows cut to each
-    shot's count, read row-major, are the events shot-major.  They go
-    through ``_event_times`` and are sorted per shot by ``lexsort``.
+    shot's count, read row-major, are the events shot-major.  Each event's
+    mass u * mu is inverted through the shot's cumulative rate, and the
+    times are sorted per shot by ``lexsort``.
     """
+    model = config.model
     blocks = [mc._uniforms(config.seed, b, lo, n.size) for b in range(1, (n.max(initial=0) + 3) // 4 + 1)]
     rows = np.hstack([np.empty((n.size, 0)), *blocks])
-    u_ev = rows[np.arange(rows.shape[1]) < n[:, None]]
-    t_ev = mc._event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), config.model)
+    t_switch, mass = np.repeat(t_switch, n), rows[np.arange(rows.shape[1]) < n[:, None]] * np.repeat(mu, n)
+    mass_dark = model.rate_dark * t_switch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        before = mass / model.rate_dark
+    after = t_switch + (mass - mass_dark) / model.rate_bright
+    t_ev = np.where(mass < mass_dark, before, after)
     return t_ev[np.lexsort((t_ev, np.repeat(np.arange(n.size), n)))]
 
 
