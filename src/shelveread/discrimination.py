@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from ._files import read_grid_csv, write_grid_csv
-from .monte_carlo import _validate_trace_times
+from .monte_carlo import _trace_slices, _validate_trace_times
 from .photon_statistics import (
     ZERO_ERRORS,
     CountPMF,
@@ -302,7 +302,8 @@ def classify_traces(batch, model: DetectionModel) -> np.ndarray:
     trace individually, and the same inputs are rejected.
 
     The log ratios are evaluated over slices of whole traces, each holding
-    at most ``_SLICE`` traces plus photons (a longer trace alone), so their
+    at most ``_SLICE`` traces plus photons (a longer trace alone; the cut
+    of ``monte_carlo._trace_slices``, which the sampler uses too), so their
     temporaries are bounded by the slice for any batch size and brightness;
     the input check alone takes one byte per photon.  Each trace is its own
     segment of the sum, so every log ratio equals that of one whole-batch
@@ -310,16 +311,9 @@ def classify_traces(batch, model: DetectionModel) -> np.ndarray:
     """
     flat, offsets = _validate_trace_times(batch.timestamps, batch.offsets, model.t_det)
     bright = np.empty(offsets.size - 1, dtype=bool)
-    lo = 0
-    while lo < bright.size:
-        ends = offsets[lo : lo + _SLICE + 1]
-        # the most traces whose traces plus photons fit the slice, at least one
-        work = ends - ends[0] + np.arange(ends.size)
-        k = max(1, int(np.searchsorted(work, _SLICE, side="right")) - 1)
-        ends = ends[: k + 1]
-        log_ratio = _log_ratio_dark_bright(flat[ends[0] : ends[-1]], ends - ends[0], model)
-        bright[lo : lo + k] = log_ratio < 0.0
-        lo += k
+    for lo, hi in _trace_slices(offsets, _SLICE):
+        ends = offsets[lo : hi + 1]
+        bright[lo:hi] = _log_ratio_dark_bright(flat[ends[0] : ends[-1]], ends - ends[0], model) < 0.0
     return bright
 
 

@@ -33,13 +33,18 @@ until it passes u.  The two tables are built once per ``simulate_*`` call.
 All paths read the same CDF floats, so no draw depends on the path, the
 chunking or the thread count.
 
-Trace mode makes two passes over the same chunks.  The first draws every
-shot's count, as count mode does, and keeps each chunk's ``_Window``; the
-counts fix the offsets of the one output array.  The second writes each
-chunk's sorted arrival times into its slice of that array.  Event block b
-is drawn by numpy's ``Generator.random`` straight into row b of a
-``(blocks, shots, 4)`` slab, over the span of shots that need the block,
-and one gather reads the events shot-major from the slab.
+Trace mode makes two passes.  The first draws every shot's count in
+``_COUNT_CHUNK`` chunks, as count mode does, and keeps which shots are
+dark and the in-window decays; the counts fix the offsets of the one
+output array.  The second cuts the shots into slices of whole shots, each
+at most ``_TRACE_SLICE`` shots plus photons and at least four a thread
+(``_trace_slices``, the cut the classifier uses too), and writes each
+slice's sorted arrival times into its part of that array.  A slice draws only the event blocks its shots
+need: one Philox generator walks the blocks, draws through gaps of at most
+``_SKIP_GAP`` shots and skips longer ones with ``advance``, into one
+compact buffer (``_event_blocks``).  The shots are then grouped by width,
+and each group's rows of uniforms are gathered, mapped to times, padded
+with +inf, sorted and read back (``_arrival_times``).
 
 Histograms are exchanged as ``n,count,frequency`` CSV in the one artifact
 format of ``_files`` (``write_histogram_csv``/``read_histogram_csv``).
@@ -89,24 +94,34 @@ __all__ = [
     "read_traces",
 ]
 
-# Shots per vectorized pass; each chunk is one task of the thread pool.  A
-# trace chunk is kept small, so peak memory is set by the output, not by
-# how the threads' chunks happen to overlap in time: at ~20 events per
-# bright shot its per-event arrays are ~0.7 MB and its event slab ~1.3 MB.
-# It was chosen by timing 3e5 DOWN and 3e5 UP optimum-point trace shots on
-# 2 threads, one chunk size per process (2-core Xeon, medians of 3
-# processes of 7 calls): 0.37 / 0.20 s at 2**11, 0.29 / 0.13 s at 2**12,
-# 0.40 / 0.11 s at 2**13 and 0.33 / 0.10 s at 2**14, where UP pays per
-# chunk and DOWN at 2**13 and 2**14 re-faults its freed temporaries (68k
-# and 29k page faults a call, against 1.5k).  At 2**12 the CLI's traced
-# ``simulate`` process (2 x 2e4 shots, 2 threads) peaks at 48.4 MiB RSS,
-# against 55.3 MiB at 2**13 (medians of 5).  The count chunk was chosen by
-# timing 2 x 3e6 paper-point shots on 2 threads (2-core Xeon, two rounds of
-# medians of 9): 0.222 / 0.235 s at 2**15 (per-chunk Philox setup and numpy
-# call overhead), 0.202 / 0.194 s at 2**16 and 0.196 / 0.200 s at 2**17,
-# which doubles the chunk's arrays for no measurable gain.
+# Shots per vectorized pass of the count draws (count mode and the first
+# pass of trace mode); each chunk is one task of the thread pool.  It was
+# chosen by timing 2 x 3e6 paper-point shots on 2 threads (2-core Xeon, two
+# rounds of medians of 9): 0.222 / 0.235 s at 2**15 (per-chunk Philox setup
+# and numpy call overhead), 0.202 / 0.194 s at 2**16 and 0.196 / 0.200 s at
+# 2**17, which doubles the chunk's arrays for no measurable gain.
 _COUNT_CHUNK = 1 << 16
-_TRACE_CHUNK = 1 << 12
+# Shots plus photons per slice of trace placement (``_trace_slices``); each
+# slice is one task of the thread pool.  Timed on 3e5 DOWN and 3e5 UP
+# optimum-point trace shots on 2 threads (2-core Xeon, settings alternated
+# in one process, medians of 11 calls, two rounds): DOWN 442 / 552 ms at
+# 2**15, 294 / 367 at 2**16, 214 / 289 at 2**17 and 250 / 260 at 2**18; UP
+# 61 / 83, 54 / 71, 58 / 72 and 59 / 72 ms.  Small slices pay per-slice and
+# per-block Python work, which the two threads contend for.  A 2**17 DOWN
+# slice (~6k shots) peaks at 3.2 MiB (tracemalloc).  With 2**17 slices
+# alone, the CLI's traced ``simulate`` process (2 x 2e4 shots, 2 threads,
+# perfbench's config) peaked at 47.0 to 51.3 MiB RSS: each thread's
+# allocator arena kept a slice's worth.  ``simulate_traces`` therefore also
+# cuts at least four slices a thread, which brings it to 45.4 to 48.6 MiB
+# (median 47.0), against 47.1 to 49.3 MiB (median 48.6) for the earlier
+# 2**12-shot trace chunks (12 processes each).
+_TRACE_SLICE = 1 << 17
+# An event block's generator skips a gap of more than this many unneeded
+# shots with ``advance`` (~4 us, plus ~2 us for the next draw call) rather
+# than drawing through it (~0.05 us a shot).  With 2**17 slices, DOWN / UP
+# took 257-285 / 52-59 ms at 32, 237-239 / 46-64 ms at 128 and 228-234 /
+# 49-64 ms at 512 (same timing, two rounds).
+_SKIP_GAP = 128
 # CDF columns a decayed shot's row tabulates per step of its walk.
 _ROW_BLOCK = 16
 
@@ -313,30 +328,55 @@ def _threshold(p: float) -> np.uint64:
     return np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
-def _event_uniforms(seed: int, lo: int, n_events: np.ndarray) -> np.ndarray:
-    """First ``n_events[i]`` event uniforms of shot ``lo + i``, flattened shot-major.
+def _event_blocks(seed: int, lo: int, n: np.ndarray) -> tuple[np.ndarray, list]:
+    """Draw the event blocks that shots ``lo..`` need into one compact ``(rows, 4)`` buffer.
 
-    Event block b + 1 is drawn into row b of a ``(blocks, shots, 4)`` slab,
-    over the span from the first to the last shot with more than 4b events.
-    Event j of shot s then sits at flat index ``(j >> 2) * 4 * shots + 4 * s
-    + (j & 3)``, and one gather reads every event.  Slab lanes outside the
-    spans are never written and never read.
+    Block b + 1 is needed by the shots with more than 4b events, ``n``.  Its
+    needed shots are cut into runs wherever more than ``_SKIP_GAP`` unneeded
+    shots lie between two of them; a shorter gap is drawn through.  The runs
+    of every block are drawn one after the other into the buffer by one
+    generator, advanced from the end of one run to the start of the next
+    (the block index is counter word 1, so a jump to the next block is an
+    advance by 2**64 plus the shot difference).  Returns the buffer and,
+    per block, the first shot of each run and the shift from a shot of the
+    run to its buffer row.
     """
-    shots = n_events.size
-    slab = np.empty(((int(n_events.max(initial=0)) + 3) // 4, shots, 4))
-    for b in range(slab.shape[0]):
-        need = n_events > 4 * b
-        first, last = int(need.argmax()), shots - int(need[::-1].argmax())
-        _uniforms(seed, b + 1, lo + first, last - first, out=slab[b, first:last])
-    # the index of event j of shot s, built in place to keep few event-sized arrays
-    j = np.arange(int(n_events.sum()))
-    j -= np.repeat(np.cumsum(n_events) - n_events, n_events)
-    index = np.repeat(np.arange(0, 4 * shots, 4), n_events)
-    index += j & 3
-    j >>= 2
-    j *= 4 * shots
-    index += j
-    return slab.reshape(-1)[index]
+    runs = []
+    rows = 0
+    need = np.flatnonzero(n)
+    while need.size:
+        cut = np.flatnonzero(np.diff(need) > _SKIP_GAP + 1)
+        first = np.append(need[0], need[cut + 1])
+        size = np.append(need[cut], need[-1]) + 1 - first
+        at = np.cumsum(size) - size + rows
+        rows += int(size.sum())
+        runs.append((first, at, size))
+        need = need[n[need] > 4 * len(runs)]
+    buf = np.empty((rows, 4))
+    bits = _philox(seed, 1, lo)
+    draw = np.random.Generator(bits).random
+    # counter (shot, block) of the next block to draw, as shot + block * 2**64
+    counter = lo + (1 << 64)
+    for block, (first, at, size) in enumerate(runs, start=1):
+        for shot, row, k in zip(first.tolist(), at.tolist(), size.tolist()):
+            target = lo + shot + (block << 64)
+            if target != counter:
+                bits.advance(target - counter)
+            draw(out=buf[row : row + k])
+            counter = target + k
+    return buf, [(first, at - first) for first, at, _ in runs]
+
+
+def _block_rows(buf: np.ndarray, runs: list, shots: np.ndarray, blocks: int) -> np.ndarray:
+    """Event blocks 1..``blocks`` of ``shots`` from ``_event_blocks``, as ``(shots, 4 * blocks)`` rows.
+
+    ``shots`` are sorted slice-relative indices.  A lane of a block that a
+    shot does not need holds some drawn uniform of the buffer.
+    """
+    index = np.empty((shots.size, blocks), dtype=np.intp)
+    for b, (first, shift) in enumerate(runs[:blocks]):
+        np.add(shots, shift[np.searchsorted(first, shots, side="right") - 1], out=index[:, b])
+    return buf.take(index, axis=0, mode="clip").reshape(shots.size, 4 * blocks)
 
 
 class _Window(NamedTuple):
@@ -481,14 +521,16 @@ def _shot_counts(window: _Window, tables: tuple[_InverseTable, _InverseTable]) -
 def _event_times(u: np.ndarray, t_switch: np.ndarray, mu: np.ndarray, model: DetectionModel):
     """Map event-stream uniforms through the window's cumulative rate.
 
-    Built in place in two event-sized arrays, so a chunk's temporaries stay
-    few and the allocator can reuse them from chunk to chunk.
+    ``u`` holds one row of uniforms per shot, ``t_switch`` and ``mu`` one
+    row of the shot's rate-switch instant T and window mean each.  A mass
+    u * mu below the dark mass ``rate_dark * T`` falls before the switch, at
+    ``mass / rate_dark``; any other at ``T + (mass - rate_dark * T) /
+    rate_bright``.  At T = 0 this is ``u * mu / rate_bright`` for every u.
     """
     mass = u * mu
     mass_dark = model.rate_dark * t_switch
     before = mass < mass_dark
-    # after the switch: T + (mass - mass_dark) / rate_bright
-    times = np.subtract(mass, mass_dark, out=mass_dark)
+    times = mass - mass_dark
     times /= model.rate_bright
     times += t_switch
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -497,20 +539,42 @@ def _event_times(u: np.ndarray, t_switch: np.ndarray, mu: np.ndarray, model: Det
     return times
 
 
-def _run_sharded(work, shots: int, chunk: int, threads: int) -> list:
-    """``work(lo, hi)`` over ``0..shots`` in chunks of ``chunk`` shots, in shot order.
+def _run_tasks(work, bounds: list, threads: int) -> list:
+    """``work(lo, hi)`` for each ``(lo, hi)`` of ``bounds``, results in order.
 
-    Chunks go to min(threads, CPUs, number of chunks) threads, each thread
-    taking the next chunk when it finishes one.
+    Tasks go to min(threads, CPUs, number of tasks) threads, each thread
+    taking the next task when it finishes one.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    chunks = [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)]
-    workers = min(threads, os.cpu_count() or 1, len(chunks))
+    workers = min(threads, os.cpu_count() or 1, len(bounds))
     if workers == 1:
-        return [work(*bounds) for bounds in chunks]
+        return [work(*task) for task in bounds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda bounds: work(*bounds), chunks))
+        return list(pool.map(lambda task: work(*task), bounds))
+
+
+def _run_sharded(work, shots: int, chunk: int, threads: int) -> list:
+    """``work(lo, hi)`` over ``0..shots`` in chunks of ``chunk`` shots, in shot order."""
+    return _run_tasks(work, [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)], threads)
+
+
+def _trace_slices(offsets: np.ndarray, budget: int):
+    """Cut traces into slices of whole traces, each at most ``budget`` traces plus photons.
+
+    ``offsets`` are the traces' offsets into their concatenated photons.  A
+    trace longer than the budget is a slice alone.  Yields ``(lo, hi)``, the
+    trace range of each slice, in order.
+    """
+    lo, traces = 0, offsets.size - 1
+    while lo < traces:
+        # no slice holds more than `budget` traces or `budget` photons
+        top = min(lo + budget, int(np.searchsorted(offsets, offsets[lo] + budget, side="right")) - 1)
+        ends = offsets[lo : top + 1]
+        work = ends - ends[0] + np.arange(ends.size)
+        hi = lo + max(1, int(np.searchsorted(work, budget, side="right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> np.ndarray:
@@ -530,31 +594,76 @@ def simulate_histogram(prepared: Prepared, config: SimConfig, threads: int = 1) 
     return CountHistogram.from_counts(simulate_counts(prepared, config, threads))
 
 
-def _arrival_times(config: SimConfig, lo: int, window: _Window, n: np.ndarray, out: np.ndarray) -> None:
+def _switch_profile(model: DetectionModel, dark, decayed, t_decay, mu_decay):
+    """Rate-switch instant T and window mean of each shot, from its class.
+
+    T = 0 and ``mean_bright`` for bright shots, T = t_det and ``mean_dark``
+    for dark ones, overwritten for the in-window decays ``decayed``.
+    """
+    t_switch = np.where(dark, model.t_det, 0.0)
+    mu = np.where(dark, model.mean_dark, model.mean_bright)
+    t_switch[decayed] = t_decay
+    mu[decayed] = mu_decay
+    return t_switch, mu
+
+
+def _sorted_rows(rows: np.ndarray, n: np.ndarray, t_switch, mu, bright: bool, model: DetectionModel):
+    """Map rows of event uniforms to arrival times and sort each row, in place if bright.
+
+    Row i holds the uniforms of a shot with ``n[i]`` photons, rate-switch
+    instant ``t_switch[i]`` and window mean ``mu[i]``.  Bright rows (T = 0)
+    map as ``u * mean_bright / rate_bright``, the floats ``_event_times``
+    gives at T = 0; others go through ``_event_times``.  Only then are the
+    lanes past a shot's count set to +inf, so the map never sees them, and
+    every row is sorted.  Returns the rows and the mask of their photons.
+    """
+    if bright:
+        rows *= model.mean_bright
+        rows /= model.rate_bright
+    else:
+        rows = _event_times(rows, t_switch[:, None], mu[:, None], model)
+    keep = np.arange(rows.shape[1]) < n[:, None]
+    np.copyto(rows, np.inf, where=~keep)
+    rows.sort(axis=1)
+    return rows, keep
+
+
+def _arrival_times(config: SimConfig, lo: int, n: np.ndarray, t_switch, mu, out: np.ndarray) -> None:
     """Write the sorted arrival times of shots ``lo..`` into ``out``, shot-major.
 
-    ``window`` and the counts ``n`` are the shots' ``_window_profile`` and
-    ``_shot_counts``.  The rate-switch instant T and the window mean of each
-    shot come from its class (T = 0 and ``mean_bright`` for bright shots,
-    T = t_det and ``mean_dark`` for dark ones), overwritten for the
-    in-window decays.
+    ``n``, ``t_switch`` and ``mu`` are the shots' counts and
+    ``_switch_profile``.  The shots with photons are grouped by T = 0 or
+    not and by the bit length of their number of event blocks, so a slice
+    of mostly one-block dark rows is not padded to the width of its few
+    bright ones.  Each group gathers one matrix of rows (``_block_rows``),
+    and the event buffer is freed before the rows are sorted
+    (``_sorted_rows``).  The group with the most photons is read back
+    through one mask of the slice's photons; the others are scattered to
+    their places first, which they take out of that mask.
     """
-    model = config.model
-    t_switch = np.where(window.dark, model.t_det, 0.0)
-    mu = np.where(window.dark, model.mean_dark, model.mean_bright)
-    t_switch[window.decayed] = window.t_decay
-    mu[window.decayed] = window.mu_decay
-    u_ev = _event_uniforms(config.seed, lo, n)
-    out[:] = _event_times(u_ev, np.repeat(t_switch, n), np.repeat(mu, n), model)
-    # One row per shot with two or more photons, padded with +inf so
-    # padding sorts last; the mask reads the sorted rows back shot-major.
-    multi = n > 1
-    multi_ev = np.repeat(multi, n)
-    mask = np.arange(n.max(initial=0)) < n[multi, None]
-    rows = np.full(mask.shape, np.inf)
-    rows[mask] = out[multi_ev]
-    rows.sort(axis=1)
-    out[multi_ev] = rows[mask]
+    if not out.size:
+        return
+    buf, runs = _event_blocks(config.seed, lo, n)
+    shots = np.flatnonzero(n)
+    key = np.frexp((n[shots] + 3) >> 2)[1] * 2 + (t_switch[shots] == 0.0)
+    photons = np.bincount(key, weights=n[shots])
+    # ascending photon count, so the last group is read back through the mask
+    groups = [(shots[key == k], k & 1) for k in np.argsort(photons, kind="stable").tolist() if photons[k]]
+    # every group's rows are gathered before any is sorted, so the buffer goes first
+    uniforms = [_block_rows(buf, runs, of, (int(n[of].max()) + 3) >> 2) for of, _ in groups]
+    del buf, runs
+    starts = np.cumsum(n) - n
+    free = np.ones(out.size, dtype=bool) if len(groups) > 1 else None
+    for i, (of, bright) in enumerate(groups, start=1):
+        times, keep = _sorted_rows(uniforms.pop(0), n[of], t_switch[of], mu[of], bright, config.model)
+        if i < len(groups):
+            place = (starts[of, None] + np.arange(keep.shape[1]))[keep]
+            out[place] = times[keep]
+            free[place] = False
+        elif free is None:
+            np.compress(keep.ravel(), times.ravel(), out=out)
+        else:
+            out[free] = times[keep]
 
 
 def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int, tables):
@@ -565,7 +674,8 @@ def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int, table
     window = _window_profile(prepared, config, lo, hi)
     n = _shot_counts(window, tables)
     times = np.empty(int(n.sum()))
-    _arrival_times(config, lo, window, n, times)
+    profile = _switch_profile(config.model, window.dark, window.decayed, window.t_decay, window.mu_decay)
+    _arrival_times(config, lo, n, *profile, times)
     return times, n
 
 
@@ -575,29 +685,39 @@ def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     The total count of each shot is drawn exactly as in count mode (same
     reserved uniform), so trace counts agree shot-by-shot with
     ``simulate_counts``; the count is then distributed over the window by
-    inverse-CDF placement of each photon.  A first pass over the chunks
-    draws every count, which fixes the offsets; a second writes each
-    chunk's times into its slice of the one output array.
+    inverse-CDF placement of each photon.  A first pass draws every count
+    in ``_COUNT_CHUNK`` chunks, which fixes the offsets; a second writes the
+    times of each slice of at most ``_TRACE_SLICE`` shots plus photons, and
+    of at least four slices a thread, into its part of the one output array.
     """
-    tables = _state_tables(prepared, config.model)
-    chunk = _TRACE_CHUNK
+    model = config.model
+    tables = _state_tables(prepared, model)
     offsets = np.zeros(config.shots + 1, dtype=np.int64)
+    dark = np.empty(config.shots, dtype=bool)
 
-    def count(lo: int, hi: int) -> _Window:
+    def count(lo: int, hi: int):
         window = _window_profile(prepared, config, lo, hi)
         offsets[lo + 1 : hi + 1] = _shot_counts(window, tables)
-        return window
+        dark[lo:hi] = window.dark
+        return window.decayed + lo, window.t_decay, window.mu_decay
 
-    windows = _run_sharded(count, config.shots, chunk, threads)
+    parts = _run_sharded(count, config.shots, _COUNT_CHUNK, threads)
+    decayed, t_decay, mu_decay = (np.concatenate(part) for part in zip(*parts))
     np.cumsum(offsets, out=offsets)
     times = np.empty(int(offsets[-1]))
 
     def place(lo: int, hi: int) -> None:
+        a, b = np.searchsorted(decayed, (lo, hi)).tolist()
+        profile = _switch_profile(model, dark[lo:hi], decayed[a:b] - lo, t_decay[a:b], mu_decay[a:b])
         n = np.diff(offsets[lo : hi + 1])
-        _arrival_times(config, lo, windows[lo // chunk], n, times[offsets[lo] : offsets[hi]])
+        _arrival_times(config, lo, n, *profile, times[offsets[lo] : offsets[hi]])
 
-    _run_sharded(place, config.shots, chunk, threads)
-    return TraceBatch(times, offsets, config.model.t_det)
+    # at least four slices a thread, so a small batch still spreads over the
+    # threads, in slices that hold less memory
+    spread = 4 * min(threads, os.cpu_count() or 1)
+    budget = min(_TRACE_SLICE, -(-(config.shots + int(offsets[-1])) // spread))
+    _run_tasks(place, list(_trace_slices(offsets, budget)), threads)
+    return TraceBatch(times, offsets, model.t_det)
 
 
 def simulate_shot(prepared: Prepared, config: SimConfig, shot_index: int) -> PhotonTrace:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import threading
@@ -59,14 +60,21 @@ def test_counts_independent_of_threads_and_chunking(measured_model, monkeypatch)
         np.testing.assert_array_equal(again, reference)
 
 
-def test_traces_independent_of_threads_and_chunking(measured_model, monkeypatch):
-    config = _config(measured_model, shots=3000, seed=5)
-    reference = simulate_traces(Prepared.DOWN, config, threads=1)
-    monkeypatch.setattr(mc, "_TRACE_CHUNK", 129)
-    for threads in (1, 4):
-        again = simulate_traces(Prepared.DOWN, config, threads=threads)
-        np.testing.assert_array_equal(again.timestamps, reference.timestamps)
-        np.testing.assert_array_equal(again.offsets, reference.offsets)
+def test_traces_independent_of_threads_and_chunking(monkeypatch):
+    # Count chunks of 257 shots, and slices of at most 23 shots plus photons:
+    # a bright shot is a slice alone, and runs of dark shots cross the
+    # count chunks' boundaries.  Both states under both decay laws.
+    model = DetectionModel(73.5e3, 1.75e3, 285e-6 / 0.072, 285e-6)
+    for prepared, law in itertools.product(Prepared, DecayTimeLaw):
+        config = SimConfig(model, ErrorRates(0.3, 0.3), shots=1200, seed=5, decay_time_law=law)
+        with monkeypatch.context() as patch:
+            reference = simulate_traces(prepared, config, threads=1)
+            patch.setattr(mc, "_COUNT_CHUNK", 257)
+            patch.setattr(mc, "_TRACE_SLICE", 23)
+            for threads in (1, 4):
+                again = simulate_traces(prepared, config, threads=threads)
+                np.testing.assert_array_equal(again.timestamps, reference.timestamps)
+                np.testing.assert_array_equal(again.offsets, reference.offsets)
 
 
 @pytest.mark.parametrize(
@@ -241,6 +249,22 @@ def test_preparation_flips_change_down_statistics(measured_model):
     mean_flipped = simulate_counts(Prepared.DOWN, flipped).mean()
     expected_drop = 0.3 * (measured_model.mean_bright - measured_model.mean_dark)
     assert abs((mean_clean - mean_flipped) - expected_drop) < 0.5
+
+
+def test_traces_without_background_raise_no_float_errors(reference_shots, reference_times):
+    # With rate_dark = 0 an undecayed dark shot has mean 0, and the dark map
+    # divides by zero: lanes past a shot's count must never reach the map
+    # (an inf there would give inf * 0), and the map's one division by
+    # rate_dark is guarded.  Every other floating-point error raises here.
+    model = DetectionModel(73.5e3, 0.0, 285e-6 / 0.072, 285e-6)
+    for prepared, law in itertools.product(Prepared, DecayTimeLaw):
+        config = SimConfig(model, ErrorRates(0.3, 0.3), shots=3000, seed=8, decay_time_law=law)
+        with np.errstate(all="raise", under="ignore"):
+            batch = simulate_traces(prepared, config)
+        t_switch, mu, n = reference_shots(prepared, config, 0, config.shots)
+        assert np.any((t_switch > 0.0) & (t_switch < model.t_det) & (n > 1))
+        expected = reference_times(config, 0, t_switch, mu, n)
+        np.testing.assert_array_equal(batch.timestamps.view(np.uint64), expected.view(np.uint64))
 
 
 def test_trace_times_lie_in_window_and_sorted(measured_model):

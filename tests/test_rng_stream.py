@@ -17,7 +17,9 @@ from shelveread.monte_carlo import (
     DecayTimeLaw,
     Prepared,
     SimConfig,
-    _event_uniforms,
+    _SKIP_GAP,
+    _block_rows,
+    _event_blocks,
     _poisson_quantile,
     _shard_traces,
     _state_tables,
@@ -53,22 +55,79 @@ def test_state_uniforms_match_per_shot_generators(seed, lo, n):
         np.testing.assert_array_equal(got[i], _oracle_block(seed, lo + i, 0))
 
 
+def _event_uniforms(seed: int, lo: int, n_events: np.ndarray) -> np.ndarray:
+    # every shot's rows of its blocks, cut to its count and read shot-major
+    buf, runs = _event_blocks(seed, lo, n_events)
+    shots = np.flatnonzero(n_events)
+    blocks = (int(n_events.max(initial=0)) + 3) // 4
+    rows = _block_rows(buf, runs, shots, blocks)
+    return rows[np.arange(4 * blocks) < n_events[shots, None]]
+
+
+def _oracle_events(seed: int, lo: int, n_events) -> np.ndarray:
+    expected = [np.empty(0)]
+    for i, n in enumerate(n_events):
+        blocks = [_oracle_block(seed, lo + i, b) for b in range(1, (n + 3) // 4 + 1)]
+        expected.append(np.concatenate(blocks)[:n] if blocks else np.empty(0))
+    return np.concatenate(expected)
+
+
+_G = _SKIP_GAP
+
+
 def test_event_blocks_match_per_shot_generators():
-    cases = [
-        (9, 500, [0, 9, 3, 0, 13, 4]),
-        # photonless and short shots inside the spans of the long shots' blocks
-        (9, 500, [14, 0, 1, 3, 0, 2, 17, 5, 0, 0, 6]),
+    cases = {
+        "mixed": (9, 500, [0, 9, 3, 0, 13, 4]),
+        # photonless and short shots inside the runs of the long shots' blocks
+        "short_in_runs": (9, 500, [14, 0, 1, 3, 0, 2, 17, 5, 0, 0, 6]),
         # one shot needs 11 blocks, its neighbours one or none
-        (2**64 - 1, 2**40, [0, 2, 41, 0, 1]),
-        (7, 0, [0, 0, 0]),
-    ]
-    for seed, lo, n_events in cases:
-        got = _event_uniforms(seed, lo, np.array(n_events))
-        expected = [np.empty(0)]
-        for i, n in enumerate(n_events):
-            blocks = [_oracle_block(seed, lo + i, b) for b in range(1, (n + 3) // 4 + 1)]
-            expected.append(np.concatenate(blocks)[:n] if blocks else np.empty(0))
-        np.testing.assert_array_equal(got, np.concatenate(expected))
+        "wide": (2**64 - 1, 2**40, [0, 2, 41, 0, 1]),
+        "photonless": (7, 0, [0, 0, 0]),
+        # needed shots G + 1 apart and more: block 2 skips the gaps by advance
+        "advance": (3, 10, [5] + [1] * (_G + 1) + [9] + [0] * (3 * _G) + [6, 1, 7]),
+        # a gap of exactly G shots is drawn through, one of G + 1 is skipped
+        "gap_g": (3, 0, [8] + [2] * _G + [8] + [2] * (_G + 1) + [8]),
+        # runs of every block end at the last shot of the slice
+        "run_at_end": (4, 2**33, [0] * (_G + 5) + [1, 40, 0, 40]),
+        # the only multi-block shot is the first, then the last
+        "first_only": (5, 77, [13] + [1, 0, 2] * _G),
+        "last_only": (5, 77, [0, 3, 1] * _G + [13]),
+        # every block jumps across a photonless stretch at a huge counter
+        "max_key": (2**64 - 1, 2**40, [40] + [0] * (2 * _G) + [40]),
+    }
+    for name, (seed, lo, n_events) in cases.items():
+        n_events = np.array(n_events)
+        np.testing.assert_array_equal(
+            _event_uniforms(seed, lo, n_events), _oracle_events(seed, lo, n_events), err_msg=name
+        )
+
+
+def test_event_blocks_skip_only_long_gaps():
+    # block 2 of [8, 2 x G, 8, 2 x (G + 1), 8] is drawn through the first
+    # gap and skips the second: two runs, 1 + G + 1 and 1 shots
+    n_events = np.array([8] + [2] * _G + [8] + [2] * (_G + 1) + [8])
+    _, runs = _event_blocks(3, 0, n_events)
+    first, shift = runs[1]
+    assert first.tolist() == [0, 2 * _G + 3]
+    assert (first + shift).tolist() == [n_events.size, n_events.size + _G + 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    lo=st.integers(0, 2**48),
+    runs=st.lists(
+        st.tuples(st.sampled_from([0, 1, 4, 5, 40]), st.integers(1, 3 * _SKIP_GAP)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_event_uniforms_property(seed, lo, runs):
+    # stretches of equal counts, some longer than the skip gap
+    n_events = np.repeat([n for n, _ in runs], [k for _, k in runs])
+    np.testing.assert_array_equal(
+        _event_uniforms(seed, lo, n_events), _oracle_events(seed, lo, n_events)
+    )
 
 
 def test_simulated_shot_follows_layout(measured_model):
