@@ -378,7 +378,8 @@ def fit(
 
     ``bootstrap >= 2`` additionally estimates uncertainties from that many
     multinomial resamples (``details["bootstrap"]``), as a cross-check on
-    the expected-information standard errors.
+    the expected-information standard errors; ``unconverged`` counts the
+    resamples whose fit did not converge, which still enter the spread.
     """
     f = _check_constants(t_det, lifetime)
     if mode not in ("joint", "independent"):
@@ -405,14 +406,15 @@ def fit(
 
     if bootstrap:
         rng = np.random.default_rng(bootstrap_seed)
-        samples = [
-            _fits(_resample(hist_down, rng), _resample(hist_up, rng), f, theta, mode)[0]
+        resamples = [
+            _fits(_resample(hist_down, rng), _resample(hist_up, rng), f, theta, mode)
             for _ in range(bootstrap)
         ]
-        spread = np.std(np.array(samples), axis=0, ddof=1)
+        spread = np.std(np.array([sample for sample, _ in resamples]), axis=0, ddof=1)
         details["bootstrap"] = {
             "samples": bootstrap,
             "std_errors": dict(zip(_PARAM_NAMES, spread.tolist())),
+            "unconverged": sum(not all(ok for _, _, ok, *_ in fits) for _, fits in resamples),
         }
 
     return FitResult(

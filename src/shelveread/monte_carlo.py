@@ -33,6 +33,11 @@ until it passes u.  The two tables are built once per ``simulate_*`` call.
 All paths read the same CDF floats, so no draw depends on the path, the
 chunking or the thread count.
 
+Count mode draws ``_COUNT_CHUNK`` chunks, each one task of the thread pool.
+``simulate_counts`` writes each chunk's counts into one per-shot array;
+``simulate_histogram`` keeps none, but bins each chunk in its task and adds
+the bins, so its memory is bounded by the chunk size times the threads.
+
 Trace mode makes two passes.  The first draws every shot's count in
 ``_COUNT_CHUNK`` chunks, as count mode does, and keeps which shots are
 dark and the in-window decays; the counts fix the offsets of the one
@@ -94,12 +99,13 @@ __all__ = [
     "read_traces",
 ]
 
-# Shots per vectorized pass of the count draws (count mode and the first
-# pass of trace mode); each chunk is one task of the thread pool.  It was
-# chosen by timing 2 x 3e6 paper-point shots on 2 threads (2-core Xeon, two
-# rounds of medians of 9): 0.222 / 0.235 s at 2**15 (per-chunk Philox setup
-# and numpy call overhead), 0.202 / 0.194 s at 2**16 and 0.196 / 0.200 s at
-# 2**17, which doubles the chunk's arrays for no measurable gain.
+# Shots per vectorized pass of the count draws (``simulate_counts``,
+# ``simulate_histogram`` and the first pass of ``simulate_traces``); each
+# chunk is one task of the thread pool.  It was chosen by timing 2 x 3e6
+# paper-point shots on 2 threads (2-core Xeon, two rounds of medians of 9):
+# 0.222 / 0.235 s at 2**15 (per-chunk Philox setup and numpy call
+# overhead), 0.202 / 0.194 s at 2**16 and 0.196 / 0.200 s at 2**17, which
+# doubles the chunk's arrays for no measurable gain.
 _COUNT_CHUNK = 1 << 16
 # Shots plus photons per slice of trace placement (``_trace_slices``); each
 # slice is one task of the thread pool.  Timed on 3e5 DOWN and 3e5 UP
@@ -590,8 +596,23 @@ def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
 
 
 def simulate_histogram(prepared: Prepared, config: SimConfig, threads: int = 1) -> CountHistogram:
-    """Histogram of simulated photon counts for one prepared state."""
-    return CountHistogram.from_counts(simulate_counts(prepared, config, threads))
+    """Histogram of simulated photon counts for one prepared state.
+
+    Equal to ``CountHistogram.from_counts(simulate_counts(...))``, length
+    included, but no per-shot array is built: each ``_COUNT_CHUNK`` chunk
+    is binned in the thread that draws it, and the chunks' bins are added.
+    Memory is bounded by the chunk size times the threads, not by the shots.
+    """
+    tables = _state_tables(prepared, config.model)
+
+    def count(lo: int, hi: int) -> np.ndarray:
+        return np.bincount(_shot_counts(_window_profile(prepared, config, lo, hi), tables))
+
+    parts = _run_sharded(count, config.shots, _COUNT_CHUNK, threads)
+    bins = np.zeros(max(part.size for part in parts), dtype=np.int64)
+    for part in parts:
+        bins[: part.size] += part
+    return CountHistogram(bins, config.shots)
 
 
 def _switch_profile(model: DetectionModel, dark, decayed, t_decay, mu_decay):

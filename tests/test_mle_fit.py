@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shelveread.mle_fit as mle_fit
 from shelveread.mle_fit import (
     FitResult,
     ReadoutParams,
@@ -187,6 +188,20 @@ def test_bootstrap_is_seeded(sampled_pair):
     a = fit(h_down, h_up, T_DET, LIFETIME, bootstrap=5, bootstrap_seed=9)
     b = fit(h_down, h_up, T_DET, LIFETIME, bootstrap=5, bootstrap_seed=9)
     assert a.details["bootstrap"] == b.details["bootstrap"]
+
+
+@pytest.mark.parametrize("mode", ["joint", "independent"])
+def test_bootstrap_counts_unconverged_resamples(sampled_pair, mode, monkeypatch):
+    h_down, h_up = sampled_pair
+    result = fit(h_down, h_up, T_DET, LIFETIME, mode=mode, bootstrap=4, bootstrap_seed=9)
+    assert result.details["bootstrap"]["unconverged"] == 0
+    # with no step allowed, every fit stops at the iteration limit
+    monkeypatch.setattr(mle_fit, "_MAX_ITERATIONS", 0)
+    result = fit(h_down, h_up, T_DET, LIFETIME, mode=mode, bootstrap=4, bootstrap_seed=9)
+    assert not result.converged
+    assert "iteration limit" in json.dumps(result.details["optimizer"])
+    assert result.details["bootstrap"]["samples"] == 4
+    assert result.details["bootstrap"]["unconverged"] == 4
 
 
 def test_independent_mode(sampled_pair):

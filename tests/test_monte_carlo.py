@@ -7,6 +7,7 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,45 @@ def test_traces_independent_of_threads_and_chunking(monkeypatch):
                 again = simulate_traces(prepared, config, threads=threads)
                 np.testing.assert_array_equal(again.timestamps, reference.timestamps)
                 np.testing.assert_array_equal(again.offsets, reference.offsets)
+
+
+_PAPER_POINT = (DetectionModel(73.5e3, 1.75e3, 0.390, 285e-6), ErrorRates(6e-4, 1e-3))
+_HIGH_DECAY_POINT = (DetectionModel(73.5e3, 1.75e3, 285e-6 / 0.072, 285e-6), ErrorRates(0.3, 0.3))
+
+
+@pytest.mark.parametrize("point", [_PAPER_POINT, _HIGH_DECAY_POINT], ids=["paper", "high_decay"])
+@pytest.mark.parametrize("chunk", [None, 257])
+def test_histogram_equals_histogram_of_counts(point, chunk, monkeypatch):
+    # Per-chunk bins, added, are the histogram of the per-shot counts: the
+    # same values, length and total.  In chunks of 257, 1 and 256 shots are
+    # one partial chunk, 257 one full chunk, and 1000 three full chunks and a
+    # partial one.
+    model, errors = point
+    if chunk is not None:
+        monkeypatch.setattr(mc, "_COUNT_CHUNK", chunk)
+    for prepared, law, shots in itertools.product(Prepared, DecayTimeLaw, (1, 256, 257, 1000)):
+        config = SimConfig(model, errors, shots=shots, seed=17, decay_time_law=law)
+        reference = CountHistogram.from_counts(simulate_counts(prepared, config, threads=1))
+        for threads in (1, 2, 4):
+            hist = simulate_histogram(prepared, config, threads=threads)
+            np.testing.assert_array_equal(hist.counts_per_bin, reference.counts_per_bin)
+            assert hist.counts_per_bin.dtype == np.int64
+            assert hist.total_shots == reference.total_shots == shots
+
+
+def test_histogram_memory_is_bounded_by_chunks(measured_model):
+    # The bound was fixed before the first measurement.  The per-shot int64
+    # counts of 2e6 shots alone are 15.3 MiB; two threads' chunks hold far less.
+    config = _config(measured_model, shots=2_000_000, seed=3)
+    simulate_histogram(Prepared.DOWN, config, threads=2)  # warm the pmf caches
+    tracemalloc.start()
+    try:
+        hist = simulate_histogram(Prepared.DOWN, config, threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.total_shots == config.shots
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from shelveread.monte_carlo import (
     _uniforms,
     _unit,
     simulate_counts,
+    simulate_histogram,
     simulate_shot,
     simulate_traces,
 )
@@ -277,7 +278,11 @@ def test_counts_match_pinned_stream(point, law, prepared, seed, digest):
     model, errors = point
     config = SimConfig(model, errors, shots=200_000, seed=seed, decay_time_law=law)
     assert RNG_STREAM == "philox4x64-10/shot-major/2"
-    assert _digest(simulate_counts(prepared, config, threads=2)) == digest
+    counts = simulate_counts(prepared, config, threads=2)
+    assert _digest(counts) == digest
+    # the histogram path bins the same draws chunk by chunk
+    hist = simulate_histogram(prepared, config, threads=2)
+    np.testing.assert_array_equal(hist.counts_per_bin, np.bincount(counts))
 
 
 # Traces under the uniform law only: the exponential law's log1p may differ
