@@ -277,7 +277,6 @@ def cmd_fit(config: dict, out: Path, metadata: dict, seed: int) -> None:
 def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
     from ._files import write_json
     from .tomography import (
-        AXES,
         PREPARED_LABELS,
         average_fidelity,
         bloch_error_surface,
@@ -295,15 +294,10 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
     options = config["tomo"]
     source = options["records"] or _bundled("tomography_records.csv")
     records = read_records_csv(source)
-    # Every measured state needs all three axes; the library can assume 0 for
-    # a missing one, an option no config entry sets.
-    measured = {(r.prepared, r.axis) for r in records}
-    for label in PREPARED_LABELS:
-        present = [(label, axis) in measured for axis in AXES]
-        if any(present) and not all(present):
-            axis = AXES[present.index(False)]
-            raise ValueError(f"{source}: state {label}: axis {axis!r} missing")
-    projections = projections_from_records(records)
+    try:
+        projections = projections_from_records(records)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
     if options["mode"] == "state":
         fidelities = state_fidelities(projections)

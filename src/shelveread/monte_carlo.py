@@ -38,14 +38,17 @@ Count mode draws ``_COUNT_CHUNK`` chunks, each one task of the thread pool.
 ``simulate_histogram`` keeps none, but bins each chunk in its task and adds
 the bins, so its memory is bounded by the chunk size times the threads.
 
-Trace mode makes two passes.  The first draws every shot's count in
-``_COUNT_CHUNK`` chunks, as count mode does, and keeps which shots are
-dark and the in-window decays; the counts fix the offsets of the one
-output array.  The second cuts the shots into slices of whole shots, each
-at most ``_TRACE_SLICE`` shots plus photons and at least four a thread
+Trace mode (``_traces``, over every shot for ``simulate_traces`` and one
+for ``simulate_shot``) makes two passes.  The first draws every shot's
+count in ``_COUNT_CHUNK`` chunks, as count mode does, and stores beside it
+the shot's rate-switch instant T: 0 if bright, t_det if dark and
+undecayed, else the decay instant.  The counts fix the output's offsets.
+The second cuts the shots into slices of whole shots, each at most
+``_TRACE_SLICE`` shots plus photons and at least four a thread
 (``_trace_slices``, the cut the classifier uses too), and writes each
-slice's sorted arrival times into its part of that array.  A slice draws only the event blocks its shots
-need: one Philox generator walks the blocks, draws through gaps of at most
+slice's sorted arrival times, placed from its slice of T, into its part
+of the output.  A slice draws only the event blocks its shots need: one
+Philox generator walks the blocks, draws through gaps of at most
 ``_SKIP_GAP`` shots and skips longer ones with ``advance``, into one
 compact buffer (``_event_blocks``).  The shots are then grouped by width,
 and each group's rows of uniforms are gathered, mapped to times, padded
@@ -63,6 +66,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -164,10 +169,23 @@ class SimConfig:
     decay_time_law: DecayTimeLaw = DecayTimeLaw.UNIFORM_FIRST_ORDER
 
     def __post_init__(self) -> None:
-        if self.shots < 1 or int(self.shots) != self.shots:
-            raise ValueError(f"shots must be a positive integer, got {self.shots}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        if not _is_int(self.shots) or self.shots < 1:
+            raise ValueError(f"shots must be a positive integer, got {self.shots!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; bool is an Integral, but no count or seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _shot_index(i, shots: int) -> int:
+    """``i`` as an int, checked to lie in [0, ``shots``)."""
+    i = operator.index(i)
+    if not 0 <= i < shots:
+        raise ValueError(f"shot_index must lie in [0, {shots}), got {i}")
+    return i
 
 
 @dataclass(frozen=True)
@@ -246,6 +264,7 @@ class TraceBatch:
         return np.diff(self.offsets)
 
     def trace(self, i: int) -> PhotonTrace:
+        i = _shot_index(i, self.n_shots)
         return PhotonTrace(
             self.timestamps[self.offsets[i] : self.offsets[i + 1]], self.t_det
         )
@@ -426,8 +445,15 @@ def _window_profile(prepared: Prepared, config: SimConfig, lo: int, hi: int) -> 
         t_decay = -model.lifetime * np.log1p(-_unit(w_decay[decayed]))
         inside = t_decay < model.t_det
         decayed, t_decay = decayed[inside], t_decay[inside]
-    mu_decay = model.rate_dark * t_decay + model.rate_bright * (model.t_det - t_decay)
-    return _Window(_unit(w_count), dark, np.flatnonzero(flip), decayed, t_decay, mu_decay)
+    return _Window(_unit(w_count), dark, np.flatnonzero(flip), decayed, t_decay, _window_mean(model, t_decay))
+
+
+def _window_mean(model: DetectionModel, t_switch):
+    """Mean photon number of a window at dark rate before ``t_switch`` and bright rate after.
+
+    Exactly ``mean_bright`` at T = 0 and ``mean_dark`` at T = t_det: the other term is an exact 0.
+    """
+    return model.rate_dark * t_switch + model.rate_bright * (model.t_det - t_switch)
 
 
 class _InverseTable(NamedTuple):
@@ -470,13 +496,14 @@ def _table_quantile(table: _InverseTable, u: np.ndarray) -> np.ndarray:
     return drawn
 
 
-def _row_quantile(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Count of per-row CDF values <= u, clipped at ``_sampling_support_max(mean) + 1``.
+def _poisson_quantile(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Exact inverse-CDF Poisson draw over 1-D ``(u, mean)``: the count of each row's CDF values <= u.
 
     Columns are tabulated ``_ROW_BLOCK`` at a time.  Each block starts from
     the previous block's last CDF value, added to its first element, so the
-    values are the same floats as one full-width cumsum.  A row stops once
-    its CDF passes u or its support ends.
+    values are the same floats as one full-width cumsum, which the samplers'
+    guide tables compare too.  A row stops once its CDF passes u or its
+    support ends; the draw is clipped at ``_sampling_support_max(mean) + 1``.
     """
     top = _sampling_support_max(mean)
     drawn = np.zeros(u.shape, dtype=np.int64)
@@ -496,19 +523,6 @@ def _row_quantile(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return np.minimum(drawn, top + 1)
 
 
-def _poisson_quantile(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Exact inverse-CDF Poisson draw, elementwise over (u, mean), u in [0, 1].
-
-    The draw is the count of CDF values <= u, found by walking each row's
-    CDF from 0 in short blocks (``_row_quantile``).  The samplers' guide
-    tables compare the same floating-point CDF values, so a shot gets the
-    same count whichever path draws it.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    return _row_quantile(u, mean)
-
-
 def _shot_counts(window: _Window, tables: tuple[_InverseTable, _InverseTable]) -> np.ndarray:
     """Counts of a window's shots, ``tables`` as ``_state_tables`` orders them.
 
@@ -524,16 +538,16 @@ def _shot_counts(window: _Window, tables: tuple[_InverseTable, _InverseTable]) -
     return n
 
 
-def _event_times(u: np.ndarray, t_switch: np.ndarray, mu: np.ndarray, model: DetectionModel):
+def _event_times(u: np.ndarray, t_switch: np.ndarray, model: DetectionModel):
     """Map event-stream uniforms through the window's cumulative rate.
 
-    ``u`` holds one row of uniforms per shot, ``t_switch`` and ``mu`` one
-    row of the shot's rate-switch instant T and window mean each.  A mass
+    ``u`` holds one row of uniforms per shot and ``t_switch`` one row of the
+    shot's rate-switch instant T; mu is the shot's ``_window_mean``.  A mass
     u * mu below the dark mass ``rate_dark * T`` falls before the switch, at
     ``mass / rate_dark``; any other at ``T + (mass - rate_dark * T) /
-    rate_bright``.  At T = 0 this is ``u * mu / rate_bright`` for every u.
+    rate_bright``.  At T = 0 this is ``u * mean_bright / rate_bright``.
     """
-    mass = u * mu
+    mass = u * _window_mean(model, t_switch)
     mass_dark = model.rate_dark * t_switch
     before = mass < mass_dark
     times = mass - mass_dark
@@ -560,9 +574,10 @@ def _run_tasks(work, bounds: list, threads: int) -> list:
         return list(pool.map(lambda task: work(*task), bounds))
 
 
-def _run_sharded(work, shots: int, chunk: int, threads: int) -> list:
-    """``work(lo, hi)`` over ``0..shots`` in chunks of ``chunk`` shots, in shot order."""
-    return _run_tasks(work, [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)], threads)
+def _run_sharded(work, first: int, shots: int, chunk: int, threads: int) -> list:
+    """``work(lo, hi)`` over shots ``first..first+shots-1`` in chunks of ``chunk`` shots, in shot order."""
+    end = first + shots
+    return _run_tasks(work, [(lo, min(lo + chunk, end)) for lo in range(first, end, chunk)], threads)
 
 
 def _trace_slices(offsets: np.ndarray, budget: int):
@@ -591,7 +606,7 @@ def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     def count(lo: int, hi: int) -> None:
         out[lo:hi] = _shot_counts(_window_profile(prepared, config, lo, hi), tables)
 
-    _run_sharded(count, config.shots, _COUNT_CHUNK, threads)
+    _run_sharded(count, 0, config.shots, _COUNT_CHUNK, threads)
     return out
 
 
@@ -608,59 +623,46 @@ def simulate_histogram(prepared: Prepared, config: SimConfig, threads: int = 1) 
     def count(lo: int, hi: int) -> np.ndarray:
         return np.bincount(_shot_counts(_window_profile(prepared, config, lo, hi), tables))
 
-    parts = _run_sharded(count, config.shots, _COUNT_CHUNK, threads)
+    parts = _run_sharded(count, 0, config.shots, _COUNT_CHUNK, threads)
     bins = np.zeros(max(part.size for part in parts), dtype=np.int64)
     for part in parts:
         bins[: part.size] += part
     return CountHistogram(bins, config.shots)
 
 
-def _switch_profile(model: DetectionModel, dark, decayed, t_decay, mu_decay):
-    """Rate-switch instant T and window mean of each shot, from its class.
-
-    T = 0 and ``mean_bright`` for bright shots, T = t_det and ``mean_dark``
-    for dark ones, overwritten for the in-window decays ``decayed``.
-    """
-    t_switch = np.where(dark, model.t_det, 0.0)
-    mu = np.where(dark, model.mean_dark, model.mean_bright)
-    t_switch[decayed] = t_decay
-    mu[decayed] = mu_decay
-    return t_switch, mu
-
-
-def _sorted_rows(rows: np.ndarray, n: np.ndarray, t_switch, mu, bright: bool, model: DetectionModel):
+def _sorted_rows(rows: np.ndarray, n: np.ndarray, t_switch, bright: bool, model: DetectionModel):
     """Map rows of event uniforms to arrival times and sort each row, in place if bright.
 
-    Row i holds the uniforms of a shot with ``n[i]`` photons, rate-switch
-    instant ``t_switch[i]`` and window mean ``mu[i]``.  Bright rows (T = 0)
-    map as ``u * mean_bright / rate_bright``, the floats ``_event_times``
-    gives at T = 0; others go through ``_event_times``.  Only then are the
-    lanes past a shot's count set to +inf, so the map never sees them, and
-    every row is sorted.  Returns the rows and the mask of their photons.
+    Row i holds the uniforms of a shot with ``n[i]`` photons and rate-switch
+    instant ``t_switch[i]``.  Bright rows (T = 0) map as ``u * mean_bright /
+    rate_bright``, the floats ``_event_times`` gives at T = 0; others go
+    through ``_event_times``.  Only then are the lanes past a shot's count
+    set to +inf, so the map never sees them, and every row is sorted.
+    Returns the rows and the mask of their photons.
     """
     if bright:
         rows *= model.mean_bright
         rows /= model.rate_bright
     else:
-        rows = _event_times(rows, t_switch[:, None], mu[:, None], model)
+        rows = _event_times(rows, t_switch[:, None], model)
     keep = np.arange(rows.shape[1]) < n[:, None]
     np.copyto(rows, np.inf, where=~keep)
     rows.sort(axis=1)
     return rows, keep
 
 
-def _arrival_times(config: SimConfig, lo: int, n: np.ndarray, t_switch, mu, out: np.ndarray) -> None:
+def _arrival_times(config: SimConfig, lo: int, n: np.ndarray, t_switch: np.ndarray, out: np.ndarray) -> None:
     """Write the sorted arrival times of shots ``lo..`` into ``out``, shot-major.
 
-    ``n``, ``t_switch`` and ``mu`` are the shots' counts and
-    ``_switch_profile``.  The shots with photons are grouped by T = 0 or
-    not and by the bit length of their number of event blocks, so a slice
-    of mostly one-block dark rows is not padded to the width of its few
-    bright ones.  Each group gathers one matrix of rows (``_block_rows``),
-    and the event buffer is freed before the rows are sorted
-    (``_sorted_rows``).  The group with the most photons is read back
-    through one mask of the slice's photons; the others are scattered to
-    their places first, which they take out of that mask.
+    ``n`` and ``t_switch`` are the shots' counts and rate-switch instants
+    T.  The shots with photons are grouped by T = 0 or not and by the bit
+    length of their number of event blocks, so a slice of mostly one-block
+    dark rows is not padded to the width of its few bright ones.  Each
+    group gathers one matrix of rows (``_block_rows``), and the event buffer
+    is freed before the rows are sorted (``_sorted_rows``).  The group with
+    the most photons is read back through one mask of the slice's photons;
+    the others are scattered to their places first, which they take out of
+    that mask.
     """
     if not out.size:
         return
@@ -676,7 +678,7 @@ def _arrival_times(config: SimConfig, lo: int, n: np.ndarray, t_switch, mu, out:
     starts = np.cumsum(n) - n
     free = np.ones(out.size, dtype=bool) if len(groups) > 1 else None
     for i, (of, bright) in enumerate(groups, start=1):
-        times, keep = _sorted_rows(uniforms.pop(0), n[of], t_switch[of], mu[of], bright, config.model)
+        times, keep = _sorted_rows(uniforms.pop(0), n[of], t_switch[of], bright, config.model)
         if i < len(groups):
             place = (starts[of, None] + np.arange(keep.shape[1]))[keep]
             out[place] = times[keep]
@@ -687,17 +689,38 @@ def _arrival_times(config: SimConfig, lo: int, n: np.ndarray, t_switch, mu, out:
             out[free] = times[keep]
 
 
-def _shard_traces(prepared: Prepared, config: SimConfig, lo: int, hi: int, tables):
-    """Arrival times (shot-major) and counts of shots ``lo..hi-1``, in one pass.
+def _traces(prepared: Prepared, config: SimConfig, first: int, shots: int, threads: int) -> TraceBatch:
+    """Traces of shots ``first..first+shots-1`` as a ``TraceBatch``, in trace mode's two passes.
 
-    ``tables`` are those of ``_state_tables``.
+    Pass 1 stores each shot's count and rate-switch instant T; pass 2 places
+    each slice's photons from its slice of T.
     """
-    window = _window_profile(prepared, config, lo, hi)
-    n = _shot_counts(window, tables)
-    times = np.empty(int(n.sum()))
-    profile = _switch_profile(config.model, window.dark, window.decayed, window.t_decay, window.mu_decay)
-    _arrival_times(config, lo, n, *profile, times)
-    return times, n
+    model = config.model
+    tables = _state_tables(prepared, model)
+    offsets = np.zeros(shots + 1, dtype=np.int64)
+    t_switch = np.empty(shots)
+
+    def count(lo: int, hi: int) -> None:
+        window = _window_profile(prepared, config, lo, hi)
+        lo, hi = lo - first, hi - first
+        offsets[lo + 1 : hi + 1] = _shot_counts(window, tables)
+        t_switch[lo:hi] = np.where(window.dark, model.t_det, 0.0)
+        t_switch[lo + window.decayed] = window.t_decay
+
+    _run_sharded(count, first, shots, _COUNT_CHUNK, threads)
+    np.cumsum(offsets, out=offsets)
+    times = np.empty(int(offsets[-1]))
+
+    def place(lo: int, hi: int) -> None:
+        n = np.diff(offsets[lo : hi + 1])
+        _arrival_times(config, first + lo, n, t_switch[lo:hi], times[offsets[lo] : offsets[hi]])
+
+    # at least four slices a thread, so a small batch still spreads over the
+    # threads, in slices that hold less memory
+    spread = 4 * min(threads, os.cpu_count() or 1)
+    budget = min(_TRACE_SLICE, -(-(shots + int(offsets[-1])) // spread))
+    _run_tasks(place, list(_trace_slices(offsets, budget)), threads)
+    return TraceBatch(times, offsets, model.t_det)
 
 
 def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> TraceBatch:
@@ -706,53 +729,20 @@ def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     The total count of each shot is drawn exactly as in count mode (same
     reserved uniform), so trace counts agree shot-by-shot with
     ``simulate_counts``; the count is then distributed over the window by
-    inverse-CDF placement of each photon.  A first pass draws every count
-    in ``_COUNT_CHUNK`` chunks, which fixes the offsets; a second writes the
-    times of each slice of at most ``_TRACE_SLICE`` shots plus photons, and
-    of at least four slices a thread, into its part of the one output array.
+    inverse-CDF placement of each photon (``_traces``).
     """
-    model = config.model
-    tables = _state_tables(prepared, model)
-    offsets = np.zeros(config.shots + 1, dtype=np.int64)
-    dark = np.empty(config.shots, dtype=bool)
-
-    def count(lo: int, hi: int):
-        window = _window_profile(prepared, config, lo, hi)
-        offsets[lo + 1 : hi + 1] = _shot_counts(window, tables)
-        dark[lo:hi] = window.dark
-        return window.decayed + lo, window.t_decay, window.mu_decay
-
-    parts = _run_sharded(count, config.shots, _COUNT_CHUNK, threads)
-    decayed, t_decay, mu_decay = (np.concatenate(part) for part in zip(*parts))
-    np.cumsum(offsets, out=offsets)
-    times = np.empty(int(offsets[-1]))
-
-    def place(lo: int, hi: int) -> None:
-        a, b = np.searchsorted(decayed, (lo, hi)).tolist()
-        profile = _switch_profile(model, dark[lo:hi], decayed[a:b] - lo, t_decay[a:b], mu_decay[a:b])
-        n = np.diff(offsets[lo : hi + 1])
-        _arrival_times(config, lo, n, *profile, times[offsets[lo] : offsets[hi]])
-
-    # at least four slices a thread, so a small batch still spreads over the
-    # threads, in slices that hold less memory
-    spread = 4 * min(threads, os.cpu_count() or 1)
-    budget = min(_TRACE_SLICE, -(-(config.shots + int(offsets[-1])) // spread))
-    _run_tasks(place, list(_trace_slices(offsets, budget)), threads)
-    return TraceBatch(times, offsets, model.t_det)
+    return _traces(prepared, config, 0, config.shots, threads)
 
 
 def simulate_shot(prepared: Prepared, config: SimConfig, shot_index: int) -> PhotonTrace:
     """Regenerate the full photon record of one shot of a batch.
 
     Bit-identical to ``simulate_traces(...).trace(shot_index)`` for the same
-    configuration: the per-shot counter keying makes every shot a pure
-    function of (seed, shot index).
+    configuration: both run ``_traces``, this one on that shot alone, and
+    the per-shot counter keying makes every shot a function of (seed, index).
     """
-    if not 0 <= shot_index < config.shots:
-        raise ValueError(f"shot_index must lie in [0, {config.shots}), got {shot_index}")
-    tables = _state_tables(prepared, config.model)
-    times, _ = _shard_traces(prepared, config, shot_index, shot_index + 1, tables)
-    return PhotonTrace(times, config.model.t_det)
+    shot_index = _shot_index(shot_index, config.shots)
+    return _traces(prepared, config, shot_index, 1, 1).trace(0)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +767,10 @@ def read_histogram_csv(path) -> CountHistogram:
     n_values = [n for n, _, _, _ in rows]
     if min(n_values) < 0 or len(set(n_values)) < len(rows):
         raise ValueError(f"{path}: bins n must be distinct non-negative counts")
-    bins = np.zeros(max(n_values) + 1, dtype=np.int64)
+    try:
+        bins = np.zeros(max(n_values) + 1, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:  # a bin too large to allocate
+        raise ValueError(f"{path}: {exc}") from None
     bins[n_values] = [c for _, c, _, _ in rows]
     total = int(bins.sum())
     for _, c, f, line in rows:

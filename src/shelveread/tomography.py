@@ -207,16 +207,12 @@ def pure_state(label: str) -> DensityMatrix:
 # Projections and states
 
 
-def projections_from_records(
-    records: Iterable[TomographyRecord],
-    fill_missing_orthogonal: bool = False,
-) -> dict[str, BlochVector]:
+def projections_from_records(records: Iterable[TomographyRecord]) -> dict[str, BlochVector]:
     """Bloch vectors per prepared state from projection tallies.
 
     Records sharing a (prepared, axis) pair are pooled.  Every prepared
-    state present must come with its parallel-axis measurement; missing
-    orthogonal axes raise unless ``fill_missing_orthogonal`` is set, in
-    which case they are taken as 0 (the ideal value for a cardinal state).
+    state present must come with all three axes; a missing parallel axis is
+    named as such.
     """
     shots: dict[tuple[str, str], int] = {}
     bright: dict[tuple[str, str], int] = {}
@@ -237,15 +233,11 @@ def projections_from_records(
             )
         p = np.zeros(3)
         for axis in AXES:
+            if not measured[axis]:
+                raise ValueError(f"state {label}: axis {axis!r} missing")
             key = (label, axis)
-            if measured[axis]:
-                # Dark (shelved) is the +1 outcome on every mapped axis.
-                p[_AXIS_INDEX[axis]] = 1.0 - 2.0 * bright[key] / shots[key]
-            elif not fill_missing_orthogonal:
-                raise ValueError(
-                    f"state {label}: axis {axis!r} missing "
-                    "(pass fill_missing_orthogonal=True to assume 0)"
-                )
+            # Dark (shelved) is the +1 outcome on every mapped axis.
+            p[_AXIS_INDEX[axis]] = 1.0 - 2.0 * bright[key] / shots[key]
         out[label] = BlochVector(*p)
     return out
 

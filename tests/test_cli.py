@@ -208,8 +208,7 @@ def test_tomo_process_raw_not_physical(tmp_path):
 
 
 def test_tomo_records_missing_an_axis(tmp_path, capsys):
-    # the library's fill_missing_orthogonal keyword is not a CLI option, so
-    # the message names the records file and the missing pair instead
+    # the message names the records file and the missing pair
     records = tmp_path / "records.csv"
     records.write_text(
         "prepared,axis,shots,bright_count\n"
@@ -219,6 +218,15 @@ def test_tomo_records_missing_an_axis(tmp_path, capsys):
     assert main(["tomo", "--config", config, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {records}: state +z: axis 'x' missing\n"
+
+
+def test_tomo_records_missing_the_parallel_axis(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("prepared,axis,shots,bright_count\n+z,x,1000,500\n+z,y,1000,500\n")
+    config = _write_config(tmp_path, {"tomo": {"mode": "state", "records": str(records)}})
+    assert main(["tomo", "--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {records}: state +z: parallel axis 'z' was not measured\n"
 
 
 @pytest.mark.parametrize(
@@ -254,6 +262,19 @@ def test_fit_bad_histogram_row_names_file_and_row(tmp_path, capsys, rows, messag
     config = _write_config(tmp_path, PIPELINE_CONFIG)
     assert main(["fit", "--config", config, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_fit_histogram_bin_too_large_to_allocate(tmp_path, capsys):
+    # numpy refuses the 7.11 PiB bin array without touching memory; the
+    # error is one line that names the file, not a traceback
+    (tmp_path / "hist_down.csv").write_text("n,count,frequency\n0,1,0.5\n1,1,0.5\n")
+    bad = tmp_path / "hist_up.csv"
+    bad.write_text("n,count,frequency\n0,1,0.5\n1000000000000000,1,0.5\n")
+    config = _write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["fit", "--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: Unable to allocate ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_budget_default(tmp_path, capsys):

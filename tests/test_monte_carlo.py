@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -34,6 +34,7 @@ from shelveread.monte_carlo import (
 )
 from shelveread.monte_carlo import _inverse_table, _poisson_quantile
 from shelveread.photon_statistics import (
+    ZERO_ERRORS,
     DetectionModel,
     ErrorRates,
     _sampling_support_max,
@@ -129,27 +130,28 @@ def test_histogram_memory_is_bounded_by_chunks(measured_model):
     ],
 )
 def test_shard_bounds(monkeypatch, shots, threads, chunk, cpus, expected):
-    # _run_sharded cuts 0..shots into chunks, in order, and runs them on at
-    # most `expected` threads.  Even with a broken cap no case can start
-    # more than 8 threads: a pool starts at most one thread per chunk.
+    # _run_sharded cuts first..first+shots-1 into chunks, in order, and runs
+    # them on at most `expected` threads.  Even with a broken cap no case can
+    # start more than 8 threads: a pool starts at most one thread per chunk.
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
     seen = []
+    first = 1000 + chunk // 2  # off a chunk boundary where the chunk allows it
 
     def work(lo, hi):
         seen.append(threading.get_ident())
         time.sleep(0.002)  # keep the task busy, so an uncapped pool adds threads
         return lo, hi
 
-    chunks = mc._run_sharded(work, shots, chunk, threads)
+    chunks = mc._run_sharded(work, first, shots, chunk, threads)
     assert len(chunks) == len(seen) == -(-shots // chunk)
-    assert chunks[0][0] == 0 and chunks[-1][1] == shots
+    assert chunks[0][0] == first and chunks[-1][1] == first + shots
     assert all(0 < hi - lo <= chunk for lo, hi in chunks)
     assert all(hi == lo2 for (_, hi), (lo2, _) in zip(chunks[:-1], chunks[1:]))
     assert len(set(seen)) <= expected
     if expected == 1:
         assert set(seen) == {threading.get_ident()}  # one worker runs inline
     with pytest.raises(ValueError):
-        mc._run_sharded(work, shots, chunk, 0)
+        mc._run_sharded(work, first, shots, chunk, 0)
 
 
 def test_trace_counts_match_count_mode(optimum_model, measured_errors, big_ensembles):
@@ -160,13 +162,23 @@ def test_trace_counts_match_count_mode(optimum_model, measured_errors, big_ensem
     np.testing.assert_array_equal(counts, big_ensembles["down"].counts)
 
 
-def test_simulate_shot_regenerates_batch_traces(measured_model):
-    config = _config(measured_model, shots=1500, seed=77)
-    batch = simulate_traces(Prepared.UP, config)
-    for i in (0, 1, 499, 1499):
-        single = simulate_shot(Prepared.UP, config, i)
-        np.testing.assert_array_equal(single.timestamps, batch.trace(i).timestamps)
-        assert single.t_det == batch.t_det
+def test_simulate_shot_regenerates_batch_traces(measured_model, reference_shots):
+    # Both states at the measured point without errors and at the high-decay
+    # point, where flipped bright shots span several event blocks and dark
+    # ones decay in the window: each such shot regenerates alone.
+    points = [(measured_model, ZERO_ERRORS), _HIGH_DECAY_POINT]
+    for (model, errors), prepared in itertools.product(points, Prepared):
+        config = SimConfig(model, errors, shots=1500, seed=77)
+        batch = simulate_traces(prepared, config)
+        t_switch, _, n = reference_shots(prepared, config, 0, config.shots)
+        decayed = np.flatnonzero((t_switch > 0.0) & (t_switch < model.t_det))
+        wide = np.flatnonzero((t_switch == 0.0) & (n > 8))  # three or more event blocks
+        if errors is not ZERO_ERRORS:
+            assert decayed.size and wide.size
+        for i in {0, 1, 499, 1499, *decayed[:3].tolist(), *wide[:3].tolist()}:
+            single = simulate_shot(prepared, config, i)
+            np.testing.assert_array_equal(single.timestamps, batch.trace(i).timestamps)
+            assert single.t_det == batch.t_det
 
 
 def test_different_seeds_differ(measured_model):
@@ -447,8 +459,36 @@ def test_row_walk_matches_full_width_count(means, grid):
         u_rows.append(u)
         mean_rows.append(np.full(u.size, mean))
         expected.append(np.minimum(count, _sampling_support_max(mean) + 1))
-    walked = mc._row_quantile(np.concatenate(u_rows), np.concatenate(mean_rows))
+    walked = mc._poisson_quantile(np.concatenate(u_rows), np.concatenate(mean_rows))
     np.testing.assert_array_equal(walked, np.concatenate(expected))
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rate_bright=_POSITIVE,
+    dark_share=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+    t_det=_POSITIVE,
+    decay_fraction=st.floats(0.0, 0.1, exclude_min=True, exclude_max=True),
+)
+@example(rate_bright=73.5e3, dark_share=0.0, t_det=285e-6, decay_fraction=0.072)
+@example(rate_bright=1e300, dark_share=0.5, t_det=1e300, decay_fraction=1e-3)  # means overflow to inf
+@example(rate_bright=5e-324, dark_share=0.0, t_det=5e-324, decay_fraction=0.05)
+def test_window_mean_is_exact_at_the_window_ends(rate_bright, dark_share, t_det, decay_fraction):
+    # Over the region DetectionModel accepts, rate_dark = 0 included, the
+    # window mean at T = 0 and T = t_det is the model's mean, float for
+    # float, as a Python float and as an array element.
+    try:
+        model = DetectionModel(rate_bright, dark_share * rate_bright, t_det / decay_fraction, t_det)
+    except ValueError:
+        assume(False)
+    with np.errstate(over="ignore"):  # a finite rate times t_det may overflow to inf
+        ends = mc._window_mean(model, np.array([0.0, model.t_det]))
+    assert mc._window_mean(model, 0.0) == model.mean_bright
+    assert mc._window_mean(model, model.t_det) == model.mean_dark
+    assert ends.tolist() == [model.mean_bright, model.mean_dark]
 
 
 @pytest.mark.parametrize("law", list(DecayTimeLaw))
@@ -460,13 +500,13 @@ def test_undecayed_shots_have_a_model_mean(law, rate_dark, reference_shots, monk
         rate_bright=73.5e3, rate_dark=rate_dark, lifetime=285e-6 / 0.072, t_det=285e-6
     )
     config = _config(model, errors=ErrorRates(0.3, 0.3), shots=20_000, seed=4, decay_time_law=law)
-    row_quantile, walked = mc._row_quantile, []
+    row_quantile, walked = mc._poisson_quantile, []
 
     def spy(u, mean):
         walked.append(mean)
         return row_quantile(u, mean)
 
-    monkeypatch.setattr(mc, "_row_quantile", spy)
+    monkeypatch.setattr(mc, "_poisson_quantile", spy)
     for prepared in Prepared:
         t_switch, mu, n = reference_shots(prepared, config, 0, config.shots)
         bright, dark = t_switch == 0.0, t_switch == model.t_det
@@ -497,6 +537,19 @@ def test_sim_config_validation(measured_model):
         simulate_traces(Prepared.DOWN, SimConfig(model=measured_model, shots=10), threads=0)
     with pytest.raises(ValueError):
         simulate_shot(Prepared.DOWN, SimConfig(model=measured_model, shots=10), 10)
+    # only integers: a float or bool would run another stream or fail in numpy
+    for bad in (1.5, 5.0, True, False, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="shots must be"):
+            SimConfig(model=measured_model, shots=bad)
+        with pytest.raises(ValueError, match="seed must be"):
+            SimConfig(model=measured_model, seed=bad)
+    for good in (3, np.int64(3), np.uint64(3), np.int32(3)):
+        assert SimConfig(model=measured_model, shots=good, seed=good).seed == 3
+    SimConfig(model=measured_model, seed=np.uint64(2**64 - 1))
+    config = SimConfig(model=measured_model, shots=np.int64(7), seed=np.uint64(5))
+    expected = simulate_counts(Prepared.DOWN, SimConfig(model=measured_model, shots=7, seed=5))
+    np.testing.assert_array_equal(simulate_counts(Prepared.DOWN, config), expected)
+    assert simulate_histogram(Prepared.DOWN, config).total_shots == 7
 
 
 def test_single_shot_batch(measured_model):
@@ -504,6 +557,20 @@ def test_single_shot_batch(measured_model):
     batch = simulate_traces(Prepared.DOWN, config)
     assert len(batch) == 1
     assert batch.trace(0).count == batch.counts[0]
+
+
+def test_trace_index_out_of_range(measured_model):
+    # 5 DOWN shots at the measured point (seed 1): the last one has photons,
+    # which a wrapped index -1 would have hidden behind an empty trace
+    config = _config(measured_model, shots=5, seed=1)
+    batch = simulate_traces(Prepared.DOWN, config)
+    assert batch.counts[-1] > 0
+    for i in (-1, -5, 5, 6):
+        with pytest.raises(ValueError, match=r"shot_index must lie in \[0, 5\)"):
+            batch.trace(i)
+    # numpy integers index both
+    assert batch.trace(np.int64(4)).count == batch.counts[-1]
+    assert simulate_shot(Prepared.DOWN, config, np.int64(4)).count == batch.counts[-1]
 
 
 def test_histogram_container():

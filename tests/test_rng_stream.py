@@ -21,8 +21,7 @@ from shelveread.monte_carlo import (
     _block_rows,
     _event_blocks,
     _poisson_quantile,
-    _shard_traces,
-    _state_tables,
+    _traces,
     _threshold,
     _uniforms,
     _unit,
@@ -149,21 +148,26 @@ def test_simulated_shot_follows_layout(measured_model):
     )
 
 
-def test_trace_times_match_lexsort_reference(reference_shots, reference_times):
-    # UP shots at a large decay fraction and preparation error: the chunk
+def test_trace_times_match_lexsort_reference(reference_shots, reference_times, monkeypatch):
+    # UP shots at a large decay fraction and preparation error: the range
     # holds photonless shots, shots that decay inside the window, and
-    # flipped (bright) shots with many photons spread over several blocks
+    # flipped (bright) shots with many photons spread over several blocks.
+    # It starts off a count-chunk boundary and spans several chunks of 257
+    # shots and many placement slices.
+    monkeypatch.setattr("shelveread.monte_carlo._COUNT_CHUNK", 257)
+    monkeypatch.setattr("shelveread.monte_carlo._TRACE_SLICE", 101)
     model = DetectionModel(73.5e3, 1.75e3, 280e-6 / 0.072, 280e-6)
     config = SimConfig(model=model, errors=ErrorRates(0.3, 0.3), shots=10_000, seed=5)
     lo, hi = 3000, 5000
+    assert lo % 257
     t_switch, mu, n = reference_shots(Prepared.UP, config, lo, hi)
     assert np.any(n == 0) and np.any(n > 4)
     assert np.any((t_switch > 0.0) & (t_switch < model.t_det))
     reference = reference_times(config, lo, t_switch, mu, n)
-    tables = _state_tables(Prepared.UP, model)
-    times, counts = _shard_traces(Prepared.UP, config, lo, hi, tables)
-    np.testing.assert_array_equal(counts, n)
-    np.testing.assert_array_equal(times.view(np.uint64), reference.view(np.uint64))
+    for threads in (1, 2):
+        batch = _traces(Prepared.UP, config, lo, hi - lo, threads)
+        np.testing.assert_array_equal(batch.counts, n)
+        np.testing.assert_array_equal(batch.timestamps.view(np.uint64), reference.view(np.uint64))
 
 
 def test_uniform_range_and_resolution():

@@ -78,22 +78,28 @@ def test_bundled_records_fidelities(bundled_records):
     assert average_fidelity(fidelities) == pytest.approx(0.9979333333333333, abs=1e-12)
 
 
+def _with_orthogonal_axes(records):
+    # the other two axes of each record's state, measured at p = 0
+    label = records[0].prepared
+    return records + [TomographyRecord(label, axis, 2, 1) for axis in AXES if axis != label[1]]
+
+
 def test_projection_sign_convention():
     # all shots bright -> fully fluorescing -> spin-down -> p = -1
-    records = [TomographyRecord("+z", "z", 1000, 1000)]
-    p = projections_from_records(records, fill_missing_orthogonal=True)["+z"]
+    records = _with_orthogonal_axes([TomographyRecord("+z", "z", 1000, 1000)])
+    p = projections_from_records(records)["+z"]
     assert p.as_array()[2] == -1.0
-    records = [TomographyRecord("+z", "z", 1000, 0)]
-    p = projections_from_records(records, fill_missing_orthogonal=True)["+z"]
+    records = _with_orthogonal_axes([TomographyRecord("+z", "z", 1000, 0)])
+    p = projections_from_records(records)["+z"]
     assert p.as_array()[2] == 1.0
 
 
 def test_records_pool_by_key():
-    records = [
+    records = _with_orthogonal_axes([
         TomographyRecord("+x", "x", 600, 30),
         TomographyRecord("+x", "x", 400, 10),
-    ]
-    p = projections_from_records(records, fill_missing_orthogonal=True)["+x"]
+    ])
+    p = projections_from_records(records)["+x"]
     assert p.as_array()[0] == pytest.approx(1.0 - 2.0 * 40 / 1000, abs=1e-15)
 
 
@@ -104,8 +110,6 @@ def test_missing_axes():
     records = [TomographyRecord("+z", "z", 100, 1)]
     with pytest.raises(ValueError, match="missing"):
         projections_from_records(records)
-    p = projections_from_records(records, fill_missing_orthogonal=True)["+z"]
-    assert p.as_array()[0] == 0.0 and p.as_array()[1] == 0.0
 
 
 def test_projection_sampling_recovers_truth():
