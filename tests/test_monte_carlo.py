@@ -135,7 +135,7 @@ def test_shard_bounds(monkeypatch, shots, threads, chunk, cpus, expected):
     # start more than 8 threads: a pool starts at most one thread per chunk.
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
     seen = []
-    first = 1000 + chunk // 2  # off a chunk boundary where the chunk allows it
+    first = 1000 + chunk // 2  # a range that does not start at shot 0
 
     def work(lo, hi):
         seen.append(threading.get_ident())
@@ -500,11 +500,11 @@ def test_undecayed_shots_have_a_model_mean(law, rate_dark, reference_shots, monk
         rate_bright=73.5e3, rate_dark=rate_dark, lifetime=285e-6 / 0.072, t_det=285e-6
     )
     config = _config(model, errors=ErrorRates(0.3, 0.3), shots=20_000, seed=4, decay_time_law=law)
-    row_quantile, walked = mc._poisson_quantile, []
+    quantile, walked = mc._poisson_quantile, []
 
     def spy(u, mean):
         walked.append(mean)
-        return row_quantile(u, mean)
+        return quantile(u, mean)
 
     monkeypatch.setattr(mc, "_poisson_quantile", spy)
     for prepared in Prepared:
