@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from ._files import read_grid_csv, write_grid_csv
-from .monte_carlo import _trace_slices, _validate_trace_times
+from .monte_carlo import _validate_trace_times
 from .photon_statistics import (
     ZERO_ERRORS,
     CountPMF,
@@ -294,6 +294,24 @@ def classify_time_resolved(trace, model: DetectionModel) -> State:
     return State.DARK if log_ratio >= 0.0 else State.BRIGHT
 
 
+def _trace_slices(offsets: np.ndarray, budget: int):
+    """Cut traces into slices of whole traces, each at most ``budget`` traces plus photons.
+
+    ``offsets`` are the traces' offsets into their concatenated photons.  A
+    trace longer than the budget is a slice alone.  Yields ``(lo, hi)``, the
+    trace range of each slice, in order.
+    """
+    lo, traces = 0, offsets.size - 1
+    while lo < traces:
+        # no slice holds more than `budget` traces or `budget` photons
+        top = min(lo + budget, int(np.searchsorted(offsets, offsets[lo] + budget, side="right")) - 1)
+        ends = offsets[lo : top + 1]
+        work = ends - ends[0] + np.arange(ends.size)
+        hi = lo + max(1, int(np.searchsorted(work, budget, side="right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
 def classify_traces(batch, model: DetectionModel) -> np.ndarray:
     """Vectorized ``classify_time_resolved`` over a ``TraceBatch``.
 
@@ -302,12 +320,11 @@ def classify_traces(batch, model: DetectionModel) -> np.ndarray:
     trace individually, and the same inputs are rejected.
 
     The log ratios are evaluated over slices of whole traces, each holding
-    at most ``_SLICE`` traces plus photons (a longer trace alone; the cut
-    of ``monte_carlo._trace_slices``, which the sampler uses too), so their
-    temporaries are bounded by the slice for any batch size and brightness;
-    the input check alone takes one byte per photon.  Each trace is its own
-    segment of the sum, so every log ratio equals that of one whole-batch
-    evaluation.
+    at most ``_SLICE`` traces plus photons (a longer trace alone;
+    ``_trace_slices``), so their temporaries are bounded by the slice for
+    any batch size and brightness; the input check alone takes one byte per
+    photon.  Each trace is its own segment of the sum, so every log ratio
+    equals that of one whole-batch evaluation.
     """
     flat, offsets = _validate_trace_times(batch.timestamps, batch.offsets, model.t_det)
     bright = np.empty(offsets.size - 1, dtype=bool)

@@ -1,10 +1,12 @@
-"""Monte Carlo shelving-readout shots with reproducible per-shot streams.
+"""Monte Carlo shelving-readout shots with reproducible counter-keyed streams.
 
-Each shot draws its randomness from numpy's Philox4x64-10 keyed by the seed,
-at counters (shot index, block, 0, 0), so ``simulate_shot(i)`` reproduces
-row ``i`` of a batch bit for bit, batches may be sharded across threads
-without changing any outcome, and no generator state is carried between
-shots.
+All randomness comes from numpy's Philox4x64-10 keyed by the seed.  A
+shot's state draws sit at counter (shot index, 0, 0, 0); the photon
+arrival times of each fixed group of ``_EVENT_GROUP`` shots come from one
+stream of the group's own (see ``_philox``).  So ``simulate_shot(i)``
+reproduces row ``i`` of a batch bit for bit, batches may be sharded across
+threads without changing any outcome, and no generator state is carried
+between shots or groups.
 
 A shot is simulated as: (1) flip the prepared state with the corresponding
 preparation error probability, (2) if the effective state is dark, draw the
@@ -38,21 +40,20 @@ Count mode draws ``_COUNT_CHUNK`` chunks, each one task of the thread pool.
 ``simulate_histogram`` keeps none, but bins each chunk in its task and adds
 the bins, so its memory is bounded by the chunk size times the threads.
 
-Trace mode (``_traces``, over every shot for ``simulate_traces`` and one
-for ``simulate_shot``) makes two passes.  The first draws every shot's
-count in ``_COUNT_CHUNK`` chunks, as count mode does, and stores beside it
-the shot's rate-switch instant T: 0 if bright, t_det if dark and
-undecayed, else the decay instant.  The counts fix the output's offsets.
-The second cuts the shots into slices of whole shots, each at most
-``_TRACE_SLICE`` shots plus photons and at least four a thread
-(``_trace_slices``, the cut the classifier uses too), and writes each
-slice's sorted arrival times, placed from its slice of T, into its part
-of the output.  A slice draws only the event blocks its shots need: one
-Philox generator walks the blocks, draws through gaps of at most
-``_SKIP_GAP`` shots and skips longer ones with ``advance``, into one
-compact buffer (``_event_blocks``).  The shots are then grouped by width,
-and each group's rows of uniforms are gathered, mapped to times, padded
-with +inf, sorted and read back (``_arrival_times``).
+Trace mode makes two passes.  The first draws every shot's count in
+``_COUNT_CHUNK`` chunks, as count mode does, and stores beside it the
+shot's rate-switch instant T: 0 if bright, t_det if dark and undecayed,
+else the decay instant.  The counts fix the output's offsets.  The second
+places the photons of each run of ``_PLACE_CHUNK`` shots, whole groups, one
+run a task.  Each group draws exactly its photon count as raw words, in
+shot order, and sorts the integer keys ``(shot in group << 53) | (w >>
+11)`` once; the run then reads each photon's uniform back from the low 53
+bits and maps it through its shot's cumulative rate (``_place_events``,
+``_event_times``).  The map is monotone in float arithmetic, so the times
+come out sorted per shot, shot-major, and land in the run's part of the
+output directly.  ``simulate_shot`` runs the count pass on its shot's
+group alone, advances the group's stream to the shot's first event and
+sorts only the shot's own words.
 
 Histograms are exchanged as ``n,count,frequency`` CSV in the one artifact
 format of ``_files`` (``write_histogram_csv``/``read_histogram_csv``).
@@ -112,27 +113,19 @@ __all__ = [
 # overhead), 0.202 / 0.194 s at 2**16 and 0.196 / 0.200 s at 2**17, which
 # doubles the chunk's arrays for no measurable gain.
 _COUNT_CHUNK = 1 << 16
-# Shots plus photons per slice of trace placement (``_trace_slices``); each
-# slice is one task of the thread pool.  Timed on 3e5 DOWN and 3e5 UP
-# optimum-point trace shots on 2 threads (2-core Xeon, settings alternated
-# in one process, medians of 11 calls, two rounds): DOWN 442 / 552 ms at
-# 2**15, 294 / 367 at 2**16, 214 / 289 at 2**17 and 250 / 260 at 2**18; UP
-# 61 / 83, 54 / 71, 58 / 72 and 59 / 72 ms.  Small slices pay per-slice and
-# per-block Python work, which the two threads contend for.  A 2**17 DOWN
-# slice (~6k shots) peaks at 3.2 MiB (tracemalloc).  With 2**17 slices
-# alone, the CLI's traced ``simulate`` process (2 x 2e4 shots, 2 threads,
-# perfbench's config) peaked at 47.0 to 51.3 MiB RSS: each thread's
-# allocator arena kept a slice's worth.  ``simulate_traces`` therefore also
-# cuts at least four slices a thread, which brings it to 45.4 to 48.6 MiB
-# (median 47.0), against 47.1 to 49.3 MiB (median 48.6) for the earlier
-# 2**12-shot trace chunks (12 processes each).
-_TRACE_SLICE = 1 << 17
-# An event block's generator skips a gap of more than this many unneeded
-# shots with ``advance`` (~4 us, plus ~2 us for the next draw call) rather
-# than drawing through it (~0.05 us a shot).  With 2**17 slices, DOWN / UP
-# took 257-285 / 52-59 ms at 32, 237-239 / 46-64 ms at 128 and 228-234 /
-# 49-64 ms at 512 (same timing, two rounds).
-_SKIP_GAP = 128
+# Shots per event group: each group of shots, fixed by absolute shot index,
+# draws its photons' arrival times from one stream (``_philox``).  It is part
+# of the stream layout, so changing it changes every trace.
+_EVENT_GROUP = 1 << 11
+# Shots per task of trace placement, whole event groups.  A task draws and
+# sorts group by group, then maps all its photons in one pass, so fewer,
+# larger tasks make fewer numpy calls for the threads to contend for.
+# Timed on 3e5 DOWN and 3e5 UP optimum-point trace shots on 2 threads
+# (2-core Xeon, settings alternated in one process, medians of 9): DOWN /
+# UP 141 / 64 ms at 1 group a task, 138 / 52 at 2, 125 / 43 at 4, 125 / 37
+# at 8, 146 / 33 at 16 and 148 / 33 at 32.  An 8-group DOWN task holds
+# ~340k photons and ~6 MiB of temporaries.
+_PLACE_CHUNK = 8 * _EVENT_GROUP
 # CDF columns a decayed shot's row tabulates per step of its walk.
 _ROW_BLOCK = 16
 
@@ -304,43 +297,50 @@ class CountHistogram:
 
 
 # ---------------------------------------------------------------------------
-# Per-shot randomness
+# Counter-keyed randomness
 
-# numpy's Philox4x64-10 keyed by (seed, 0).  A generator built at counter
-# (shot, block, 0, 0) emits 256-bit block ``block`` of shot ``shot`` at its
-# first step (numpy increments the counter before each block, so shot i is
-# Philox counter i + 1).  Block 0 supplies the four state draws (flip,
-# decay, decay position, total count); blocks 1.. supply arrival-time
-# placement, four photons per block.  Shot index is counter word 0, so one
-# generator walks a block for consecutive shots.  ``RNG_STREAM`` names this
+# numpy's Philox4x64-10 keyed by (seed, 0).  numpy increments the 256-bit
+# counter before each block, so a generator built at counter c emits block
+# c + 1 (word 0 carrying) first.  Shot i's four state draws (flip, decay,
+# decay position, total count) are the block at counter (i + 1, 0, 0, 0),
+# so one generator built at (lo, 0, 0, 0) walks the state draws of shots
+# lo, lo + 1, ...  The arrival times of event group g (shots g * G to
+# (g + 1) * G - 1, G = ``_EVENT_GROUP``) are the words of the stream built
+# at (0, 0, g, 1), one word per photon in shot order; word 3 keeps every
+# event stream apart from the state draws.  ``RNG_STREAM`` names this
 # layout in every CLI artifact; change it whenever any shot's values change.
 
-def _philox(seed: int, block: int, lo: int) -> np.random.Philox:
-    """The generator whose first 256-bit block is block ``block`` of shot ``lo``."""
+def _philox(seed: int, counter: tuple) -> np.random.Philox:
+    """The generator built at the four-word ``counter``; its first block is at ``counter`` + 1."""
     return np.random.Philox(
-        counter=np.array([lo, block, 0, 0], dtype=np.uint64),
+        counter=np.array(counter, dtype=np.uint64),
         key=np.array([seed, 0], dtype=np.uint64),
     )
 
 
-def _words(seed: int, block: int, lo: int, n: int) -> np.ndarray:
-    """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array of raw uint64 words."""
-    return _philox(seed, block, lo).random_raw(4 * n).reshape(n, 4)
+def _words(seed: int, lo: int, n: int) -> np.ndarray:
+    """The state draws of shots ``lo..lo+n-1`` as an ``(n, 4)`` array of raw uint64 words."""
+    return _philox(seed, (lo, 0, 0, 0)).random_raw(4 * n).reshape(n, 4)
+
+
+def _event_words(seed: int, group: int, skip: int, n: int) -> np.ndarray:
+    """Words ``skip..skip+n-1`` of event group ``group``'s stream.
+
+    The generator skips the whole blocks before word ``skip`` with
+    ``advance`` and draws and drops the rest of its block.
+    """
+    bits = _philox(seed, (0, 0, group, 1))
+    bits.advance(skip >> 2)
+    bits.random_raw(skip & 3)
+    return bits.random_raw(n)
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
-    """The uniform of each raw word on [0, 1): its top 53 bits times 2**-53."""
-    return (words >> np.uint64(11)) * 2.0**-53
+    """The uniform of each raw word on [0, 1): its top 53 bits times 2**-53.
 
-
-def _uniforms(seed: int, block: int, lo: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Block ``block`` of shots ``lo..lo+n-1`` as an ``(n, 4)`` array on [0, 1), in ``out`` if given.
-
-    numpy's ``Generator.random`` maps each Philox word w to
-    ``(w >> 11) * 2**-53``, which is ``_unit(w)``, so these are the uniforms
-    of ``_words`` drawn without a separate conversion pass.
+    numpy's ``Generator.random`` maps each Philox word to this uniform.
     """
-    return np.random.Generator(_philox(seed, block, lo)).random((n, 4), out=out)
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def _threshold(p: float) -> np.uint64:
@@ -351,57 +351,6 @@ def _threshold(p: float) -> np.uint64:
     which is at most 2**64 - 2**11.
     """
     return np.uint64(math.ceil(p * 2.0**53) << 11)
-
-
-def _event_blocks(seed: int, lo: int, n: np.ndarray) -> tuple[np.ndarray, list]:
-    """Draw the event blocks that shots ``lo..`` need into one compact ``(rows, 4)`` buffer.
-
-    Block b + 1 is needed by the shots with more than 4b events, ``n``.  Its
-    needed shots are cut into runs wherever more than ``_SKIP_GAP`` unneeded
-    shots lie between two of them; a shorter gap is drawn through.  The runs
-    of every block are drawn one after the other into the buffer by one
-    generator, advanced from the end of one run to the start of the next
-    (the block index is counter word 1, so a jump to the next block is an
-    advance by 2**64 plus the shot difference).  Returns the buffer and,
-    per block, the first shot of each run and the shift from a shot of the
-    run to its buffer row.
-    """
-    runs = []
-    rows = 0
-    need = np.flatnonzero(n)
-    while need.size:
-        cut = np.flatnonzero(np.diff(need) > _SKIP_GAP + 1)
-        first = np.append(need[0], need[cut + 1])
-        size = np.append(need[cut], need[-1]) + 1 - first
-        at = np.cumsum(size) - size + rows
-        rows += int(size.sum())
-        runs.append((first, at, size))
-        need = need[n[need] > 4 * len(runs)]
-    buf = np.empty((rows, 4))
-    bits = _philox(seed, 1, lo)
-    draw = np.random.Generator(bits).random
-    # counter (shot, block) of the next block to draw, as shot + block * 2**64
-    counter = lo + (1 << 64)
-    for block, (first, at, size) in enumerate(runs, start=1):
-        for shot, row, k in zip(first.tolist(), at.tolist(), size.tolist()):
-            target = lo + shot + (block << 64)
-            if target != counter:
-                bits.advance(target - counter)
-            draw(out=buf[row : row + k])
-            counter = target + k
-    return buf, [(first, at - first) for first, at, _ in runs]
-
-
-def _block_rows(buf: np.ndarray, runs: list, shots: np.ndarray, blocks: int) -> np.ndarray:
-    """Event blocks 1..``blocks`` of ``shots`` from ``_event_blocks``, as ``(shots, 4 * blocks)`` rows.
-
-    ``shots`` are sorted slice-relative indices.  A lane of a block that a
-    shot does not need holds some drawn uniform of the buffer.
-    """
-    index = np.empty((shots.size, blocks), dtype=np.intp)
-    for b, (first, shift) in enumerate(runs[:blocks]):
-        np.add(shots, shift[np.searchsorted(first, shots, side="right") - 1], out=index[:, b])
-    return buf.take(index, axis=0, mode="clip").reshape(shots.size, 4 * blocks)
 
 
 class _Window(NamedTuple):
@@ -428,7 +377,7 @@ def _window_profile(prepared: Prepared, config: SimConfig, lo: int, hi: int) -> 
     count uniform, for every shot, lane 2 (the decay position) for decayed
     shots, and lane 1 for dark shots under the exponential law.
     """
-    w_flip, w_decay, w_pos, w_count = _words(config.seed, 0, lo, hi - lo).T
+    w_flip, w_decay, w_pos, w_count = _words(config.seed, lo, hi - lo).T
     model = config.model
     eps = (
         config.errors.eps_down_tot
@@ -539,13 +488,21 @@ def _shot_counts(window: _Window, tables: tuple[_InverseTable, _InverseTable]) -
 
 
 def _event_times(u: np.ndarray, t_switch: np.ndarray, model: DetectionModel):
-    """Map event-stream uniforms through the window's cumulative rate.
+    """Map event uniforms through their shots' cumulative rate.
 
-    ``u`` holds one row of uniforms per shot and ``t_switch`` one row of the
-    shot's rate-switch instant T; mu is the shot's ``_window_mean``.  A mass
-    u * mu below the dark mass ``rate_dark * T`` falls before the switch, at
-    ``mass / rate_dark``; any other at ``T + (mass - rate_dark * T) /
-    rate_bright``.  At T = 0 this is ``u * mean_bright / rate_bright``.
+    ``t_switch`` holds each uniform's rate-switch instant T; mu is the
+    shot's ``_window_mean``.  A mass u * mu below the dark mass
+    ``rate_dark * T`` falls before the switch, at ``min(mass / rate_dark,
+    T)``; any other at ``T + (mass - rate_dark * T) / rate_bright``; and no
+    time passes t_det.
+
+    The map is non-decreasing in u in float arithmetic, so sorted uniforms
+    map to sorted times.  Each branch is a chain of correctly rounded
+    operations, each monotone in its one varying operand, and so are the
+    clamps.  The first branch ends at or below T; the second starts at or
+    above it, because there ``mass - rate_dark * T`` rounds to a value >= 0.
+    With rate_dark = 0 no mass falls before the switch, so nothing is
+    divided by it.
     """
     mass = u * _window_mean(model, t_switch)
     mass_dark = model.rate_dark * t_switch
@@ -553,10 +510,44 @@ def _event_times(u: np.ndarray, t_switch: np.ndarray, model: DetectionModel):
     times = mass - mass_dark
     times /= model.rate_bright
     times += t_switch
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mass /= model.rate_dark
-    np.copyto(times, mass, where=before)
+    np.divide(mass, model.rate_dark, out=times, where=before)
+    np.minimum(times, t_switch, out=times, where=before)
+    np.minimum(times, model.t_det, out=times)
     return times
+
+
+def _place_events(
+    seed: int, lo: int, n: np.ndarray, t_switch: np.ndarray, model: DetectionModel, out: np.ndarray, skip: int = 0
+) -> None:
+    """Write the sorted arrival times of shots ``lo..`` into ``out``, shot-major.
+
+    ``n`` and ``t_switch`` hold the shots' counts and rate-switch instants
+    T.  The shots are whole event groups, or one shot whose first word is
+    word ``skip`` of its group's stream.  Each group's key ``(shot in group
+    << 53) | (w >> 11)`` is exact, so one integer sort orders its photons by
+    shot and, within a shot, by uniform, which is read back from the low 53
+    bits.  A bright shot's photons (T = 0) land at ``u * t_det``, within
+    [0, t_det]; the others' are gathered and mapped through ``_event_times``.
+    Both maps are monotone, so every shot stays sorted.
+    """
+    key = np.repeat((np.arange(n.size, dtype=np.uint64) % _EVENT_GROUP) << np.uint64(53), n)
+    ends = np.cumsum(n)
+    first = 0
+    for i in range(0, n.size, _EVENT_GROUP):
+        end = int(ends[min(i + _EVENT_GROUP, n.size) - 1])
+        group = key[first:end]
+        group |= _event_words(seed, (lo + i) // _EVENT_GROUP, skip, end - first) >> np.uint64(11)
+        group.sort()
+        first = end
+    key &= np.uint64((1 << 53) - 1)
+    np.multiply(key, 2.0**-53, out=out)
+    # the photons of the shots with T > 0, as indices into out
+    dark = np.flatnonzero(t_switch)
+    k = n[dark]
+    at = np.repeat(ends[dark] - np.cumsum(k), k) + np.arange(k.sum())
+    times = _event_times(out[at], np.repeat(t_switch[dark], k), model)
+    out *= model.t_det
+    out[at] = times
 
 
 def _run_tasks(work, bounds: list, threads: int) -> list:
@@ -565,8 +556,8 @@ def _run_tasks(work, bounds: list, threads: int) -> list:
     Tasks go to min(threads, CPUs, number of tasks) threads, each thread
     taking the next task when it finishes one.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    if not _is_int(threads) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     workers = min(threads, os.cpu_count() or 1, len(bounds))
     if workers == 1:
         return [work(*task) for task in bounds]
@@ -574,28 +565,9 @@ def _run_tasks(work, bounds: list, threads: int) -> list:
         return list(pool.map(lambda task: work(*task), bounds))
 
 
-def _run_sharded(work, first: int, shots: int, chunk: int, threads: int) -> list:
-    """``work(lo, hi)`` over shots ``first..first+shots-1`` in chunks of ``chunk`` shots, in shot order."""
-    end = first + shots
-    return _run_tasks(work, [(lo, min(lo + chunk, end)) for lo in range(first, end, chunk)], threads)
-
-
-def _trace_slices(offsets: np.ndarray, budget: int):
-    """Cut traces into slices of whole traces, each at most ``budget`` traces plus photons.
-
-    ``offsets`` are the traces' offsets into their concatenated photons.  A
-    trace longer than the budget is a slice alone.  Yields ``(lo, hi)``, the
-    trace range of each slice, in order.
-    """
-    lo, traces = 0, offsets.size - 1
-    while lo < traces:
-        # no slice holds more than `budget` traces or `budget` photons
-        top = min(lo + budget, int(np.searchsorted(offsets, offsets[lo] + budget, side="right")) - 1)
-        ends = offsets[lo : top + 1]
-        work = ends - ends[0] + np.arange(ends.size)
-        hi = lo + max(1, int(np.searchsorted(work, budget, side="right")) - 1)
-        yield lo, hi
-        lo = hi
+def _run_sharded(work, shots: int, chunk: int, threads: int) -> list:
+    """``work(lo, hi)`` over shots ``0..shots-1`` in chunks of ``chunk`` shots, in shot order."""
+    return _run_tasks(work, [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)], threads)
 
 
 def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> np.ndarray:
@@ -606,7 +578,7 @@ def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
     def count(lo: int, hi: int) -> None:
         out[lo:hi] = _shot_counts(_window_profile(prepared, config, lo, hi), tables)
 
-    _run_sharded(count, 0, config.shots, _COUNT_CHUNK, threads)
+    _run_sharded(count, config.shots, _COUNT_CHUNK, threads)
     return out
 
 
@@ -623,104 +595,23 @@ def simulate_histogram(prepared: Prepared, config: SimConfig, threads: int = 1) 
     def count(lo: int, hi: int) -> np.ndarray:
         return np.bincount(_shot_counts(_window_profile(prepared, config, lo, hi), tables))
 
-    parts = _run_sharded(count, 0, config.shots, _COUNT_CHUNK, threads)
+    parts = _run_sharded(count, config.shots, _COUNT_CHUNK, threads)
     bins = np.zeros(max(part.size for part in parts), dtype=np.int64)
     for part in parts:
         bins[: part.size] += part
     return CountHistogram(bins, config.shots)
 
 
-def _sorted_rows(rows: np.ndarray, n: np.ndarray, t_switch, bright: bool, model: DetectionModel):
-    """Map rows of event uniforms to arrival times and sort each row, in place if bright.
+def _counts_and_switch(prepared: Prepared, config: SimConfig, tables, lo: int, hi: int):
+    """Counts and rate-switch instants T of shots ``lo..hi-1``, ``tables`` as ``_state_tables`` orders them.
 
-    Row i holds the uniforms of a shot with ``n[i]`` photons and rate-switch
-    instant ``t_switch[i]``.  Bright rows (T = 0) map as ``u * mean_bright /
-    rate_bright``, the floats ``_event_times`` gives at T = 0; others go
-    through ``_event_times``.  Only then are the lanes past a shot's count
-    set to +inf, so the map never sees them, and every row is sorted.
-    Returns the rows and the mask of their photons.
+    T is 0 for a bright shot, t_det for an undecayed dark one, and the decay
+    instant for an in-window decay.
     """
-    if bright:
-        rows *= model.mean_bright
-        rows /= model.rate_bright
-    else:
-        rows = _event_times(rows, t_switch[:, None], model)
-    keep = np.arange(rows.shape[1]) < n[:, None]
-    np.copyto(rows, np.inf, where=~keep)
-    rows.sort(axis=1)
-    return rows, keep
-
-
-def _arrival_times(config: SimConfig, lo: int, n: np.ndarray, t_switch: np.ndarray, out: np.ndarray) -> None:
-    """Write the sorted arrival times of shots ``lo..`` into ``out``, shot-major.
-
-    ``n`` and ``t_switch`` are the shots' counts and rate-switch instants
-    T.  The shots with photons are grouped by T = 0 or not and by the bit
-    length of their number of event blocks, so a slice of mostly one-block
-    dark rows is not padded to the width of its few bright ones.  Each
-    group gathers one matrix of rows (``_block_rows``), and the event buffer
-    is freed before the rows are sorted (``_sorted_rows``).  The group with
-    the most photons is read back through one mask of the slice's photons;
-    the others are scattered to their places first, which they take out of
-    that mask.
-    """
-    if not out.size:
-        return
-    buf, runs = _event_blocks(config.seed, lo, n)
-    shots = np.flatnonzero(n)
-    key = np.frexp((n[shots] + 3) >> 2)[1] * 2 + (t_switch[shots] == 0.0)
-    photons = np.bincount(key, weights=n[shots])
-    # ascending photon count, so the last group is read back through the mask
-    groups = [(shots[key == k], k & 1) for k in np.argsort(photons, kind="stable").tolist() if photons[k]]
-    # every group's rows are gathered before any is sorted, so the buffer goes first
-    uniforms = [_block_rows(buf, runs, of, (int(n[of].max()) + 3) >> 2) for of, _ in groups]
-    del buf, runs
-    starts = np.cumsum(n) - n
-    free = np.ones(out.size, dtype=bool) if len(groups) > 1 else None
-    for i, (of, bright) in enumerate(groups, start=1):
-        times, keep = _sorted_rows(uniforms.pop(0), n[of], t_switch[of], bright, config.model)
-        if i < len(groups):
-            place = (starts[of, None] + np.arange(keep.shape[1]))[keep]
-            out[place] = times[keep]
-            free[place] = False
-        elif free is None:
-            np.compress(keep.ravel(), times.ravel(), out=out)
-        else:
-            out[free] = times[keep]
-
-
-def _traces(prepared: Prepared, config: SimConfig, first: int, shots: int, threads: int) -> TraceBatch:
-    """Traces of shots ``first..first+shots-1`` as a ``TraceBatch``, in trace mode's two passes.
-
-    Pass 1 stores each shot's count and rate-switch instant T; pass 2 places
-    each slice's photons from its slice of T.
-    """
-    model = config.model
-    tables = _state_tables(prepared, model)
-    offsets = np.zeros(shots + 1, dtype=np.int64)
-    t_switch = np.empty(shots)
-
-    def count(lo: int, hi: int) -> None:
-        window = _window_profile(prepared, config, lo, hi)
-        lo, hi = lo - first, hi - first
-        offsets[lo + 1 : hi + 1] = _shot_counts(window, tables)
-        t_switch[lo:hi] = np.where(window.dark, model.t_det, 0.0)
-        t_switch[lo + window.decayed] = window.t_decay
-
-    _run_sharded(count, first, shots, _COUNT_CHUNK, threads)
-    np.cumsum(offsets, out=offsets)
-    times = np.empty(int(offsets[-1]))
-
-    def place(lo: int, hi: int) -> None:
-        n = np.diff(offsets[lo : hi + 1])
-        _arrival_times(config, first + lo, n, t_switch[lo:hi], times[offsets[lo] : offsets[hi]])
-
-    # at least four slices a thread, so a small batch still spreads over the
-    # threads, in slices that hold less memory
-    spread = 4 * min(threads, os.cpu_count() or 1)
-    budget = min(_TRACE_SLICE, -(-(shots + int(offsets[-1])) // spread))
-    _run_tasks(place, list(_trace_slices(offsets, budget)), threads)
-    return TraceBatch(times, offsets, model.t_det)
+    window = _window_profile(prepared, config, lo, hi)
+    t_switch = np.where(window.dark, config.model.t_det, 0.0)
+    t_switch[window.decayed] = window.t_decay
+    return _shot_counts(window, tables), t_switch
 
 
 def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> TraceBatch:
@@ -728,21 +619,44 @@ def simulate_traces(prepared: Prepared, config: SimConfig, threads: int = 1) -> 
 
     The total count of each shot is drawn exactly as in count mode (same
     reserved uniform), so trace counts agree shot-by-shot with
-    ``simulate_counts``; the count is then distributed over the window by
-    inverse-CDF placement of each photon (``_traces``).
+    ``simulate_counts``.  Pass 1 stores each shot's count and rate-switch
+    instant T; pass 2 places the photons of each ``_PLACE_CHUNK`` run of
+    event groups, one run a task, into its part of the output.
     """
-    return _traces(prepared, config, 0, config.shots, threads)
+    model = config.model
+    tables = _state_tables(prepared, model)
+    offsets = np.zeros(config.shots + 1, dtype=np.int64)
+    t_switch = np.empty(config.shots)
+
+    def count(lo: int, hi: int) -> None:
+        offsets[lo + 1 : hi + 1], t_switch[lo:hi] = _counts_and_switch(prepared, config, tables, lo, hi)
+
+    _run_sharded(count, config.shots, _COUNT_CHUNK, threads)
+    np.cumsum(offsets, out=offsets)
+    times = np.empty(int(offsets[-1]))
+
+    def place(lo: int, hi: int) -> None:
+        first, end = offsets[lo], offsets[hi]
+        _place_events(config.seed, lo, np.diff(offsets[lo : hi + 1]), t_switch[lo:hi], model, times[first:end])
+
+    _run_sharded(place, config.shots, _PLACE_CHUNK, threads)
+    return TraceBatch(times, offsets, model.t_det)
 
 
 def simulate_shot(prepared: Prepared, config: SimConfig, shot_index: int) -> PhotonTrace:
     """Regenerate the full photon record of one shot of a batch.
 
     Bit-identical to ``simulate_traces(...).trace(shot_index)`` for the same
-    configuration: both run ``_traces``, this one on that shot alone, and
-    the per-shot counter keying makes every shot a function of (seed, index).
+    configuration.  The count pass runs on the shot's event group up to the
+    shot, whose earlier photons fix where its words start in the group's
+    stream; only the shot's own words are drawn and sorted.
     """
-    shot_index = _shot_index(shot_index, config.shots)
-    return _traces(prepared, config, shot_index, 1, 1).trace(0)
+    i = _shot_index(shot_index, config.shots)
+    lo = i - i % _EVENT_GROUP
+    n, t_switch = _counts_and_switch(prepared, config, _state_tables(prepared, config.model), lo, i + 1)
+    times = np.empty(n[-1])
+    _place_events(config.seed, i, n[-1:], t_switch[-1:], config.model, times, skip=int(n[:-1].sum()))
+    return PhotonTrace(times, config.model.t_det)
 
 
 # ---------------------------------------------------------------------------

@@ -50,14 +50,21 @@ def big_ensembles(optimum_model, measured_errors):
     return {"down": down, "up": up, "shots": shots}
 
 
+def _philox(seed, counter):
+    return np.random.Philox(
+        counter=np.array(counter, dtype=np.uint64), key=np.array([seed, 0], dtype=np.uint64)
+    )
+
+
 def _reference_shots(prepared, config, lo, hi):
     """``(T, mu, counts)`` of shots ``lo..hi-1`` in the float layout.
 
-    Each shot's four block-0 uniforms (``_uniforms``) decide its flip, decay
-    and decay instant as floats, and every count is the table-free
+    Each shot's four state uniforms, numpy's ``Generator.random`` over the
+    stream at counter (lo, 0, 0, 0), decide its flip, decay and decay
+    instant as floats, and every count is the table-free
     ``_poisson_quantile``.  The samplers must reproduce this bit for bit.
     """
-    u_flip, u_decay, u_pos, u_count = mc._uniforms(config.seed, 0, lo, hi - lo).T
+    u_flip, u_decay, u_pos, u_count = np.random.Generator(_philox(config.seed, [lo, 0, 0, 0])).random((hi - lo, 4)).T
     model = config.model
     down = prepared is Prepared.DOWN
     eps = config.errors.eps_down_tot if down else config.errors.eps_up_tot
@@ -72,24 +79,32 @@ def _reference_shots(prepared, config, lo, hi):
     return t_switch, mu, mc._poisson_quantile(u_count, mu)
 
 
-def _reference_times(config, lo, t_switch, mu, n):
-    """Arrival times of shots ``lo..`` with the given T, mean and count.
+def _reference_times(config, t_switch, mu, n):
+    """Arrival times of shots ``0..n.size-1`` with the given T, mean and count.
 
-    Each block's ``_uniforms`` over all the shots, side by side, give one
-    row per shot holding its event uniforms in order; the rows cut to each
-    shot's count, read row-major, are the events shot-major.  Each event's
-    mass u * mu is inverted through the shot's cumulative rate, and the
-    times are sorted per shot by ``lexsort``.
+    Event group g's uniforms are ``Generator.random`` over the stream at
+    counter (0, 0, g, 1), one per photon of its shots in shot order.  Each
+    uniform is mapped to a time first: ``u * t_det`` for a bright shot (T =
+    0); else its mass u * mu is inverted through the shot's cumulative
+    rate, clamped at T before the switch and at t_det.  Only then are the
+    times sorted per shot, by ``lexsort``.
     """
     model = config.model
-    blocks = [mc._uniforms(config.seed, b, lo, n.size) for b in range(1, (n.max(initial=0) + 3) // 4 + 1)]
-    rows = np.hstack([np.empty((n.size, 0)), *blocks])
-    t_switch, mass = np.repeat(t_switch, n), rows[np.arange(rows.shape[1]) < n[:, None]] * np.repeat(mu, n)
+    group = mc._EVENT_GROUP
+    u = np.concatenate(
+        [np.empty(0)]
+        + [
+            np.random.Generator(_philox(config.seed, [0, 0, g, 1])).random(int(n[lo : lo + group].sum()))
+            for g, lo in enumerate(range(0, n.size, group))
+        ]
+    )
+    t_switch, mass = np.repeat(t_switch, n), u * np.repeat(mu, n)
     mass_dark = model.rate_dark * t_switch
     with np.errstate(divide="ignore", invalid="ignore"):
-        before = mass / model.rate_dark
+        before = np.minimum(mass / model.rate_dark, t_switch)
     after = t_switch + (mass - mass_dark) / model.rate_bright
-    t_ev = np.where(mass < mass_dark, before, after)
+    dark = np.minimum(np.where(mass < mass_dark, before, after), model.t_det)
+    t_ev = np.where(t_switch == 0.0, u * model.t_det, dark)
     return t_ev[np.lexsort((t_ev, np.repeat(np.arange(n.size), n)))]
 
 

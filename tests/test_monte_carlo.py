@@ -63,17 +63,18 @@ def test_counts_independent_of_threads_and_chunking(measured_model, monkeypatch)
 
 
 def test_traces_independent_of_threads_and_chunking(monkeypatch):
-    # Count chunks of 257 shots, and slices of at most 23 shots plus photons:
-    # a bright shot is a slice alone, and runs of dark shots cross the
-    # count chunks' boundaries.  Both states under both decay laws.
+    # Count chunks of 257 shots and placement tasks of one event group: the
+    # batch spans two full groups and a partial one, and runs of dark shots
+    # cross the count chunks' boundaries.  Both states under both decay laws.
     model = DetectionModel(73.5e3, 1.75e3, 285e-6 / 0.072, 285e-6)
+    shots = 2 * mc._EVENT_GROUP + 300
     for prepared, law in itertools.product(Prepared, DecayTimeLaw):
-        config = SimConfig(model, ErrorRates(0.3, 0.3), shots=1200, seed=5, decay_time_law=law)
+        config = SimConfig(model, ErrorRates(0.3, 0.3), shots=shots, seed=5, decay_time_law=law)
         with monkeypatch.context() as patch:
             reference = simulate_traces(prepared, config, threads=1)
             patch.setattr(mc, "_COUNT_CHUNK", 257)
-            patch.setattr(mc, "_TRACE_SLICE", 23)
-            for threads in (1, 4):
+            patch.setattr(mc, "_PLACE_CHUNK", mc._EVENT_GROUP)
+            for threads in (1, 2, 4):
                 again = simulate_traces(prepared, config, threads=threads)
                 np.testing.assert_array_equal(again.timestamps, reference.timestamps)
                 np.testing.assert_array_equal(again.offsets, reference.offsets)
@@ -130,28 +131,27 @@ def test_histogram_memory_is_bounded_by_chunks(measured_model):
     ],
 )
 def test_shard_bounds(monkeypatch, shots, threads, chunk, cpus, expected):
-    # _run_sharded cuts first..first+shots-1 into chunks, in order, and runs
+    # _run_sharded cuts 0..shots-1 into chunks, in order, and runs
     # them on at most `expected` threads.  Even with a broken cap no case can
     # start more than 8 threads: a pool starts at most one thread per chunk.
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
     seen = []
-    first = 1000 + chunk // 2  # a range that does not start at shot 0
 
     def work(lo, hi):
         seen.append(threading.get_ident())
         time.sleep(0.002)  # keep the task busy, so an uncapped pool adds threads
         return lo, hi
 
-    chunks = mc._run_sharded(work, first, shots, chunk, threads)
+    chunks = mc._run_sharded(work, shots, chunk, threads)
     assert len(chunks) == len(seen) == -(-shots // chunk)
-    assert chunks[0][0] == first and chunks[-1][1] == first + shots
+    assert chunks[0][0] == 0 and chunks[-1][1] == shots
     assert all(0 < hi - lo <= chunk for lo, hi in chunks)
     assert all(hi == lo2 for (_, hi), (lo2, _) in zip(chunks[:-1], chunks[1:]))
     assert len(set(seen)) <= expected
     if expected == 1:
         assert set(seen) == {threading.get_ident()}  # one worker runs inline
     with pytest.raises(ValueError):
-        mc._run_sharded(work, first, shots, chunk, 0)
+        mc._run_sharded(work, shots, chunk, 0)
 
 
 def test_trace_counts_match_count_mode(optimum_model, measured_errors, big_ensembles):
@@ -164,18 +164,22 @@ def test_trace_counts_match_count_mode(optimum_model, measured_errors, big_ensem
 
 def test_simulate_shot_regenerates_batch_traces(measured_model, reference_shots):
     # Both states at the measured point without errors and at the high-decay
-    # point, where flipped bright shots span several event blocks and dark
-    # ones decay in the window: each such shot regenerates alone.
+    # point, where flipped bright shots have many photons and dark ones
+    # decay in the window: each such shot regenerates alone.  The batch
+    # spans two full event groups and a partial one, so the first and last
+    # shots of a group and the last shot of the batch are checked too.
+    group = mc._EVENT_GROUP
     points = [(measured_model, ZERO_ERRORS), _HIGH_DECAY_POINT]
     for (model, errors), prepared in itertools.product(points, Prepared):
-        config = SimConfig(model, errors, shots=1500, seed=77)
+        config = SimConfig(model, errors, shots=2 * group + 300, seed=77)
         batch = simulate_traces(prepared, config)
         t_switch, _, n = reference_shots(prepared, config, 0, config.shots)
         decayed = np.flatnonzero((t_switch > 0.0) & (t_switch < model.t_det))
-        wide = np.flatnonzero((t_switch == 0.0) & (n > 8))  # three or more event blocks
+        wide = np.flatnonzero((t_switch == 0.0) & (n > 8))
         if errors is not ZERO_ERRORS:
             assert decayed.size and wide.size
-        for i in {0, 1, 499, 1499, *decayed[:3].tolist(), *wide[:3].tolist()}:
+        edges = {0, 1, group - 1, group, 2 * group - 1, 2 * group, config.shots - 1}
+        for i in edges | {*decayed[:3].tolist(), *wide[:3].tolist()}:
             single = simulate_shot(prepared, config, i)
             np.testing.assert_array_equal(single.timestamps, batch.trace(i).timestamps)
             assert single.t_det == batch.t_det
@@ -315,7 +319,7 @@ def test_traces_without_background_raise_no_float_errors(reference_shots, refere
             batch = simulate_traces(prepared, config)
         t_switch, mu, n = reference_shots(prepared, config, 0, config.shots)
         assert np.any((t_switch > 0.0) & (t_switch < model.t_det) & (n > 1))
-        expected = reference_times(config, 0, t_switch, mu, n)
+        expected = reference_times(config, t_switch, mu, n)
         np.testing.assert_array_equal(batch.timestamps.view(np.uint64), expected.view(np.uint64))
 
 
@@ -326,6 +330,51 @@ def test_trace_times_lie_in_window_and_sorted(measured_model):
     for trace in batch:
         assert isinstance(trace, PhotonTrace)
         assert np.all(np.diff(trace.timestamps) >= 0.0)
+
+
+# Fixed before the first run, with the seeds below: each KS test fails at
+# this level, so the eight tests raise a false alarm less than 1 % of runs.
+_KS_ALPHA = 1e-3
+
+
+@pytest.mark.parametrize(
+    "law,rate_dark,seed",
+    [
+        (DecayTimeLaw.UNIFORM_FIRST_ORDER, 1.75e3, 2024),
+        (DecayTimeLaw.EXPONENTIAL, 1.75e3, 2025),
+        (DecayTimeLaw.UNIFORM_FIRST_ORDER, 0.0, 2026),
+    ],
+    ids=["uniform", "exponential", "no_background"],
+)
+def test_arrival_times_follow_the_cumulative_rate(law, rate_dark, seed, reference_shots):
+    # UP shots at t_det/tau = 0.072 and eps = 0.3 hold all three classes of
+    # rate-switch instant T: flipped bright shots (T = 0), undecayed dark
+    # ones (T = t_det) and in-window decays.  Given its shot's T, a photon's
+    # time t has CDF L_T(t) / L_T(t_det), where L_T(t) = rate_dark * min(t,
+    # T) + rate_bright * max(t - T, 0); mapped through it, each class's times
+    # must be uniform (Kolmogorov-Smirnov at _KS_ALPHA).
+    model = DetectionModel(73.5e3, rate_dark, 285e-6 / 0.072, 285e-6)
+    config = SimConfig(model, ErrorRates(0.3, 0.3), shots=20_000, seed=seed, decay_time_law=law)
+    batch = simulate_traces(Prepared.UP, config)
+    t_switch, _, n = reference_shots(Prepared.UP, config, 0, config.shots)
+    np.testing.assert_array_equal(batch.counts, n)
+    t, t_photon = batch.timestamps, np.repeat(t_switch, n)
+
+    def cumulative(x):
+        return rate_dark * np.minimum(x, t_photon) + model.rate_bright * np.maximum(x - t_photon, 0.0)
+
+    v = cumulative(t) / cumulative(model.t_det)
+    classes = {
+        "bright": t_photon == 0.0,
+        "dark": t_photon == model.t_det,
+        "decayed": (t_photon > 0.0) & (t_photon < model.t_det),
+    }
+    if rate_dark == 0.0:
+        assert not classes.pop("dark").any()  # an undecayed shot without background sees nothing
+    for name, members in classes.items():
+        assert members.sum() > 1000, name
+        p_value = stats.kstest(v[members], "uniform").pvalue
+        assert p_value > _KS_ALPHA, f"{name}: p = {p_value:.2e}"
 
 
 def test_up_traces_rear_loaded(optimum_model):
@@ -491,6 +540,43 @@ def test_window_mean_is_exact_at_the_window_ends(rate_bright, dark_share, t_det,
     assert ends.tolist() == [model.mean_bright, model.mean_dark]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    rate_bright=_POSITIVE,
+    dark_share=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+    t_det=_POSITIVE,
+    decay_fraction=st.floats(0.0, 0.1, exclude_min=True, exclude_max=True),
+    switch=st.one_of(st.floats(0.0, 1.0), st.just("subnormal")),
+    grid=_GRID,
+)
+@example(rate_bright=73.5e3, dark_share=0.0, t_det=285e-6, decay_fraction=0.072, switch=0.4, grid=[])
+@example(rate_bright=73.5e3, dark_share=0.02, t_det=285e-6, decay_fraction=0.072, switch=0.0, grid=[])
+@example(rate_bright=73.5e3, dark_share=0.02, t_det=285e-6, decay_fraction=0.072, switch="subnormal", grid=[])
+@example(rate_bright=73.5e3, dark_share=0.02, t_det=285e-6, decay_fraction=0.072, switch=1.0, grid=[])
+@example(rate_bright=1.0, dark_share=0.5, t_det=1e-300, decay_fraction=0.05, switch=0.3, grid=[])
+# the largest uniform maps past t_det before the clamp
+@example(rate_bright=1545.551, dark_share=0.3149, t_det=0.000346392, decay_fraction=0.05, switch=0.3389, grid=[])
+def test_event_times_are_monotone_and_in_window(rate_bright, dark_share, t_det, decay_fraction, switch, grid):
+    # Over the region DetectionModel accepts with a finite mean, rate_dark =
+    # 0 included, and any rate-switch instant T in [0, t_det] (switch is T /
+    # t_det, or T is the smallest subnormal): sorted uniforms of the
+    # stream's 2**-53 grid map to non-decreasing times in [0, t_det], so
+    # mapping after the sort keeps every trace sorted.  The probes include
+    # the uniforms on either side of the switch, u = rate_dark * T / mu, and
+    # the largest uniform.  A bright shot's map, u * t_det, too.
+    try:
+        model = DetectionModel(rate_bright, dark_share * rate_bright, t_det / decay_fraction, t_det)
+    except ValueError:
+        assume(False)
+    assume(math.isfinite(model.mean_bright))
+    t_switch = 5e-324 if switch == "subnormal" else switch * model.t_det
+    mu = mc._window_mean(model, t_switch)
+    u = _probes(np.array([model.rate_dark * t_switch / mu if mu > 0.0 else 0.0]), grid)
+    for times in (mc._event_times(u, np.full(u.size, t_switch), model), u * model.t_det):
+        assert np.all(times[1:] >= times[:-1])
+        assert times[0] >= 0.0 and times[-1] <= model.t_det
+
+
 @pytest.mark.parametrize("law", list(DecayTimeLaw))
 @pytest.mark.parametrize("rate_dark", [1.75e3, 0.0])
 def test_undecayed_shots_have_a_model_mean(law, rate_dark, reference_shots, monkeypatch):
@@ -535,6 +621,16 @@ def test_sim_config_validation(measured_model):
         simulate_counts(Prepared.DOWN, SimConfig(model=measured_model), threads=0)
     with pytest.raises(ValueError):
         simulate_traces(Prepared.DOWN, SimConfig(model=measured_model, shots=10), threads=0)
+    # threads follow the same integer rule as shots and seed
+    small = SimConfig(model=measured_model, shots=10)
+    for bad in (1.5, True, False, 2.0, "2"):
+        with pytest.raises(ValueError, match="threads must be"):
+            simulate_traces(Prepared.DOWN, small, threads=bad)
+        with pytest.raises(ValueError, match="threads must be"):
+            simulate_counts(Prepared.DOWN, small, threads=bad)
+    for good in (np.int64(2), np.uint8(1)):
+        batch = simulate_traces(Prepared.DOWN, small, threads=good)
+        np.testing.assert_array_equal(batch.timestamps, simulate_traces(Prepared.DOWN, small).timestamps)
     with pytest.raises(ValueError):
         simulate_shot(Prepared.DOWN, SimConfig(model=measured_model, shots=10), 10)
     # only integers: a float or bool would run another stream or fail in numpy

@@ -1,4 +1,4 @@
-"""Shot-keyed stream layout against per-shot numpy Philox generators."""
+"""Counter-keyed stream layout against per-shot and per-group numpy Philox generators."""
 
 from __future__ import annotations
 
@@ -14,17 +14,17 @@ from hypothesis import strategies as st
 
 from shelveread import RNG_STREAM
 from shelveread.monte_carlo import (
+    _EVENT_GROUP,
     DecayTimeLaw,
     Prepared,
     SimConfig,
-    _SKIP_GAP,
-    _block_rows,
-    _event_blocks,
+    _event_times,
+    _event_words,
+    _place_events,
     _poisson_quantile,
-    _traces,
     _threshold,
-    _uniforms,
     _unit,
+    _words,
     simulate_counts,
     simulate_histogram,
     simulate_shot,
@@ -33,11 +33,11 @@ from shelveread.monte_carlo import (
 from shelveread.photon_statistics import DetectionModel, ErrorRates
 
 
-def _oracle_block(seed: int, shot: int, block: int) -> np.ndarray:
-    # One generator per shot and block.  numpy's Philox emits counter c + 1
-    # at its first step, so shot i's block b is built at (i, b, 0, 0).
+def _oracle_state(seed: int, shot: int) -> np.ndarray:
+    # One generator per shot.  numpy's Philox emits counter c + 1 at its
+    # first step, so shot i's state draws are built at (i, 0, 0, 0).
     bits = np.random.Philox(
-        counter=np.array([shot, block, 0, 0], dtype=np.uint64),
+        counter=np.array([shot, 0, 0, 0], dtype=np.uint64),
         key=np.array([seed, 0], dtype=np.uint64),
     )
     words = bits.random_raw(4)
@@ -49,129 +49,139 @@ def _oracle_block(seed: int, shot: int, block: int) -> np.ndarray:
     [(0, 0, 3), (42, 0, 1), (42, 1000, 5), (2**64 - 1, 2**40 + 7, 4)],
 )
 def test_state_uniforms_match_per_shot_generators(seed, lo, n):
-    got = _uniforms(seed, 0, lo, n)
+    got = _unit(_words(seed, lo, n))
     assert got.shape == (n, 4)
     for i in range(n):
-        np.testing.assert_array_equal(got[i], _oracle_block(seed, lo + i, 0))
+        np.testing.assert_array_equal(got[i], _oracle_state(seed, lo + i))
 
 
-def _event_uniforms(seed: int, lo: int, n_events: np.ndarray) -> np.ndarray:
-    # every shot's rows of its blocks, cut to its count and read shot-major
-    buf, runs = _event_blocks(seed, lo, n_events)
-    shots = np.flatnonzero(n_events)
-    blocks = (int(n_events.max(initial=0)) + 3) // 4
-    rows = _block_rows(buf, runs, shots, blocks)
-    return rows[np.arange(4 * blocks) < n_events[shots, None]]
+def _oracle_group(seed: int, group: int, n: int) -> list[int]:
+    # One generator per event group, built at (0, 0, group, 1), drawn as Python ints.
+    bits = np.random.Philox(
+        counter=np.array([0, 0, group, 1], dtype=np.uint64),
+        key=np.array([seed, 0], dtype=np.uint64),
+    )
+    return [int(w) for w in bits.random_raw(n)]
 
 
-def _oracle_events(seed: int, lo: int, n_events) -> np.ndarray:
-    expected = [np.empty(0)]
-    for i, n in enumerate(n_events):
-        blocks = [_oracle_block(seed, lo + i, b) for b in range(1, (n + 3) // 4 + 1)]
-        expected.append(np.concatenate(blocks)[:n] if blocks else np.empty(0))
-    return np.concatenate(expected)
+def _oracle_shot_uniforms(words: list[int]) -> np.ndarray:
+    return np.array(sorted(w >> 11 for w in words), dtype=np.float64) * 2.0**-53
 
 
-_G = _SKIP_GAP
+_G = _EVENT_GROUP
 
 
-def test_event_blocks_match_per_shot_generators():
-    cases = {
-        "mixed": (9, 500, [0, 9, 3, 0, 13, 4]),
-        # photonless and short shots inside the runs of the long shots' blocks
-        "short_in_runs": (9, 500, [14, 0, 1, 3, 0, 2, 17, 5, 0, 0, 6]),
-        # one shot needs 11 blocks, its neighbours one or none
-        "wide": (2**64 - 1, 2**40, [0, 2, 41, 0, 1]),
-        "photonless": (7, 0, [0, 0, 0]),
-        # needed shots G + 1 apart and more: block 2 skips the gaps by advance
-        "advance": (3, 10, [5] + [1] * (_G + 1) + [9] + [0] * (3 * _G) + [6, 1, 7]),
-        # a gap of exactly G shots is drawn through, one of G + 1 is skipped
-        "gap_g": (3, 0, [8] + [2] * _G + [8] + [2] * (_G + 1) + [8]),
-        # runs of every block end at the last shot of the slice
-        "run_at_end": (4, 2**33, [0] * (_G + 5) + [1, 40, 0, 40]),
-        # the only multi-block shot is the first, then the last
-        "first_only": (5, 77, [13] + [1, 0, 2] * _G),
-        "last_only": (5, 77, [0, 3, 1] * _G + [13]),
-        # every block jumps across a photonless stretch at a huge counter
-        "max_key": (2**64 - 1, 2**40, [40] + [0] * (2 * _G) + [40]),
-    }
-    for name, (seed, lo, n_events) in cases.items():
-        n_events = np.array(n_events)
-        np.testing.assert_array_equal(
-            _event_uniforms(seed, lo, n_events), _oracle_events(seed, lo, n_events), err_msg=name
-        )
+def test_event_groups_match_per_group_generators(reference_shots):
+    # Shots 0..2G+99 of the high-decay point in both states: two full groups
+    # and a partial one, with photonless, flipped bright and decayed shots.
+    # Shot i of group g takes the next n_i words of g's stream, which the
+    # oracle sorts as Python ints; a bright shot's photons lie at u * t_det,
+    # any other's at the map of the same uniforms.
+    model = DetectionModel(73.5e3, 1.75e3, 285e-6 / 0.072, 285e-6)
+    config = SimConfig(model, ErrorRates(0.3, 0.3), shots=2 * _G + 100, seed=2**64 - 1)
+    for prepared in Prepared:
+        batch = simulate_traces(prepared, config, threads=2)
+        t_switch, _, n = reference_shots(prepared, config, 0, config.shots)
+        np.testing.assert_array_equal(batch.counts, n)
+        assert np.any(n == 0) and np.any((t_switch > 0.0) & (t_switch < model.t_det) & (n > 1))
+        for g, lo in enumerate(range(0, config.shots, _G)):
+            hi = min(lo + _G, config.shots)
+            words = _oracle_group(config.seed, g, int(n[lo:hi].sum()))
+            first = 0
+            for i in range(lo, hi):
+                u = _oracle_shot_uniforms(words[first : first + n[i]])
+                first += n[i]
+                expected = u * model.t_det if t_switch[i] == 0.0 else _event_times(u, np.full(u.size, t_switch[i]), model)
+                np.testing.assert_array_equal(batch.trace(i).timestamps, expected, err_msg=f"shot {i}")
 
 
-def test_event_blocks_skip_only_long_gaps():
-    # block 2 of [8, 2 x G, 8, 2 x (G + 1), 8] is drawn through the first
-    # gap and skips the second: two runs, 1 + G + 1 and 1 shots
-    n_events = np.array([8] + [2] * _G + [8] + [2] * (_G + 1) + [8])
-    _, runs = _event_blocks(3, 0, n_events)
-    first, shift = runs[1]
-    assert first.tolist() == [0, 2 * _G + 3]
-    assert (first + shift).tolist() == [n_events.size, n_events.size + _G + 2]
+def test_event_words_skip_ahead_matches_group_stream():
+    # simulate_shot starts a shot's words at word `skip` of its group's
+    # stream: whole blocks are skipped with advance, the rest of the block
+    # is drawn and dropped.  Every offset into the first blocks, and some far
+    # in, against the stream drawn from its start, at a small and the
+    # largest key.
+    for seed, group in ((9, 0), (2**64 - 1, 2**40 + 3)):
+        stream = _oracle_group(seed, group, 4200)
+        for skip in [*range(13), 4095, 4096, 4097]:
+            for n in (0, 1, 3, 9):
+                got = _event_words(seed, group, skip, n)
+                assert got.dtype == np.uint64
+                assert [int(w) for w in got] == stream[skip : skip + n], (seed, skip, n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    lo=st.integers(0, 2**48),
+    group=st.integers(0, 2**40),
     runs=st.lists(
-        st.tuples(st.sampled_from([0, 1, 4, 5, 40]), st.integers(1, 3 * _SKIP_GAP)),
+        st.tuples(st.sampled_from([0, 1, 4, 5, 40]), st.integers(1, _G), st.sampled_from([0.0, 0.4, 1.0])),
         min_size=1,
         max_size=6,
     ),
 )
-def test_event_uniforms_property(seed, lo, runs):
-    # stretches of equal counts, some longer than the skip gap
-    n_events = np.repeat([n for n, _ in runs], [k for _, k in runs])
-    np.testing.assert_array_equal(
-        _event_uniforms(seed, lo, n_events), _oracle_events(seed, lo, n_events)
-    )
+def test_event_uniforms_property(seed, group, runs):
+    # Stretches of equal counts and rate-switch instants (T = 0, mid-window
+    # or t_det), over up to three groups from group `group` on; the last
+    # group may be partial.  Each shot's times against the per-group oracle.
+    model = DetectionModel(73.5e3, 1.75e3, 285e-6 / 0.072, 285e-6)
+    n = np.repeat([c for c, _, _ in runs], [k for _, k, _ in runs]).astype(np.int64)
+    t_switch = np.repeat([f * model.t_det for _, _, f in runs], [k for _, k, _ in runs])
+    out = np.empty(int(n.sum()))
+    _place_events(seed, group * _G, n, t_switch, model, out)
+    first = 0
+    for g, lo in enumerate(range(0, n.size, _G)):
+        hi = min(lo + _G, n.size)
+        words = _oracle_group(seed, group + g, int(n[lo:hi].sum()))
+        at = 0
+        for i in range(lo, hi):
+            u = _oracle_shot_uniforms(words[at : at + n[i]])
+            at += n[i]
+            expected = u * model.t_det if t_switch[i] == 0.0 else _event_times(u, np.full(u.size, t_switch[i]), model)
+            np.testing.assert_array_equal(out[first : first + n[i]], expected)
+            first += n[i]
 
 
 def test_simulated_shot_follows_layout(measured_model):
     # a clean DOWN shot is bright over the whole window: its count is the
-    # quantile of block 0 lane 3, and its photons sit at u * t_det for the
-    # event uniforms of blocks 1.. in order
-    seed, shot = 17, 321
-    config = SimConfig(model=measured_model, shots=1000, seed=seed)
+    # quantile of its state block's lane 3, and its photons sit at u * t_det
+    # for its own words of its group's stream, sorted
+    seed, shot = 17, _G + 321
+    config = SimConfig(model=measured_model, shots=3 * _G, seed=seed)
     mu = measured_model.rate_bright * measured_model.t_det
-    u_count = _oracle_block(seed, shot, 0)[3]
+    u_count = _oracle_state(seed, shot)[3]
     n = int(_poisson_quantile(np.array([u_count]), np.array([mu]))[0])
     assert n > 4
-    u_ev = np.concatenate([_oracle_block(seed, shot, b) for b in range(1, (n + 3) // 4 + 1)])
+    skip = int(simulate_counts(Prepared.DOWN, config)[_G:shot].sum())
+    words = _oracle_group(seed, 1, skip + n)[skip:]
     trace = simulate_shot(Prepared.DOWN, config, shot)
     assert trace.count == n
-    np.testing.assert_allclose(
-        trace.timestamps, np.sort(u_ev[:n]) * measured_model.t_det, rtol=1e-12, atol=0
-    )
+    np.testing.assert_array_equal(trace.timestamps, _oracle_shot_uniforms(words) * measured_model.t_det)
 
 
 def test_trace_times_match_lexsort_reference(reference_shots, reference_times, monkeypatch):
-    # UP shots at a large decay fraction and preparation error: the range
+    # UP shots at a large decay fraction and preparation error: the batch
     # holds photonless shots, shots that decay inside the window, and
-    # flipped (bright) shots with many photons spread over several blocks.
-    # It starts off a count-chunk boundary and spans several chunks of 257
-    # shots and many placement slices.
+    # flipped (bright) shots with many photons.  It spans four full event
+    # groups and a partial one, in count chunks of 257 shots and placement
+    # tasks of one group, at 1 and 2 threads.
     monkeypatch.setattr("shelveread.monte_carlo._COUNT_CHUNK", 257)
-    monkeypatch.setattr("shelveread.monte_carlo._TRACE_SLICE", 101)
+    monkeypatch.setattr("shelveread.monte_carlo._PLACE_CHUNK", _G)
     model = DetectionModel(73.5e3, 1.75e3, 280e-6 / 0.072, 280e-6)
     config = SimConfig(model=model, errors=ErrorRates(0.3, 0.3), shots=10_000, seed=5)
-    lo, hi = 3000, 5000
-    assert lo % 257
-    t_switch, mu, n = reference_shots(Prepared.UP, config, lo, hi)
+    assert config.shots % _G and config.shots % 257
+    t_switch, mu, n = reference_shots(Prepared.UP, config, 0, config.shots)
     assert np.any(n == 0) and np.any(n > 4)
     assert np.any((t_switch > 0.0) & (t_switch < model.t_det))
-    reference = reference_times(config, lo, t_switch, mu, n)
+    reference = reference_times(config, t_switch, mu, n)
     for threads in (1, 2):
-        batch = _traces(Prepared.UP, config, lo, hi - lo, threads)
+        batch = simulate_traces(Prepared.UP, config, threads)
         np.testing.assert_array_equal(batch.counts, n)
         np.testing.assert_array_equal(batch.timestamps.view(np.uint64), reference.view(np.uint64))
 
 
 def test_uniform_range_and_resolution():
-    u = _uniforms(3, 0, 0, 10_000).reshape(-1)
+    u = _unit(_words(3, 0, 10_000)).reshape(-1)
     assert u.dtype == np.float64
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     # top 53 bits only: values are multiples of 2**-53, and the lowest of
@@ -182,7 +192,7 @@ def test_uniform_range_and_resolution():
 
 
 def test_uniformity_coarse():
-    u = _uniforms(12345, 9, 0, 25_000).reshape(-1)
+    u = _unit(_event_words(12345, 9, 0, 100_000))
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(np.mean(u < 0.25) - 0.25) < 0.005
 
@@ -241,7 +251,7 @@ def test_samplers_match_float_layout(law, rate_dark, eps, reference_shots, refer
         shots = 8_197
         batch = simulate_traces(prepared, replace(config, shots=shots), threads=2)
         np.testing.assert_array_equal(batch.counts, n[:shots])
-        times = reference_times(config, 0, t_switch[:shots], mu[:shots], n[:shots])
+        times = reference_times(config, t_switch[:shots], mu[:shots], n[:shots])
         np.testing.assert_array_equal(batch.timestamps.view(np.uint64), times.view(np.uint64))
 
 
@@ -281,7 +291,7 @@ def _digest(*arrays: np.ndarray) -> str:
 def test_counts_match_pinned_stream(point, law, prepared, seed, digest):
     model, errors = point
     config = SimConfig(model, errors, shots=200_000, seed=seed, decay_time_law=law)
-    assert RNG_STREAM == "philox4x64-10/shot-major/2"
+    assert RNG_STREAM == "philox4x64-10/shot-group/3"
     counts = simulate_counts(prepared, config, threads=2)
     assert _digest(counts) == digest
     # the histogram path bins the same draws chunk by chunk
@@ -291,22 +301,26 @@ def test_counts_match_pinned_stream(point, law, prepared, seed, digest):
 
 # Traces under the uniform law only: the exponential law's log1p may differ
 # in its last bit between numpy builds, and arrival times carry every bit.
+# Re-pinned with stream 3, which moved every arrival time and no count: each
+# event group of _EVENT_GROUP shots now draws its photons from one stream at
+# counter (0, 0, group, 1), sorted by integer key, where stream 2 drew
+# blocks 1.. of each shot at (shot, block, 0, 0).
 @pytest.mark.parametrize(
     "point,prepared,seed,digest",
     [
         (_PAPER, Prepared.DOWN, 11,
-         "c8542de2cc07ce17664632ae7aea1b22376879746c77a22e8d338ed2e625c5a6"),
+         "3618c432f14c8ed6ec3b220ef568f7f85a22c032c9182ee04e07e0c5ab60348d"),
         (_PAPER, Prepared.UP, 12,
-         "87695ed49d692b0fba5afa45b3d6ac73593883259e79128f3eb344f9f736adb8"),
+         "3998188ec2712dda9aead467786fc1d02ffd8797a9085034f774c925a5af937a"),
         (_HIGH_DECAY, Prepared.DOWN, 11,
-         "0c21167eb21290d7aeae82dbaeda9e55ba01331ad7889b3b90d5aa37c40f7c96"),
+         "c3f5ec26168f74d3808fe2644d3cb7d8cc052a4cabe27e0cdd1a21d42bfdf421"),
         (_HIGH_DECAY, Prepared.UP, 12,
-         "3c0002929f50c3fde57ffe982c18a1bb4daf992775520150656df8f7aa773a56"),
+         "7ade5a296d8a350040447f52c9b94cf57b501bb13ff2e879c680a83178d2e0e3"),
     ],
 )
 def test_traces_match_pinned_stream(point, prepared, seed, digest):
     model, errors = point
     config = SimConfig(model, errors, shots=20_000, seed=seed)
     batch = simulate_traces(prepared, config, threads=2)
-    assert RNG_STREAM == "philox4x64-10/shot-major/2"
+    assert RNG_STREAM == "philox4x64-10/shot-group/3"
     assert _digest(batch.timestamps, batch.offsets) == digest
