@@ -9,10 +9,11 @@ metastable lifetime are held fixed (they are measured independently); only
 their ratio enters, as the in-window decay weight.
 
 The maximum is found by projected, damped Fisher scoring (Osborne, Int.
-Stat. Rev. 60, 99 (1992)) against the closed-form expected information, in
-log means (so they stay ordered and positive) and in the error rates, which
-are held in [0, 0.5).  Uncertainties come from the inverse of the same
-information at the estimate, with an optional multinomial bootstrap.
+Stat. Rev. 60, 99 (1992)) against the closed-form expected information,
+directly in the four parameters: the means are held at 0 or above and in
+order, the error rates in [0, 0.5).  Uncertainties come from the inverse of
+the same information at the estimate, with an optional multinomial
+bootstrap.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import json_object, read_json, write_json
-from .monte_carlo import CountHistogram
+from .monte_carlo import CountHistogram, _is_int
 from .photon_statistics import MAX_DECAY_FRACTION, _readout_pmfs, count_support_max
 
 __all__ = [
@@ -41,8 +42,9 @@ _FIT_KEYS = ("std_errors", "log_likelihood", "converged", "n_iterations", "t_det
 
 _MAX_ITERATIONS, _MAX_HALVINGS = 200, 60  # Fisher-scoring steps; halvings per step
 _SCORE_TOL = 1e-11  # stop rule: largest per-shot score over the free parameters
-_RIDGE = 1e-9  # least Levenberg ridge, relative to the trace of the information
+_RIDGE = 1e-9  # least Levenberg ridge, relative to the diagonal of the information
 _LL_ROUNDING = 1e-13  # relative log-likelihood drop that a step may cause
+# upper bounds of the four parameters; every lower bound is 0
 _UPPER = np.array([np.inf, np.inf, np.nextafter(0.5, 0.0), np.nextafter(0.5, 0.0)])
 
 
@@ -61,9 +63,9 @@ class ReadoutParams:
     eps_up_tot: float
 
     def __post_init__(self) -> None:
-        if not (self.mean_bright > self.mean_dark >= 0.0):
+        if not (np.inf > self.mean_bright > self.mean_dark >= 0.0):
             raise ValueError(
-                "require mean_bright > mean_dark >= 0, got "
+                "require a finite mean_bright > mean_dark >= 0, got "
                 f"{self.mean_bright}, {self.mean_dark}"
             )
         for name in ("eps_down_tot", "eps_up_tot"):
@@ -158,17 +160,22 @@ def _bins(hist: CountHistogram) -> np.ndarray:
     return np.asarray(hist.counts_per_bin, dtype=float)
 
 
-def _ll_and_score(
+def _ll_score_info(
     theta: np.ndarray, h_down: np.ndarray | None, h_up: np.ndarray | None, f: float
-) -> tuple[float, np.ndarray]:
-    """Log-likelihood and its gradient in the natural parameters.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, its gradient and the expected (Fisher) information.
 
-    A zero-probability bin holding counts makes the log-likelihood -inf;
-    the gradient then clips that probability at 1e-300.
+    All three in the natural parameters, from one model call over the
+    histogram bins and the model's count support.  A zero-probability bin
+    holding counts makes the log-likelihood -inf; the gradient then clips
+    that probability at 1e-300.  The information is ``sum_s N_s sum_n dp
+    dp^T / p``; a parameter the histograms do not constrain (the error rate
+    of an absent state) has a zero row and column.
     """
-    n = np.arange(max(h.size for h in (h_down, h_up) if h is not None), dtype=float)
+    sizes = [h.size for h in (h_down, h_up) if h is not None]
+    n = np.arange(max(count_support_max(theta[0]) + 1, *sizes), dtype=float)
     p_down, p_up, grad_down, grad_up = _readout_pmfs(n, *theta, f)
-    ll, score = 0.0, np.zeros(4)
+    ll, score, info = 0.0, np.zeros(4), np.zeros((4, 4))
     for h, p, grad in ((h_down, p_down, grad_down), (h_up, p_up, grad_up)):
         if h is None:
             continue
@@ -176,26 +183,9 @@ def _ll_and_score(
         p_act = p[idx]
         ll = -np.inf if np.any(p_act <= 0.0) else ll + float(h[idx] @ np.log(p_act))
         score += grad[:, idx] @ (h[idx] / np.clip(p_act, 1e-300, None))
-    return ll, score
-
-
-def _information(
-    theta: np.ndarray, h_down: np.ndarray | None, h_up: np.ndarray | None, f: float
-) -> np.ndarray:
-    """Expected (Fisher) information ``sum_s N_s sum_n dp dp^T / p``.
-
-    Summed over the full count support of the model, in the natural
-    parameters.  A parameter the histograms do not constrain (the error rate
-    of an absent state) has a zero row and column.
-    """
-    n = np.arange(count_support_max(theta[0]) + 1, dtype=float)
-    p_down, p_up, grad_down, grad_up = _readout_pmfs(n, *theta, f)
-    info = np.zeros((4, 4))
-    for h, p, grad in ((h_down, p_down, grad_down), (h_up, p_up, grad_up)):
-        if h is not None:
-            keep = p > 0.0
-            info += h.sum() * (grad[:, keep] / p[keep]) @ grad[:, keep].T
-    return info
+        keep = p > 0.0
+        info += h.sum() * (grad[:, keep] / p[keep]) @ grad[:, keep].T
+    return ll, score, info
 
 
 def log_likelihood(
@@ -211,7 +201,7 @@ def log_likelihood(
     not raised): the parameter point is simply impossible.
     """
     f = _check_constants(t_det, lifetime)
-    return _ll_and_score(params.as_array(), _bins(hist_down), _bins(hist_up), f)[0]
+    return _ll_score_info(params.as_array(), _bins(hist_down), _bins(hist_up), f)[0]
 
 
 def log_likelihood_grad(
@@ -223,35 +213,15 @@ def log_likelihood_grad(
 ) -> np.ndarray:
     """Analytic gradient of ``log_likelihood`` in the natural parameters.
 
-    Order: (mean_bright, mean_dark, eps_down_tot, eps_up_tot).  Requires
-    mean_dark > 0 (at exactly zero the dark-mean derivative is one-sided).
+    Order: (mean_bright, mean_dark, eps_down_tot, eps_up_tot).  At
+    ``mean_dark == 0`` the dark-mean entry is the right derivative.
     """
-    if params.mean_dark <= 0.0:
-        raise ValueError("gradient requires mean_dark > 0")
     f = _check_constants(t_det, lifetime)
-    return _ll_and_score(params.as_array(), _bins(hist_down), _bins(hist_up), f)[1]
+    return _ll_score_info(params.as_array(), _bins(hist_down), _bins(hist_up), f)[1]
 
 
 # ---------------------------------------------------------------------------
 # Fitting
-
-
-# Fit coordinates v: log mean gap, log dark mean, the error rates (clipped).
-def _to_vector(theta: np.ndarray) -> np.ndarray:
-    mb, md, ed, eu = theta
-    return np.array([np.log(mb - md), np.log(max(md, 1e-12)), ed, eu])
-
-
-def _from_vector(v: np.ndarray) -> np.ndarray:
-    gap, md = np.exp(v[:2])
-    return np.array([gap + md, md, *np.clip(v[2:], 0.0, _UPPER[2:])])
-
-
-def _vector_jacobian(theta: np.ndarray) -> np.ndarray:
-    """d(theta)/d(v) as a 4x4 matrix (rows: natural, cols: fit coordinates)."""
-    jac = np.eye(4)
-    jac[:2, :2] = [[theta[0] - theta[1], theta[1]], [0.0, theta[1]]]
-    return jac
 
 
 def _initial_guess(h_down: np.ndarray, h_up: np.ndarray, f: float) -> np.ndarray:
@@ -267,8 +237,6 @@ def _initial_guess(h_down: np.ndarray, h_up: np.ndarray, f: float) -> np.ndarray
     weight_below = h_up[below].sum()
     mb = (h_down[above] @ n_down[above]) / weight_above if weight_above else mean_down
     md = (h_up[below] @ n_up[below]) / weight_below if weight_below else mean_up
-    md = max(float(md), 1e-6)
-    mb = max(float(mb), md * (1.0 + 1e-3) + 1e-3)
     ed = float(h_down[~above].sum() / h_down.sum())
     frac_up_above = float(h_up[~below].sum() / h_up.sum())
     eu = frac_up_above - 0.75 * f  # decays account for roughly f of the tail
@@ -293,25 +261,27 @@ def _standard_errors(info: np.ndarray) -> np.ndarray:
 
 
 def _maximize(
-    h_down: np.ndarray | None, h_up: np.ndarray | None, f: float, theta0: np.ndarray
+    h_down: np.ndarray | None, h_up: np.ndarray | None, f: float, theta: np.ndarray
 ):
-    """Projected, damped Fisher scoring of the log-likelihood from ``theta0``.
+    """Projected, damped Fisher scoring of the log-likelihood from ``theta``.
 
-    Each step solves the expected information, plus a Levenberg ridge,
-    against the score over the free parameters; it is halved until the
-    log-likelihood drops by no more than its rounding, and the ridge grows
-    tenfold after a halved step and shrinks after a full one (Marquardt).  A
-    parameter with no information is not free, nor is an error rate at 0 or
-    0.5 whose score points out of that bound (its KKT condition).
+    The loop runs in the natural parameters, in the box from 0 to
+    ``_UPPER``.  Each step solves the expected information, plus a
+    Levenberg ridge on its diagonal (so a parameter with little information
+    is not swamped by one with much), against the score over the free
+    parameters.  The trial is clipped to the box and halved while its means
+    are out of order or its log-likelihood drops by more than its rounding;
+    the ridge grows tenfold after a halved step and shrinks after a full one
+    (Marquardt).  A parameter with no information is not free, nor is one
+    at a bound whose score points out of it (its KKT condition), such as a
+    dark mean or an error rate at 0.
 
     Returns ``(theta, ll, converged, n_iterations, reason, std_errors)``.
     """
     n_total = sum(h.sum() for h in (h_down, h_up) if h is not None)
-    theta = _from_vector(_to_vector(theta0))
-    ll, score = _ll_and_score(theta, h_down, h_up, f)
+    ll, score, info = _ll_score_info(theta, h_down, h_up, f)
     reason, ridge = "iteration limit", _RIDGE
     for iteration in range(_MAX_ITERATIONS + 1):
-        info = _information(theta, h_down, h_up, f)
         held = ((theta == 0.0) & (score < 0.0)) | ((theta == _UPPER) & (score > 0.0))
         free = np.flatnonzero((np.diag(info) > 0.0) & ~held)
         if np.max(np.abs(score[free])) < _SCORE_TOL * n_total:
@@ -319,22 +289,20 @@ def _maximize(
             break
         if iteration == _MAX_ITERATIONS:
             break
-        jac = _vector_jacobian(theta)[np.ix_(free, free)]
-        info_v = jac.T @ info[np.ix_(free, free)] @ jac
-        info_v += ridge * np.trace(info_v) * np.eye(free.size)
+        info_free = info[np.ix_(free, free)]
         step = np.zeros(4)
-        step[free] = np.linalg.solve(info_v, jac.T @ score[free])
-        v = _to_vector(theta)
+        step[free] = np.linalg.solve(info_free + ridge * np.diag(np.diag(info_free)), score[free])
         for halvings in range(_MAX_HALVINGS):
-            trial = _from_vector(v + step)
-            ll_trial, score_trial = _ll_and_score(trial, h_down, h_up, f)
-            if ll_trial >= ll - _LL_ROUNDING * abs(ll):
-                break
+            trial = np.clip(theta + step, 0.0, _UPPER)
+            if trial[0] > trial[1]:
+                ll_trial, score_trial, info_trial = _ll_score_info(trial, h_down, h_up, f)
+                if ll_trial >= ll - _LL_ROUNDING * abs(ll):
+                    break
             step *= 0.5
         else:
             reason = "no ascent step"
             break
-        theta, ll, score = trial, ll_trial, score_trial
+        theta, ll, score, info = trial, ll_trial, score_trial, info_trial
         ridge = 10.0 * ridge if halvings else max(0.1 * ridge, _RIDGE)
     return theta, ll, reason == "score below tolerance", iteration, reason, _standard_errors(info)
 
@@ -384,7 +352,7 @@ def fit(
     f = _check_constants(t_det, lifetime)
     if mode not in ("joint", "independent"):
         raise ValueError(f"mode must be 'joint' or 'independent', got {mode!r}")
-    if bootstrap < 0 or bootstrap == 1:
+    if not _is_int(bootstrap) or bootstrap < 0 or bootstrap == 1:
         raise ValueError(f"bootstrap must be 0 or >= 2 resamples, got {bootstrap}")
     for name, hist in (("hist_down", hist_down), ("hist_up", hist_up)):
         if hist.total_shots < 100:

@@ -277,13 +277,14 @@ class CountHistogram:
     total_shots: int
 
     def __post_init__(self) -> None:
-        bins = np.asarray(self.counts_per_bin, dtype=np.int64)
-        if bins.ndim != 1 or bins.size == 0 or np.any(bins < 0):
+        bins = np.asarray(self.counts_per_bin)
+        if bins.dtype.kind not in "iu" or bins.ndim != 1 or bins.size == 0 or np.any(bins < 0):
             raise ValueError("counts_per_bin must be a 1-D array of counts >= 0")
+        bins = bins.astype(np.int64)
+        if not _is_int(self.total_shots) or self.total_shots < 1:
+            raise ValueError(f"total_shots must be a positive integer, got {self.total_shots!r}")
         if int(bins.sum()) != self.total_shots:
             raise ValueError("counts_per_bin must sum to total_shots")
-        if self.total_shots < 1:
-            raise ValueError("histogram must contain at least one shot")
         object.__setattr__(self, "counts_per_bin", bins)
 
     @classmethod

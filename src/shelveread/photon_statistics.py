@@ -207,13 +207,22 @@ def count_support_max(mean_bright: float) -> int:
     """
     if mean_bright < 0.0:
         raise ValueError("mean_bright must be non-negative")
-    return int(np.ceil(mean_bright + 12.0 * np.sqrt(mean_bright))) + 5
+    return int(_support_top(mean_bright, 12.0, 5))
 
 
 def _sampling_support_max(mean):
     # Wider than the analytic support: no quantile draw or decay-mixture tail
     # sum may fall off it (beyond 16 sigma is ~1e-40 of the mass).  Elementwise.
-    return np.ceil(mean + 16.0 * np.sqrt(mean)).astype(np.int64) + 20
+    return _support_top(mean, 16.0, 20)
+
+
+def _support_top(mean, sigmas: float, floor: int):
+    """``ceil(mean + sigmas*sqrt(mean)) + floor`` as int64; a mean without such a support raises."""
+    top = np.ceil(mean + sigmas * np.sqrt(mean))
+    # NaN fails too; the largest float below 2**63 is 1024 below it, room for floor
+    if not np.all(top < 2.0**63):
+        raise ValueError(f"mean photon number {np.max(mean)} has no count support within int64")
+    return top.astype(np.int64) + floor
 
 
 def _support(model: DetectionModel) -> np.ndarray:
@@ -303,7 +312,7 @@ def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
     Returns ``(p_down, p_up, grad_down, grad_up)`` on the counts ``n = 0..N``;
     the gradients have shape ``(4, N + 1)`` and are taken with respect to
     (mean_bright, mean_dark, eps_down, eps_up).  At ``mean_dark == 0`` the
-    dark-mean derivatives are set to 0 (the true derivative is one-sided).
+    dark-mean derivatives are the right derivatives.
     """
     n = np.asarray(n)
     padded = np.arange(_sampling_support_max(max(mean_bright, n.size)) + 1)
@@ -312,7 +321,8 @@ def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
     # d Poisson(n, mu)/d mu = Poisson * (n/mu - 1); safe at small mu because
     # the Poisson factor carries mu^n.
     dpb = pb * (n / mean_bright - 1.0)
-    dpd = pd * (n / mean_dark - 1.0) if mean_dark > 0.0 else np.zeros_like(pd)
+    # At mu = 0 the right derivative is Poisson(n - 1, 0) - Poisson(n, 0).
+    dpd = pd * (n / mean_dark - 1.0) if mean_dark > 0.0 else (n == 1).astype(float) - (n == 0)
     gap = mean_bright - mean_dark
     if gap < 1.0:
         # g = int_0^1 Poisson(mean_dark + u*gap) du, and its mean derivatives

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shelveread.mle_fit as mle_fit
@@ -47,11 +47,12 @@ def _pmfs(eps_down=TRUTH.eps_down_tot, eps_up=TRUTH.eps_up_tot):
 
 
 def _projected_score(result, h_down, h_up):
-    """Per-shot score at the fit; an error rate pinned at a bound may point out of it."""
+    """Per-shot score at the fit; the dark mean or an error rate pinned at a
+    bound may point out of it."""
     grad = log_likelihood_grad(result.params, h_down, h_up, result.t_det, result.lifetime)
     grad /= h_down.total_shots + h_up.total_shots
     theta, rate = result.params.as_array(), np.arange(4) >= 2
-    grad = np.where(rate & (theta == 0.0), np.maximum(grad, 0.0), grad)
+    grad = np.where(theta == 0.0, np.maximum(grad, 0.0), grad)
     return np.where(rate & (theta == np.nextafter(0.5, 0.0)), np.minimum(grad, 0.0), grad)
 
 
@@ -241,6 +242,17 @@ def test_zero_error_init_reaches_the_same_optimum(sampled_pair):
     assert np.all(np.abs(from_zero.params.as_array() - base.params.as_array()) < 1e-6 * se)
 
 
+def test_zero_dark_mean_init_reaches_the_same_optimum(sampled_pair):
+    # the loop starts with the dark mean and both error rates on their bounds
+    h_down, h_up = sampled_pair
+    base = fit(h_down, h_up, T_DET, LIFETIME)
+    from_zero = fit(h_down, h_up, T_DET, LIFETIME, init=ReadoutParams(5.0, 0.0, 0.0, 0.0))
+    assert from_zero.details["optimizer"] == "score below tolerance"
+    assert from_zero.log_likelihood >= base.log_likelihood - 1e-12 * abs(base.log_likelihood)
+    se = np.array(list(base.std_errors.values()))
+    assert np.all(np.abs(from_zero.params.as_array() - base.params.as_array()) < 1e-6 * se)
+
+
 @pytest.mark.parametrize("mode", ["joint", "independent"])
 def test_fit_at_zero_error_rates(mode):
     # error-free preparation: the estimates sit on (or next to) the bound at 0
@@ -271,6 +283,14 @@ def test_fit_at_zero_error_rates(mode):
     f=st.floats(1e-6, 0.1, exclude_max=True),
     log_shots=st.integers(3, 9),
 )
+# draws that failed before the loop ran in the natural parameters: a dark
+# mean converging linearly, a zero-dark-mean optimum, and a dark mean
+# starting at zero with 10^3 shots, whose log stepped far out of range
+@example(21.0, 2**-8, 0.0, 0.0, 0.0625, 9)
+@example(3.0, 1e-3, 0.484, 0.375, 0.0625, 3)
+@example(3.0, 0.03125, 0.4375, 0.0, 0.0625, 3)
+@example(3.0, 0.0625, 0.4375, 0.0, 0.0078125, 3)
+@example(3.0, 0.0625, 0.46875, 0.0, 0.0625, 3)
 def test_joint_fit_converges_over_the_validated_region(
     mean_bright, dark_share, eps_down, eps_up, f, log_shots
 ):
@@ -303,10 +323,19 @@ def test_validation():
         fit(good_down, good_up, T_DET, LIFETIME, bootstrap=-1)
     with pytest.raises(ValueError, match="bootstrap"):
         fit(good_down, good_up, T_DET, LIFETIME, bootstrap=1)  # no spread from one resample
+    for bootstrap in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="bootstrap"):
+            fit(good_down, good_up, T_DET, LIFETIME, bootstrap=bootstrap)
     with pytest.raises(ValueError):
         ReadoutParams(0.5, 20.0, 0.0, 0.0)  # means out of order
     with pytest.raises(ValueError):
         ReadoutParams(20.0, 0.5, 0.6, 0.0)  # eps >= 0.5
+    for mean_bright in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ReadoutParams(mean_bright, 0.5, 0.0, 0.0)
+    # a finite mean whose count support does not fit in int64
+    with pytest.raises(ValueError, match="no count support"):
+        log_likelihood(ReadoutParams(1e20, 1.0, 0.0, 0.0), good_down, good_up, T_DET, LIFETIME)
 
 
 def test_impossible_bin_reports_neg_inf():

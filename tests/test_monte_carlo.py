@@ -678,6 +678,12 @@ def test_histogram_container():
         CountHistogram(np.array([1, 2]), total_shots=4)
     with pytest.raises(ValueError):
         CountHistogram(np.array([-1, 5]), total_shots=4)
+    # bins and the shot count are integers: no silent truncation
+    with pytest.raises(ValueError, match="counts_per_bin"):
+        CountHistogram([1.9, 1.2], 2)
+    for total in (10.0, True):
+        with pytest.raises(ValueError, match="total_shots must be a positive integer"):
+            CountHistogram([5, 5], total)
 
 
 def test_trace_batch_validation(measured_model):

@@ -23,7 +23,11 @@ from shelveread.photon_statistics import (
     observed_pdf_up,
     poisson_pmf,
 )
-from shelveread.photon_statistics import _decay_mixture_from_means, _readout_pmfs
+from shelveread.photon_statistics import (
+    _decay_mixture_from_means,
+    _readout_pmfs,
+    _sampling_support_max,
+)
 
 
 def poisson_reference(n: int, mean: float) -> float:
@@ -260,15 +264,16 @@ def test_readout_model_normalized_with_exact_gradient(
     assert abs(p_down.sum() - 1.0) < 1e-12
     assert abs(p_up.sum() - 1.0) < 1e-12
 
-    # the dark-mean derivative is one-sided at a zero dark mean
-    for k in range(4) if theta[1] > 0.0 else (0, 2, 3):
-        step = 1e-4 * theta[k] if k < 2 else 1e-6
+    # at a zero dark mean its derivative is the right derivative: a one-sided difference
+    for k in range(4):
+        step = (1e-4 * theta[k] or 1e-7) if k < 2 else 1e-6
         plus, minus = theta.copy(), theta.copy()
         plus[k] += step
-        minus[k] -= step
+        if theta[k] > 0.0 or k > 1:
+            minus[k] -= step
         up, down = _readout_pmfs(n, *plus, f), _readout_pmfs(n, *minus, f)
         for state, grad in ((0, grad_down), (1, grad_up)):
-            central = (up[state] - down[state]) / (2.0 * step)
+            central = (up[state] - down[state]) / (plus[k] - minus[k])
             assert np.abs(central - grad[k]).max() <= 1e-5 * np.abs(grad).max()
 
 
@@ -276,3 +281,14 @@ def test_support_covers_twelve_sigma(measured_model):
     support = count_support_max(measured_model.mean_bright)
     assert support >= measured_model.mean_bright + 12 * math.sqrt(measured_model.mean_bright)
     assert bright_pdf(measured_model).probs.size == support + 1
+
+
+def test_support_rejects_out_of_range_means():
+    # one line naming the mean, not a wrapped int64 cast and an empty support
+    for mean in (np.inf, np.nan, 1e20):
+        for support in (count_support_max, _sampling_support_max):
+            with pytest.raises(ValueError, match="no count support within int64"):
+                support(mean)
+    with pytest.raises(ValueError, match="mean photon number inf"):
+        _sampling_support_max(np.array([5.0, np.inf]))
+    assert _sampling_support_max(np.array([0.0, 1e18])).tolist() == [20, 10**18 + 16 * 10**9 + 20]
