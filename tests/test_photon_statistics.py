@@ -257,7 +257,7 @@ def test_observed_pdf_up_weight_validation(measured_model):
 def test_readout_model_normalized_with_exact_gradient(
     mean_bright, dark_share, eps_down, eps_up, f
 ):
-    """Over the constructors' region: unit mass and gradient == central differences."""
+    """Over the constructors' region: unit mass and gradient == finite differences."""
     theta = np.array([mean_bright, dark_share * mean_bright, eps_down, eps_up])
     n = np.arange(count_support_max(mean_bright) + 1)
     p_down, p_up, grad_down, grad_up = _readout_pmfs(n, *theta, f)
@@ -273,8 +273,8 @@ def test_readout_model_normalized_with_exact_gradient(
             minus[k] -= step
         up, down = _readout_pmfs(n, *plus, f), _readout_pmfs(n, *minus, f)
         for state, grad in ((0, grad_down), (1, grad_up)):
-            central = (up[state] - down[state]) / (plus[k] - minus[k])
-            assert np.abs(central - grad[k]).max() <= 1e-5 * np.abs(grad).max()
+            difference = (up[state] - down[state]) / (plus[k] - minus[k])
+            assert np.abs(difference - grad[k]).max() <= 1e-5 * np.abs(grad).max()
 
 
 def test_support_covers_twelve_sigma(measured_model):
