@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # Names the sampler's random-stream layout (see ``monte_carlo``).  Every CLI
 # artifact records it next to the version; change it whenever any shot's
 # values change.
-RNG_STREAM = "philox4x64-10/shot-group/3"
+RNG_STREAM = "philox4x64-10/shot-group/4"
 
 # public name -> submodule that defines it
 _EXPORTS = {

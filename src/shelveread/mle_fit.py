@@ -44,6 +44,8 @@ _MAX_ITERATIONS, _MAX_HALVINGS = 200, 60  # Fisher-scoring steps; halvings per s
 _SCORE_TOL = 1e-11  # stop rule: largest per-shot score over the free parameters
 _RIDGE = 1e-9  # least Levenberg ridge, relative to the diagonal of the information
 _LL_ROUNDING = 1e-13  # relative log-likelihood drop that a step may cause
+# the stop reasons that count as converged
+_CONVERGED = ("score below tolerance", "predicted gain below rounding")
 # upper bounds of the four parameters; every lower bound is 0
 _UPPER = np.array([np.inf, np.inf, np.nextafter(0.5, 0.0), np.nextafter(0.5, 0.0)])
 
@@ -86,12 +88,14 @@ class FitResult:
     ``std_errors`` maps each parameter name to its standard error from the
     inverse expected (Fisher) information matrix at the estimate (NaN where
     that matrix could not be inverted).  ``converged``: the per-shot score
-    over the free parameters fell below 1e-11.  ``n_iterations``: Fisher
-    scoring steps taken (both fits summed in independent mode).
+    over the free parameters fell below 1e-11, or no further step could
+    show in the log-likelihood.  ``n_iterations``: Fisher scoring steps
+    taken (both fits summed in independent mode).
     ``details["optimizer"]``: why the iteration stopped (``"score below
-    tolerance"``, ``"iteration limit"`` or ``"no ascent step"``), one reason
-    per state in independent mode, where ``details["per_state"]`` also holds
-    the two per-ensemble parameter sets.
+    tolerance"``, ``"predicted gain below rounding"``, ``"iteration
+    limit"`` or ``"no ascent step"``), one reason per state in independent
+    mode, where ``details["per_state"]`` also holds the two per-ensemble
+    parameter sets.
     """
 
     params: ReadoutParams
@@ -276,22 +280,39 @@ def _maximize(
     at a bound whose score points out of it (its KKT condition), such as a
     dark mean or an error rate at 0.
 
+    It stops when the largest per-shot score over the free parameters falls
+    below ``_SCORE_TOL``, or when the last step could not show: its
+    predicted gain, half the score times the step (the Newton decrement,
+    Boyd & Vandenberghe, *Convex Optimization* 9.5.1), was below the
+    log-likelihood's rounding, and it neither changed which parameters are
+    free nor shrank their largest score.  The second rule ends a walk along
+    a direction the data do not identify, such as a bright-only fit's dark
+    mean when eps_down is near 0.
+
     Returns ``(theta, ll, converged, n_iterations, reason, std_errors)``.
     """
     n_total = sum(h.sum() for h in (h_down, h_up) if h is not None)
     ll, score, info = _ll_score_info(theta, h_down, h_up, f)
     reason, ridge = "iteration limit", _RIDGE
+    # the last step's predicted gain, the parameters it moved and their largest score before it
+    gain, moved, before = np.inf, None, np.inf
     for iteration in range(_MAX_ITERATIONS + 1):
         held = ((theta == 0.0) & (score < 0.0)) | ((theta == _UPPER) & (score > 0.0))
         free = np.flatnonzero((np.diag(info) > 0.0) & ~held)
-        if np.max(np.abs(score[free])) < _SCORE_TOL * n_total:
+        largest = np.max(np.abs(score[free]))
+        if largest < _SCORE_TOL * n_total:
             reason = "score below tolerance"
+            break
+        if gain < _LL_ROUNDING * abs(ll) and np.array_equal(free, moved) and largest >= before:
+            reason = "predicted gain below rounding"
             break
         if iteration == _MAX_ITERATIONS:
             break
+        moved, before = free, largest
         info_free = info[np.ix_(free, free)]
         step = np.zeros(4)
         step[free] = np.linalg.solve(info_free + ridge * np.diag(np.diag(info_free)), score[free])
+        gain = 0.5 * score @ step
         for halvings in range(_MAX_HALVINGS):
             trial = np.clip(theta + step, 0.0, _UPPER)
             if trial[0] > trial[1]:
@@ -304,7 +325,7 @@ def _maximize(
             break
         theta, ll, score, info = trial, ll_trial, score_trial, info_trial
         ridge = 10.0 * ridge if halvings else max(0.1 * ridge, _RIDGE)
-    return theta, ll, reason == "score below tolerance", iteration, reason, _standard_errors(info)
+    return theta, ll, reason in _CONVERGED, iteration, reason, _standard_errors(info)
 
 
 # Independent mode reports the means and error rates each from the

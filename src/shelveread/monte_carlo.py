@@ -1,12 +1,12 @@
 """Monte Carlo shelving-readout shots with reproducible counter-keyed streams.
 
-All randomness comes from numpy's Philox4x64-10 keyed by the seed.  A
-shot's state draws sit at counter (shot index, 0, 0, 0); the photon
-arrival times of each fixed group of ``_EVENT_GROUP`` shots come from one
-stream of the group's own (see ``_philox``).  So ``simulate_shot(i)``
-reproduces row ``i`` of a batch bit for bit, batches may be sharded across
-threads without changing any outcome, and no generator state is carried
-between shots or groups.
+All randomness comes from numpy's Philox4x64-10 keyed by the seed.  Each
+Philox block of the state stream holds the two state words of two shots,
+shot i's at counter (i // 2 + 1, 0, 0, 0); the photon arrival times of each
+fixed group of ``_EVENT_GROUP`` shots come from one stream of the group's
+own (see ``_philox``).  So ``simulate_shot(i)`` reproduces row ``i`` of a
+batch bit for bit, batches may be sharded across threads without changing
+any outcome, and no generator state is carried between shots or groups.
 
 A shot is simulated as: (1) flip the prepared state with the corresponding
 preparation error probability, (2) if the effective state is dark, draw the
@@ -14,17 +14,16 @@ in-window decay instant under the configured law, (3) draw the total photon
 count from a Poisson at the window's integrated rate, and, in trace mode,
 (4) place the photons by inverting the cumulative rate profile and sorting
 them per shot.  With the decay instant uniform in the window, the simulated
-counts marginalize exactly to the closed-form count distributions
+counts marginalize to the closed-form count distributions
 ``photon_statistics.observed_pdf_down``/``observed_pdf_up``, which both come
-from the one readout model in ``photon_statistics._readout_pmfs``.
+from the one readout model in ``photon_statistics._readout_pmfs``, to within
+the 2**-32 resolution of the flip and decay draws.
 
-Each chunk of shots is classified from the raw 64-bit words of its block 0,
-not from their uniforms: the flip draw, and under the uniform law the decay
-draw, is the integer compare ``w < ceil(p * 2**53) * 2**11``, which holds
-exactly when the word's uniform ``(w >> 11) * 2**-53`` is below p.  Only
-the count uniform becomes a float for every shot; the decay position does
-so for decayed shots alone, and the exponential law's decay uniform for
-dark shots alone.
+Each chunk of shots is classified from the raw words of its state stream,
+not from uniforms (``_window_profile``): the two 32-bit halves of a shot's
+first word are its flip and decay draws, integer compares against
+``ceil(p * 2**32)`` (``_threshold``), and the top 53 bits of its second
+word are the count uniform, the one float every shot needs.
 
 The count is the exact inverse CDF, the number of Poisson CDF values <= the
 shot's uniform.  Every shot of a chunk is drawn in one pass from a guide
@@ -142,8 +141,8 @@ class DecayTimeLaw(Enum):
 
     UNIFORM_FIRST_ORDER draws a decay with probability ``t_det/lifetime`` at
     an instant uniform over the window -- the same first-order treatment as
-    the closed-form count distributions, so simulated counts match them
-    exactly.  EXPONENTIAL draws the physical exponential decay time and
+    the closed-form count distributions, so simulated counts match them to
+    within 2**-32.  EXPONENTIAL draws the physical exponential decay time and
     truncates it to the window.
     """
 
@@ -302,14 +301,17 @@ class CountHistogram:
 
 # numpy's Philox4x64-10 keyed by (seed, 0).  numpy increments the 256-bit
 # counter before each block, so a generator built at counter c emits block
-# c + 1 (word 0 carrying) first.  Shot i's four state draws (flip, decay,
-# decay position, total count) are the block at counter (i + 1, 0, 0, 0),
-# so one generator built at (lo, 0, 0, 0) walks the state draws of shots
-# lo, lo + 1, ...  The arrival times of event group g (shots g * G to
-# (g + 1) * G - 1, G = ``_EVENT_GROUP``) are the words of the stream built
-# at (0, 0, g, 1), one word per photon in shot order; word 3 keeps every
-# event stream apart from the state draws.  ``RNG_STREAM`` names this
-# layout in every CLI artifact; change it whenever any shot's values change.
+# c + 1 (word 0 carrying) first.  The block at counter (k + 1, 0, 0, 0)
+# holds the state words of shots 2k (words 0 and 1) and 2k + 1 (words 2 and
+# 3): a shot's first word is its flip and decay draw, split in 32-bit
+# halves, its second the count uniform.  So one generator built at
+# (lo // 2, 0, 0, 0) walks the state words of shots lo, lo + 1, ... once it
+# drops the two words of shot lo - 1 when lo is odd.  The arrival times of
+# event group g (shots g * G to (g + 1) * G - 1, G = ``_EVENT_GROUP``) are
+# the words of the stream built at (0, 0, g, 1), one word per photon in
+# shot order; word 3 keeps every event stream apart from the state words.
+# ``RNG_STREAM`` names this layout in every CLI artifact; change it whenever
+# any shot's values change.
 
 def _philox(seed: int, counter: tuple) -> np.random.Philox:
     """The generator built at the four-word ``counter``; its first block is at ``counter`` + 1."""
@@ -320,8 +322,10 @@ def _philox(seed: int, counter: tuple) -> np.random.Philox:
 
 
 def _words(seed: int, lo: int, n: int) -> np.ndarray:
-    """The state draws of shots ``lo..lo+n-1`` as an ``(n, 4)`` array of raw uint64 words."""
-    return _philox(seed, (lo, 0, 0, 0)).random_raw(4 * n).reshape(n, 4)
+    """The state words of shots ``lo..lo+n-1`` as an ``(n, 2)`` array of raw uint64 words."""
+    bits = _philox(seed, (lo >> 1, 0, 0, 0))
+    bits.random_raw(2 * (lo & 1))
+    return bits.random_raw(2 * n).reshape(n, 2)
 
 
 def _event_words(seed: int, group: int, skip: int, n: int) -> np.ndarray:
@@ -336,22 +340,13 @@ def _event_words(seed: int, group: int, skip: int, n: int) -> np.ndarray:
     return bits.random_raw(n)
 
 
-def _unit(words: np.ndarray) -> np.ndarray:
-    """The uniform of each raw word on [0, 1): its top 53 bits times 2**-53.
+def _threshold(p: float) -> int:
+    """Half-word bound of a draw below ``p``: ``h < _threshold(p)`` iff ``h * 2**-32 < p``.
 
-    numpy's ``Generator.random`` maps each Philox word to this uniform.
+    For 0 <= p < 0.5, ``p * 2**32`` is exact, so the bound ``ceil(p *
+    2**32)`` is exact and at most 2**31: a probability resolves to 2**-32.
     """
-    return (words >> np.uint64(11)) * 2.0**-53
-
-
-def _threshold(p: float) -> np.uint64:
-    """Raw-word bound of a draw below ``p``: ``w < _threshold(p)`` iff ``_unit(w) < p``.
-
-    For 0 <= p < 1, ``p * 2**53`` is exact, so ``(w >> 11) * 2**-53 < p``
-    iff ``w >> 11 < ceil(p * 2**53)`` iff ``w < ceil(p * 2**53) * 2**11``,
-    which is at most 2**64 - 2**11.
-    """
-    return np.uint64(math.ceil(p * 2.0**53) << 11)
+    return math.ceil(p * 2.0**32)
 
 
 class _Window(NamedTuple):
@@ -366,36 +361,45 @@ class _Window(NamedTuple):
 
 
 def _window_profile(prepared: Prepared, config: SimConfig, lo: int, hi: int) -> _Window:
-    """Classify shots ``lo..hi-1`` from the raw words of their block 0.
+    """Classify shots ``lo..hi-1`` from the raw words of their state stream.
 
     Every window is modeled as dark rate on [0, T) and bright rate on
     [T, t_det]: an effectively bright shot has T = 0 and mean exactly
     ``model.mean_bright``, an undecayed dark shot T = t_det and mean exactly
     ``model.mean_dark``; only in-window decays have a T and a mean of their
-    own.  Lane 0 flips the prepared state and, under the uniform law, lane 1
-    decides a dark shot's decay: both are integer compares on the raw words
-    (``_threshold``).  Only the lanes a shot uses become floats: lane 3, the
-    count uniform, for every shot, lane 2 (the decay position) for decayed
-    shots, and lane 1 for dark shots under the exponential law.
+    own.  A shot's two words are its lanes.  Lane 0's high half flips the
+    prepared state, as the compare ``w < _threshold(eps) << 32`` of the
+    whole word; its low half d, for dark shots, is the decay draw: under the
+    uniform law a decay iff ``d < D = _threshold(f)``, at ``d / D * t_det``,
+    and under the exponential law at ``-lifetime * log1p(-d * 2**-32)``,
+    kept if inside the window.  Lane 1 is the count uniform, the only lane
+    that becomes a float for every shot.
     """
-    w_flip, w_decay, w_pos, w_count = _words(config.seed, lo, hi - lo).T
+    w_state, w_count = _words(config.seed, lo, hi - lo).T
     model = config.model
     eps = (
         config.errors.eps_down_tot
         if prepared is Prepared.DOWN
         else config.errors.eps_up_tot
     )
-    flip = w_flip < _threshold(eps)
+    flip = w_state < np.uint64(_threshold(eps) << 32)
     dark = flip if prepared is Prepared.DOWN else ~flip
+    # The spent bits are shifted out in place, which saves a chunk-sized
+    # temporary per lane: lane 0 keeps d * 2**32, lane 1 its top 53 bits.
+    w_state <<= np.uint64(32)
+    w_count >>= np.uint64(11)
     if config.decay_time_law is DecayTimeLaw.UNIFORM_FIRST_ORDER:
-        decayed = np.flatnonzero(dark & (w_decay < _threshold(model.decay_fraction)))
-        t_decay = _unit(w_pos[decayed]) * model.t_det
+        bound = _threshold(model.decay_fraction)
+        decayed = np.flatnonzero(dark & (w_state < np.uint64(bound << 32)))
+        t_decay = (w_state[decayed] >> np.uint64(32)) / bound * model.t_det
     else:
         decayed = np.flatnonzero(dark)
-        t_decay = -model.lifetime * np.log1p(-_unit(w_decay[decayed]))
+        # d * 2**32 * 2**-64 is d * 2**-32 exactly
+        t_decay = -model.lifetime * np.log1p(w_state[decayed] * -(2.0**-64))
         inside = t_decay < model.t_det
         decayed, t_decay = decayed[inside], t_decay[inside]
-    return _Window(_unit(w_count), dark, np.flatnonzero(flip), decayed, t_decay, _window_mean(model, t_decay))
+    u_count = w_count * 2.0**-53
+    return _Window(u_count, dark, np.flatnonzero(flip), decayed, t_decay, _window_mean(model, t_decay))
 
 
 def _window_mean(model: DetectionModel, t_switch):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -59,19 +62,29 @@ def _philox(seed, counter):
 def _reference_shots(prepared, config, lo, hi):
     """``(T, mu, counts)`` of shots ``lo..hi-1`` in the float layout.
 
-    Each shot's four state uniforms, numpy's ``Generator.random`` over the
-    stream at counter (lo, 0, 0, 0), decide its flip, decay and decay
-    instant as floats, and every count is the table-free
+    The block at counter (k + 1, 0, 0, 0) holds shots 2k and 2k + 1, two
+    words each; the blocks are drawn whole from a generator at (lo // 2, 0,
+    0, 0).  The high and low halves of a shot's first word, times 2**-32,
+    are its flip and decay uniforms, compared as floats: a uniform-law decay
+    lies at d / D * t_det, D = ceil(f * 2**32) computed exactly, an
+    exponential one at -lifetime * log1p(-d * 2**-32).  The second word's
+    top 53 bits are the count uniform, and every count is the table-free
     ``_poisson_quantile``.  The samplers must reproduce this bit for bit.
     """
-    u_flip, u_decay, u_pos, u_count = np.random.Generator(_philox(config.seed, [lo, 0, 0, 0])).random((hi - lo, 4)).T
+    first = lo - lo % 2
+    blocks = (hi - first + 1) // 2
+    words = _philox(config.seed, [first // 2, 0, 0, 0]).random_raw((blocks, 4)).reshape(-1, 2)
+    w_state, w_count = words[lo - first : hi - first].T
+    high, low = w_state >> np.uint64(32), w_state & np.uint64(2**32 - 1)
+    u_flip, u_decay, u_count = high * 2.0**-32, low * 2.0**-32, (w_count >> np.uint64(11)) * 2.0**-53
     model = config.model
     down = prepared is Prepared.DOWN
     eps = config.errors.eps_down_tot if down else config.errors.eps_up_tot
     flipped = u_flip < eps
     dark = flipped if down else ~flipped
     if config.decay_time_law is mc.DecayTimeLaw.UNIFORM_FIRST_ORDER:
-        t_switch = np.where(u_decay < model.decay_fraction, u_pos * model.t_det, model.t_det)
+        bound = math.ceil(Fraction(model.decay_fraction) * 2**32)
+        t_switch = np.where(u_decay < model.decay_fraction, low / bound * model.t_det, model.t_det)
     else:
         t_switch = np.minimum(-model.lifetime * np.log1p(-u_decay), model.t_det)
     t_switch = np.where(dark, t_switch, 0.0)

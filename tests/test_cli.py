@@ -62,11 +62,11 @@ def test_optimize_default_config(tmp_path, capsys):
     assert meta["tool"] == "shelveread" and meta["command"] == "optimize"
     assert len(meta["config_sha256"]) == 64
     assert all(c in "0123456789abcdef" for c in meta["config_sha256"])
-    assert meta["rng_stream"] == "philox4x64-10/shot-group/3"
+    assert meta["rng_stream"] == shelveread.RNG_STREAM
 
     surface_path = tmp_path / "error_surface.csv"
     assert surface_path.read_text().startswith("# tool: shelveread\n")
-    assert "# rng_stream: philox4x64-10/shot-group/3\n" in surface_path.read_text()
+    assert f"# rng_stream: {shelveread.RNG_STREAM}\n" in surface_path.read_text()
     t_values, n_values, surface = read_error_surface_csv(surface_path)
     assert surface.shape == (111, 31)  # 50..600 us by 5, thresholds 0..30
     assert surface.min() == pytest.approx(optimum["eps_mean"], rel=1e-12)

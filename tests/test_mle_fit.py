@@ -291,6 +291,11 @@ def test_fit_at_zero_error_rates(mode):
 @example(3.0, 0.03125, 0.4375, 0.0, 0.0625, 3)
 @example(3.0, 0.0625, 0.4375, 0.0, 0.0078125, 3)
 @example(3.0, 0.0625, 0.46875, 0.0, 0.0625, 3)
+# the free parameters change after a step of too small a predicted gain to
+# show: eps_up leaves its bound at 0, or eps_down reaches 0.5 as eps_up
+# leaves it; the predicted-gain rule must not stop there
+@example(54.80714319787993, 0.50390625, 0.0, 0.0, 0.0390625, 9)
+@example(3.0, 0.8125, 0.4999999999999999, 0.4999999999999999, 0.03125, 9)
 def test_joint_fit_converges_over_the_validated_region(
     mean_bright, dark_share, eps_down, eps_up, f, log_shots
 ):
@@ -302,6 +307,29 @@ def test_joint_fit_converges_over_the_validated_region(
     result = fit(h_down, h_up, f, 1.0)  # t_det/lifetime = f exactly
     assert result.converged, result.details
     assert np.all(np.abs(_projected_score(result, h_down, h_up)) < 1e-11)
+
+
+def test_independent_fit_stops_on_an_unidentified_dark_mean():
+    # Exact-expectation histograms at 10^9 shots with eps_down = 0: the
+    # bright-only fit does not identify the dark mean, and its accepted
+    # steps only walk within the rounding of the log-likelihood, so the
+    # score rule alone ran into the iteration limit.  The predicted-gain
+    # rule stops it; the up fit and the joint fit still stop on the score.
+    mean_bright, dark_share, eps_up, f = 43.56373970187404, 0.784960155454172, 0.46307212722895513, 0.004473857345564882
+    n = np.arange(count_support_max(mean_bright) + 1)
+    pmfs = _readout_pmfs(n, mean_bright, dark_share * mean_bright, 0.0, eps_up, f)[:2]
+    bins = [np.rint(p * 1e9).astype(np.int64) for p in pmfs]
+    h_down, h_up = (CountHistogram(b, int(b.sum())) for b in bins)
+    result = fit(h_down, h_up, f, 1.0, mode="independent")
+    assert result.converged
+    assert result.details["optimizer"] == {"down": "predicted gain below rounding", "up": "score below tolerance"}
+    assert result.n_iterations < 50
+    joint = fit(h_down, h_up, f, 1.0)
+    assert joint.details["optimizer"] == "score below tolerance"
+    # the reported bright mean and eps_down, from the bright-only fit,
+    # agree with the joint fit
+    for name in ("mean_bright", "eps_down_tot"):
+        assert abs(getattr(result, name) - getattr(joint, name)) < joint.std_errors[name], name
 
 
 def test_validation():

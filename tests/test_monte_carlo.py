@@ -377,6 +377,42 @@ def test_arrival_times_follow_the_cumulative_rate(law, rate_dark, seed, referenc
         assert p_value > _KS_ALPHA, f"{name}: p = {p_value:.2e}"
 
 
+@pytest.mark.parametrize(
+    "tau,eps,law,seed",
+    [
+        (0.390, 1e-3, DecayTimeLaw.UNIFORM_FIRST_ORDER, 2031),
+        (0.390, 1e-3, DecayTimeLaw.EXPONENTIAL, 2032),
+        (285e-6 / 0.099, float(np.nextafter(0.5, 0.0)), DecayTimeLaw.UNIFORM_FIRST_ORDER, 2033),
+        (285e-6 / 0.099, float(np.nextafter(0.5, 0.0)), DecayTimeLaw.EXPONENTIAL, 2034),
+    ],
+    ids=["paper-uniform", "paper-exponential", "corner-uniform", "corner-exponential"],
+)
+def test_state_draws_follow_their_laws(tau, eps, law, seed):
+    # 10^6 UP shots, classified from the 32-bit halves of their state words.
+    # The flip fraction estimates eps and the decay fraction of the dark
+    # shots f (uniform law) or 1 - exp(-f) (exponential law), each within
+    # its binomial SE; the decay instants over t_det are uniform, or follow
+    # the exponential truncated to the window (Kolmogorov-Smirnov).  The 12
+    # checks of the four cases share the level _KS_ALPHA (Bonferroni).
+    model = DetectionModel(73.5e3, 1.75e3, tau, 285e-6)
+    config = SimConfig(model, ErrorRates(eps, eps), shots=10**6, seed=seed, decay_time_law=law)
+    window = mc._window_profile(Prepared.UP, config, 0, config.shots)
+    alpha = _KS_ALPHA / 12
+    z = stats.norm.isf(alpha / 2)
+    f = model.decay_fraction
+    p_decay = f if law is DecayTimeLaw.UNIFORM_FIRST_ORDER else -math.expm1(-f)
+    n_dark = int(window.dark.sum())
+    for p, hits, trials in ((eps, window.flipped.size, config.shots), (p_decay, window.decayed.size, n_dark)):
+        assert abs(hits / trials - p) < z * math.sqrt(p * (1.0 - p) / trials), (p, hits, trials)
+    x = window.t_decay / model.t_det
+    assert np.all((x >= 0.0) & (x < 1.0))
+    if law is DecayTimeLaw.UNIFORM_FIRST_ORDER:
+        p_value = stats.kstest(x, "uniform").pvalue
+    else:
+        p_value = stats.kstest(x, lambda v: np.expm1(-f * v) / np.expm1(-f)).pvalue
+    assert p_value > alpha, f"p = {p_value:.2e}"
+
+
 def test_up_traces_rear_loaded(optimum_model):
     # decayed shelved shots fluoresce only after the decay, so the mean
     # arrival time of dark-prepared records sits late in the window
