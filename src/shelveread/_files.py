@@ -10,16 +10,25 @@ if it holds each point of a rectangular grid once.
 
 A JSON artifact is ``json.dumps(payload, indent=2)`` and a newline, with
 ``metadata`` as its last key; the reader drops that key.
+
+``_is_int`` is the one integer check of public inputs, kept here so that
+every module can import it without loading the simulator.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; bool is an Integral, but no count, index or seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _write_lines(path, header: Sequence[str], lines: Iterable[str], metadata: dict | None) -> None:

@@ -8,11 +8,12 @@ probabilities and can be minimized over the (window length, threshold) grid.
 The time-resolved classifier uses the full list of photon arrival times.  It
 compares the likelihood of the record under (a) fluorescence at the bright
 rate for the whole window against (b) a shelved qubit that may decay at an
-unknown instant T, marginalized over T with the first-order (flat) decay
-prior.  Between consecutive arrivals the likelihood ratio is a pure
-exponential in T, and the segment integrals telescope into one closed-form
-sum with one term per photon, so the marginalization needs no quadrature
-and a batch of traces is a single segmented sum over its photons.
+unknown instant T, marginalized over T with the exponential decay law (the
+count model instead takes T uniform in the window, to first order in
+``t_det/lifetime``).  Between consecutive arrivals the likelihood ratio is a
+pure exponential in T, and the segment integrals telescope into one
+closed-form sum with one term per photon, so the marginalization needs no
+quadrature and a batch of traces is a single segmented sum over its photons.
 """
 
 from __future__ import annotations
@@ -22,17 +23,9 @@ from enum import Enum
 
 import numpy as np
 
-from ._files import read_grid_csv, write_grid_csv
+from ._files import _is_int, read_grid_csv, write_grid_csv
 from .monte_carlo import _validate_trace_times
-from .photon_statistics import (
-    ZERO_ERRORS,
-    CountPMF,
-    DetectionModel,
-    ErrorRates,
-    _observed_pmfs,
-    bright_pdf,
-    dark_pdf,
-)
+from .photon_statistics import ZERO_ERRORS, DetectionModel, ErrorRates, _observed_pmfs
 
 __all__ = [
     "State",
@@ -65,7 +58,7 @@ class ThresholdPolicy:
     t_det: float
 
     def __post_init__(self) -> None:
-        if self.n_th < 0 or int(self.n_th) != self.n_th:
+        if not _is_int(self.n_th) or self.n_th < 0:
             raise ValueError(f"n_th must be a non-negative integer, got {self.n_th}")
         if not self.t_det > 0.0:
             raise ValueError(f"t_det must be positive, got {self.t_det}")
@@ -103,17 +96,19 @@ class OptimizationGrid:
 
     def __post_init__(self) -> None:
         t_values = np.asarray(self.t_values, dtype=float)
-        n_values = np.asarray(self.n_values, dtype=np.int64)
+        n_values = np.asarray(self.n_values)
         if t_values.ndim != 1 or t_values.size == 0 or np.any(t_values <= 0.0):
             raise ValueError("t_values must be a non-empty 1-D array of positive times")
         if np.any(np.diff(t_values) <= 0.0):
             raise ValueError("t_values must be strictly increasing")
-        if n_values.ndim != 1 or n_values.size == 0 or np.any(n_values < 0):
-            raise ValueError("n_values must be a non-empty 1-D array of thresholds >= 0")
+        # the given values, not the array: numpy casts [True, 2] to integers
+        integers = n_values.ndim == 1 and all(_is_int(n) and n >= 0 for n in self.n_values)
+        if n_values.size == 0 or not integers:
+            raise ValueError("n_values must be a non-empty 1-D array of integer thresholds >= 0")
         if np.any(np.diff(n_values) <= 0):
             raise ValueError("n_values must be strictly increasing")
         object.__setattr__(self, "t_values", t_values)
-        object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "n_values", n_values.astype(np.int64))
 
     @classmethod
     def default(cls) -> OptimizationGrid:
@@ -128,12 +123,6 @@ def classify(count: int, policy: ThresholdPolicy) -> State:
     return State.BRIGHT if count > policy.n_th else State.DARK
 
 
-def _mean_error_from_pdfs(bright: CountPMF, dark: CountPMF, n_th: int) -> tuple[float, float]:
-    eps_b = bright.cdf(n_th)
-    eps_d = dark.tail(n_th)
-    return eps_b, eps_d
-
-
 def mean_error(
     model: DetectionModel, n_th: int, errors: ErrorRates | None = None
 ) -> ErrorReport:
@@ -144,9 +133,11 @@ def mean_error(
     (preparation mistakes flip the qubit before the window, so they add to
     the detection error to first order).
     """
-    if n_th < 0 or int(n_th) != n_th:
-        raise ValueError(f"n_th must be a non-negative integer, got {n_th}")
-    eps_b, eps_d = _mean_error_from_pdfs(bright_pdf(model), dark_pdf(model), int(n_th))
+    if not _is_int(n_th) or n_th < 0:
+        raise ValueError(f"n_th must be a non-negative integer, got {n_th!r}")
+    n_th = int(n_th)
+    p_bright, p_dark, _, _ = _observed_pmfs(model, ZERO_ERRORS)
+    eps_b, eps_d = float(p_bright[: n_th + 1].sum()), float(p_dark[n_th + 1 :].sum())
     eps_mean = 0.5 * (eps_b + eps_d)
     extra = errors.mean if errors is not None else 0.0
     return ErrorReport(eps_b, eps_d, eps_mean, eps_mean + extra)
@@ -191,7 +182,7 @@ def optimize(
     surface = np.empty((t_values.size, n_values.size))
     for i, t in enumerate(t_values):
         model = DetectionModel(rate_bright, rate_dark, lifetime, float(t))
-        # bright_pdf and dark_pdf of this window from one model evaluation
+        # the bright and dark count pmfs of this window from one model evaluation
         p_bright, p_dark, _, _ = _observed_pmfs(model, ZERO_ERRORS)
         cdf_b, cdf_d = np.cumsum(p_bright), np.cumsum(p_dark)
         idx = np.minimum(n_values, cdf_b.size - 1)

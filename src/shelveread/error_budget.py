@@ -14,6 +14,7 @@ ships with the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from numbers import Real
@@ -99,8 +100,7 @@ def combine(entries: Iterable[BudgetEntry]) -> BudgetReport:
     """
     entries = list(entries)
     initialization = 0.0
-    pulse_sums = {PulseGroup.PULSE1: 0.0, PulseGroup.PULSE2: 0.0}
-    pulse_present = {PulseGroup.PULSE1: False, PulseGroup.PULSE2: False}
+    pulse_sums: dict[PulseGroup, float] = {}  # the pulse groups present
     excluded = 0.0
     for entry in entries:
         if entry.pulse is PulseGroup.INITIALIZATION:
@@ -108,17 +108,8 @@ def combine(entries: Iterable[BudgetEntry]) -> BudgetReport:
         elif entry.excluded_from_product:
             excluded += entry.value
         else:
-            pulse_sums[entry.pulse] += entry.value
-            pulse_present[entry.pulse] = True
-
-    if pulse_present[PulseGroup.PULSE1] and pulse_present[PulseGroup.PULSE2]:
-        product = pulse_sums[PulseGroup.PULSE1] * pulse_sums[PulseGroup.PULSE2]
-    elif pulse_present[PulseGroup.PULSE1]:
-        product = pulse_sums[PulseGroup.PULSE1]
-    elif pulse_present[PulseGroup.PULSE2]:
-        product = pulse_sums[PulseGroup.PULSE2]
-    else:
-        product = 0.0
+            pulse_sums[entry.pulse] = pulse_sums.get(entry.pulse, 0.0) + entry.value
+    product = math.prod(pulse_sums.values()) if pulse_sums else 0.0
     return BudgetReport(
         initialization_total=initialization, shelving_total=product + excluded
     )

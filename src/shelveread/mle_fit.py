@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import json_object, read_json, write_json
-from .monte_carlo import CountHistogram, _is_int
-from .photon_statistics import MAX_DECAY_FRACTION, _readout_pmfs, count_support_max
+from ._files import _is_int, json_object, read_json, write_json
+from .monte_carlo import CountHistogram
+from .photon_statistics import _decay_fraction, _readout_pmfs, count_support_max
 
 __all__ = [
     "ReadoutParams",
@@ -146,20 +146,6 @@ class FitResult:
 # Likelihood
 
 
-def _check_constants(t_det: float, lifetime: float) -> float:
-    if not t_det > 0.0:
-        raise ValueError(f"t_det must be positive, got {t_det}")
-    if not lifetime > 0.0:
-        raise ValueError(f"lifetime must be positive, got {lifetime}")
-    f = t_det / lifetime
-    if not f < MAX_DECAY_FRACTION:
-        raise ValueError(
-            f"t_det/lifetime = {f:.3g} >= {MAX_DECAY_FRACTION}; outside the "
-            "first-order validity of the fitted distributions"
-        )
-    return f
-
-
 def _bins(hist: CountHistogram) -> np.ndarray:
     return np.asarray(hist.counts_per_bin, dtype=float)
 
@@ -204,7 +190,7 @@ def log_likelihood(
     A zero-probability bin holding observed counts yields -inf (reported,
     not raised): the parameter point is simply impossible.
     """
-    f = _check_constants(t_det, lifetime)
+    f = _decay_fraction(t_det, lifetime)
     return _ll_score_info(params.as_array(), _bins(hist_down), _bins(hist_up), f)[0]
 
 
@@ -220,7 +206,7 @@ def log_likelihood_grad(
     Order: (mean_bright, mean_dark, eps_down_tot, eps_up_tot).  At
     ``mean_dark == 0`` the dark-mean entry is the right derivative.
     """
-    f = _check_constants(t_det, lifetime)
+    f = _decay_fraction(t_det, lifetime)
     return _ll_score_info(params.as_array(), _bins(hist_down), _bins(hist_up), f)[1]
 
 
@@ -370,7 +356,7 @@ def fit(
     the expected-information standard errors; ``unconverged`` counts the
     resamples whose fit did not converge, which still enter the spread.
     """
-    f = _check_constants(t_det, lifetime)
+    f = _decay_fraction(t_det, lifetime)
     if mode not in ("joint", "independent"):
         raise ValueError(f"mode must be 'joint' or 'independent', got {mode!r}")
     if not _is_int(bootstrap) or bootstrap < 0 or bootstrap == 1:

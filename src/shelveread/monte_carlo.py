@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -78,12 +77,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import RNG_STREAM
-from ._files import read_csv, write_csv
+from ._files import _is_int, read_csv, write_csv
 from .photon_statistics import (
     ZERO_ERRORS,
     DetectionModel,
     ErrorRates,
-    _sampling_support_max,
+    count_support_max,
     poisson_pmf,
 )
 
@@ -165,11 +164,6 @@ class SimConfig:
             raise ValueError(f"shots must be a positive integer, got {self.shots!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-
-
-def _is_int(value) -> bool:
-    """True for Python and numpy integers; bool is an Integral, but no count or seed."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _shot_index(i, shots: int) -> int:
@@ -413,7 +407,7 @@ def _window_mean(model: DetectionModel, t_switch):
 class _InverseTable(NamedTuple):
     """One model mean's Poisson CDF and its guide table."""
 
-    cdf: np.ndarray  # CDF on 0.._sampling_support_max(mean), then +inf
+    cdf: np.ndarray  # CDF on 0..count_support_max(mean), then +inf
     guide: np.ndarray  # guide[j]: count of CDF values <= j/K, j = 0..K
 
 
@@ -425,7 +419,7 @@ def _inverse_table(mean: float) -> _InverseTable:
     1/K, so only shots in the tails (at most a few in 1e3) need more than
     one step from their bucket's entry.
     """
-    cdf = np.cumsum(poisson_pmf(np.arange(_sampling_support_max(mean) + 1), mean))
+    cdf = np.cumsum(poisson_pmf(np.arange(count_support_max(mean) + 1), mean))
     buckets = 1 << (4 * cdf.size - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
     return _InverseTable(np.append(cdf, np.inf), guide)
@@ -457,9 +451,9 @@ def _poisson_quantile(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     the previous block's last CDF value, added to its first element, so the
     values are the same floats as one full-width cumsum, which the samplers'
     guide tables compare too.  A row stops once its CDF passes u or its
-    support ends; the draw is clipped at ``_sampling_support_max(mean) + 1``.
+    support ends; the draw is clipped at ``count_support_max(mean) + 1``.
     """
-    top = _sampling_support_max(mean)
+    top = count_support_max(mean)
     drawn = np.zeros(u.shape, dtype=np.int64)
     live = np.arange(u.size)
     carry = np.zeros(u.shape)
@@ -555,24 +549,20 @@ def _place_events(
     out[at] = times
 
 
-def _run_tasks(work, bounds: list, threads: int) -> list:
-    """``work(lo, hi)`` for each ``(lo, hi)`` of ``bounds``, results in order.
+def _run_sharded(work, shots: int, chunk: int, threads: int) -> list:
+    """``work(lo, hi)`` over shots ``0..shots-1`` in chunks of ``chunk`` shots, in shot order.
 
-    Tasks go to min(threads, CPUs, number of tasks) threads, each thread
-    taking the next task when it finishes one.
+    Chunks go to min(threads, CPUs, number of chunks) threads, each thread
+    taking the next chunk when it finishes one.
     """
     if not _is_int(threads) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
+    bounds = [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)]
     workers = min(threads, os.cpu_count() or 1, len(bounds))
     if workers == 1:
         return [work(*task) for task in bounds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda task: work(*task), bounds))
-
-
-def _run_sharded(work, shots: int, chunk: int, threads: int) -> list:
-    """``work(lo, hi)`` over shots ``0..shots-1`` in chunks of ``chunk`` shots, in shot order."""
-    return _run_tasks(work, [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)], threads)
 
 
 def simulate_counts(prepared: Prepared, config: SimConfig, threads: int = 1) -> np.ndarray:

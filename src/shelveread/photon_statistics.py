@@ -10,8 +10,8 @@ the decay instant is uniform over the window, which smears part of the dark
 count distribution into a plateau between the dark and bright Poisson peaks.
 
 This module provides the closed-form count distributions for both qubit
-states, with and without state-preparation errors, on a truncated integer
-support chosen so the neglected tail is far below double-precision noise.
+states, with and without state-preparation errors, on one truncated integer
+support (``count_support_max``) that the sampler and the fit share.
 """
 
 from __future__ import annotations
@@ -41,6 +41,21 @@ __all__ = [
 MAX_DECAY_FRACTION = 0.1
 
 
+def _decay_fraction(t_det: float, lifetime: float) -> float:
+    """``t_det/lifetime``, checked: both positive and the ratio below ``MAX_DECAY_FRACTION``."""
+    if not lifetime > 0.0:
+        raise ValueError(f"lifetime must be positive, got {lifetime}")
+    if not t_det > 0.0:
+        raise ValueError(f"t_det must be positive, got {t_det}")
+    f = t_det / lifetime
+    if not f < MAX_DECAY_FRACTION:
+        raise ValueError(
+            f"t_det/lifetime = {f:.3g} >= {MAX_DECAY_FRACTION}; the first-order decay model only "
+            "holds for windows much shorter than the dark-state lifetime"
+        )
+    return f
+
+
 @dataclass(frozen=True)
 class DetectionModel:
     """Rates and timing of one fluorescence detection window.
@@ -68,16 +83,7 @@ class DetectionModel:
                 "require a finite rate_bright > rate_dark >= 0, got "
                 f"rate_bright={self.rate_bright}, rate_dark={self.rate_dark}"
             )
-        if not self.lifetime > 0.0:
-            raise ValueError(f"lifetime must be positive, got {self.lifetime}")
-        if not self.t_det > 0.0:
-            raise ValueError(f"t_det must be positive, got {self.t_det}")
-        if not self.t_det / self.lifetime < MAX_DECAY_FRACTION:
-            raise ValueError(
-                f"t_det/lifetime = {self.t_det / self.lifetime:.3g} >= "
-                f"{MAX_DECAY_FRACTION}; the first-order decay model only "
-                "holds for windows much shorter than the dark-state lifetime"
-            )
+        _decay_fraction(self.t_det, self.lifetime)
 
     @property
     def mean_bright(self) -> float:
@@ -199,30 +205,25 @@ def poisson_pmf(n, mean):
     return out
 
 
-def count_support_max(mean_bright: float) -> int:
-    """Largest count kept on the truncated support for a given bright mean.
+def count_support_max(mean):
+    """Largest count kept on the truncated support of a Poisson mean; elementwise.
 
-    Twelve standard deviations past the bright peak plus a small floor; the
-    discarded Poisson tail is below 1e-12 of total mass for any mean.
+    ``ceil(mean + 16*sqrt(mean)) + 20``: sixteen standard deviations past
+    the mean plus a floor, beyond which the Poisson tail is below 1e-40 of
+    the mass for any mean.  The closed form, the sampler and the fit all
+    use this one support, so no quantile draw or decay-mixture tail sum may
+    fall off it.  A negative or NaN mean, or one whose support does not fit
+    in int64, raises.
     """
-    if mean_bright < 0.0:
-        raise ValueError("mean_bright must be non-negative")
-    return int(_support_top(mean_bright, 12.0, 5))
-
-
-def _sampling_support_max(mean):
-    # Wider than the analytic support: no quantile draw or decay-mixture tail
-    # sum may fall off it (beyond 16 sigma is ~1e-40 of the mass).  Elementwise.
-    return _support_top(mean, 16.0, 20)
-
-
-def _support_top(mean, sigmas: float, floor: int):
-    """``ceil(mean + sigmas*sqrt(mean)) + floor`` as int64; a mean without such a support raises."""
-    top = np.ceil(mean + sigmas * np.sqrt(mean))
-    # NaN fails too; the largest float below 2**63 is 1024 below it, room for floor
+    mean = np.asarray(mean, dtype=float)
+    if np.any(mean < 0.0):
+        raise ValueError(f"mean photon number must be non-negative, got {np.min(mean)}")
+    top = np.ceil(mean + 16.0 * np.sqrt(mean))
+    # NaN fails too; the largest float below 2**63 is 1024 below it, room for the floor
     if not np.all(top < 2.0**63):
         raise ValueError(f"mean photon number {np.max(mean)} has no count support within int64")
-    return top.astype(np.int64) + floor
+    top = top.astype(np.int64) + 20
+    return top if top.ndim else int(top)
 
 
 def _support(model: DetectionModel) -> np.ndarray:
@@ -315,7 +316,7 @@ def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
     dark-mean derivatives are the right derivatives.
     """
     n = np.asarray(n)
-    padded = np.arange(_sampling_support_max(max(mean_bright, n.size)) + 1)
+    padded = np.arange(count_support_max(max(mean_bright, n.size)) + 1)
     pb_padded, pd_padded = poisson_pmf(padded, np.array([[mean_bright], [mean_dark]]))
     pb, pd = pb_padded[: n.size], pd_padded[: n.size]
     # d Poisson(n, mu)/d mu = Poisson * (n/mu - 1); safe at small mu because

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._files import (
-    json_object, read_csv, read_grid_csv, read_json, write_csv, write_grid_csv, write_json
+    _is_int, json_object, read_csv, read_grid_csv, read_json, write_csv, write_grid_csv, write_json
 )
 
 __all__ = [
@@ -180,6 +180,9 @@ class TomographyRecord:
             )
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+        for name in ("shots", "bright_count"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if not 0 <= self.bright_count <= self.shots:

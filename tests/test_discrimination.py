@@ -44,6 +44,11 @@ def test_classify_threshold_boundary():
         ThresholdPolicy(n_th=-1, t_det=285e-6)
     with pytest.raises(ValueError):
         ThresholdPolicy(n_th=3, t_det=0.0)
+    for n_th in (True, 4.5, 5.0):
+        with pytest.raises(ValueError, match="n_th must be a non-negative integer"):
+            ThresholdPolicy(n_th=n_th, t_det=285e-6)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        classify(-1, policy)
 
 
 def test_mean_error_brute_force(measured_model):
@@ -56,6 +61,13 @@ def test_mean_error_brute_force(measured_model):
         assert report.eps_bright == pytest.approx(eps_bright, rel=1e-12)
         assert report.eps_dark == pytest.approx(eps_dark, rel=1e-12)
         assert report.eps_mean == 0.5 * (report.eps_bright + report.eps_dark)
+
+
+def test_mean_error_takes_integer_thresholds(measured_model):
+    for n_th in (-1, True, 6.0, 5.5):
+        with pytest.raises(ValueError, match="n_th must be a non-negative integer"):
+            mean_error(measured_model, n_th)
+    assert mean_error(measured_model, np.int64(6)) == mean_error(measured_model, 6)
 
 
 def test_mean_error_frozen_values(measured_model):
@@ -90,6 +102,7 @@ def test_optimize_paper_grid():
     assert result.grid.t_values.size == 111
     assert result.grid.n_values.size == 31
     assert result.surface.shape == (111, 31)
+    assert result.policy == ThresholdPolicy(5, result.t_det)
 
 
 def test_optimize_surface_matches_mean_error():
@@ -126,6 +139,12 @@ def test_optimization_grid_validation():
         OptimizationGrid(t_values=np.array([2e-4, 1e-4]), n_values=np.arange(3))
     with pytest.raises(ValueError):
         OptimizationGrid(t_values=np.array([1e-4, 2e-4]), n_values=np.array([3, 3]))
+    # thresholds are not rounded: a non-integer or negative one is refused
+    for n_values in ([4.5, 5.7], [4.0, 5.0], [True, 2], np.array([False, True]), [-1, 2], [], [[1, 2]]):
+        with pytest.raises(ValueError, match="n_values must be a non-empty 1-D array of integer"):
+            OptimizationGrid(t_values=np.array([1e-4]), n_values=n_values)
+    grid = OptimizationGrid(t_values=[1e-4], n_values=[np.uint8(2), 7])
+    assert grid.n_values.dtype == np.int64 and grid.n_values.tolist() == [2, 7]
 
 
 # ---------------------------------------------------------------------------

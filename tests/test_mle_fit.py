@@ -345,6 +345,12 @@ def test_validation():
         fit(good_down, degenerate, T_DET, LIFETIME)
     with pytest.raises(ValueError):
         fit(good_down, good_up, 0.05, 0.4)  # decay fraction too large
+    # every entry point checks the window as DetectionModel does
+    for t_det, lifetime in ((0.0, LIFETIME), (-T_DET, LIFETIME), (T_DET, 0.0), (T_DET, -1.0)):
+        for call in (fit, lambda *args: log_likelihood(TRUTH, *args),
+                     lambda *args: log_likelihood_grad(TRUTH, *args)):
+            with pytest.raises(ValueError, match="must be positive"):
+                call(good_down, good_up, t_det, lifetime)
     with pytest.raises(ValueError):
         fit(good_down, good_up, T_DET, LIFETIME, mode="pooled")
     with pytest.raises(ValueError):

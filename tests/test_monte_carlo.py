@@ -37,7 +37,7 @@ from shelveread.photon_statistics import (
     ZERO_ERRORS,
     DetectionModel,
     ErrorRates,
-    _sampling_support_max,
+    count_support_max,
     dark_pdf,
     observed_pdf_down,
     observed_pdf_up,
@@ -464,7 +464,7 @@ def test_poisson_quantile_mixed_multiplicity():
 
 
 def _cdf(mean: float) -> np.ndarray:
-    return np.cumsum(poisson_pmf(np.arange(_sampling_support_max(mean) + 1), mean))
+    return np.cumsum(poisson_pmf(np.arange(count_support_max(mean) + 1), mean))
 
 
 def test_poisson_quantile_extremes():
@@ -531,7 +531,7 @@ def test_row_walk_matches_full_width_count(means, grid):
     # wide as the largest mean's support.
     block = mc._ROW_BLOCK
     levels = np.concatenate([[1e-9, 0.01, 0.5, 0.99, 1.0 - 1e-9], np.asarray(grid) * 2.0**-53])
-    width = int(_sampling_support_max(max(means))) + 1
+    width = int(count_support_max(max(means))) + 1
     u_rows, mean_rows, expected = [], [], []
     for mean in means:
         cdf = _cdf(mean)
@@ -543,7 +543,7 @@ def test_row_walk_matches_full_width_count(means, grid):
         count = (full <= u[:, None]).sum(axis=1)
         u_rows.append(u)
         mean_rows.append(np.full(u.size, mean))
-        expected.append(np.minimum(count, _sampling_support_max(mean) + 1))
+        expected.append(np.minimum(count, count_support_max(mean) + 1))
     walked = mc._poisson_quantile(np.concatenate(u_rows), np.concatenate(mean_rows))
     np.testing.assert_array_equal(walked, np.concatenate(expected))
 

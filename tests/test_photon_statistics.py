@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,15 +20,12 @@ from shelveread.photon_statistics import (
     bright_pdf,
     count_support_max,
     dark_pdf,
+    decay_mixture_pmf,
     observed_pdf_down,
     observed_pdf_up,
     poisson_pmf,
 )
-from shelveread.photon_statistics import (
-    _decay_mixture_from_means,
-    _readout_pmfs,
-    _sampling_support_max,
-)
+from shelveread.photon_statistics import _decay_mixture_from_means, _readout_pmfs
 
 
 def poisson_reference(n: int, mean: float) -> float:
@@ -161,6 +159,15 @@ def test_dark_pdf_normalization_and_mean(measured_model):
     assert pmf.mean() == pytest.approx(expected_mean, rel=1e-9)
 
 
+def test_decay_mixture_pmf_normalization_and_mean(measured_model):
+    g = decay_mixture_pmf(measured_model)
+    assert g.size == count_support_max(measured_model.mean_bright) + 1
+    assert g.sum() == pytest.approx(1.0, abs=1e-12)
+    # a decay at a uniform instant averages the two means
+    mid = 0.5 * (measured_model.mean_bright + measured_model.mean_dark)
+    assert np.arange(g.size) @ g == pytest.approx(mid, rel=1e-12)
+
+
 def test_dark_pdf_long_lifetime_limit():
     model = DetectionModel(rate_bright=73.5e3, rate_dark=1.75e3, lifetime=1e6, t_det=285e-6)
     pmf = dark_pdf(model)
@@ -277,18 +284,25 @@ def test_readout_model_normalized_with_exact_gradient(
             assert np.abs(difference - grad[k]).max() <= 1e-5 * np.abs(grad).max()
 
 
-def test_support_covers_twelve_sigma(measured_model):
+def test_support_covers_sixteen_sigma(measured_model):
     support = count_support_max(measured_model.mean_bright)
-    assert support >= measured_model.mean_bright + 12 * math.sqrt(measured_model.mean_bright)
-    assert bright_pdf(measured_model).probs.size == support + 1
+    assert support >= measured_model.mean_bright + 16 * math.sqrt(measured_model.mean_bright) + 20
+    for pmf in (bright_pdf, dark_pdf):
+        assert pmf(measured_model).probs.size == support + 1
 
 
 def test_support_rejects_out_of_range_means():
-    # one line naming the mean, not a wrapped int64 cast and an empty support
-    for mean in (np.inf, np.nan, 1e20):
-        for support in (count_support_max, _sampling_support_max):
+    # one line naming the mean, not a wrapped int64 cast, an empty support
+    # or a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mean in (np.inf, np.nan, 1e20, np.array([5.0, np.inf])):
             with pytest.raises(ValueError, match="no count support within int64"):
-                support(mean)
-    with pytest.raises(ValueError, match="mean photon number inf"):
-        _sampling_support_max(np.array([5.0, np.inf]))
-    assert _sampling_support_max(np.array([0.0, 1e18])).tolist() == [20, 10**18 + 16 * 10**9 + 20]
+                count_support_max(mean)
+        for mean in (-1e-300, np.array([5.0, -1.0])):
+            with pytest.raises(ValueError, match="must be non-negative, got -"):
+                count_support_max(mean)
+        with pytest.raises(ValueError, match="mean photon number inf"):
+            count_support_max(np.array([5.0, np.inf]))
+        assert count_support_max(np.array([0.0, 1e18])).tolist() == [20, 10**18 + 16 * 10**9 + 20]
+        assert count_support_max(0.0) == 20 and type(count_support_max(0.0)) is int

@@ -385,6 +385,10 @@ def test_tomography_record_validation():
         TomographyRecord("+z", "z", 0, 0)
     with pytest.raises(ValueError):
         TomographyRecord("+z", "z", 100, 101)
+    for shots, bright in ((10.5, 5), (10.0, 5), (True, 1), (10, 5.5), (10, 5.0), (10, True)):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            TomographyRecord("+z", "z", shots, bright)
+    assert TomographyRecord("+z", "z", np.int64(10), np.int32(5)).bright_count == 5
 
 
 # ---------------------------------------------------------------------------
