@@ -36,8 +36,8 @@ _EXPORTS = {
             TraceBatch simulate_counts simulate_histogram simulate_shot simulate_traces""",
         "mle_fit": "FitResult ReadoutParams fit log_likelihood",
         "tomography": """BlochVector ChiMatrix DensityMatrix TomographyRecord apply_chi
-            average_fidelity bloch_error_surface null_orthogonal_projections
-            process_fidelity projections_from_records pure_state reconstruct_chi
+            average_fidelity bloch_error_surface chi_from_projections
+            null_orthogonal_projections process_fidelity projections_from_records pure_state
             reconstruct_state state_fidelities state_fidelity""",
         "error_budget": "BudgetEntry BudgetReport PulseGroup combine",
     }.items()

@@ -320,6 +320,7 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
     write_chi_json(chi, out / "chi.json", metadata)
     process = {
         "process_fidelity": process_fidelity(chi),
+        "average_state_fidelity": (2 * process_fidelity(chi) + 1) / 3,  # Nielsen 2002
         "min_eigenvalue": chi.min_eigenvalue,
         "trace_preservation_defect": trace_preservation_defect(chi),
         "physical": chi.is_physical(),
@@ -329,7 +330,8 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
     phi = np.linspace(0.0, 360.0, options["phi_points"], endpoint=False)
     surface = bloch_error_surface(chi, theta, phi)
     write_surface_csv(*surface, out / "sphere_error.csv", metadata)
-    print(f"process fidelity: {process_fidelity(chi):.6f} (physical: {chi.is_physical()})")
+    print(f"process fidelity: {process['process_fidelity']:.6f} (physical: {chi.is_physical()})")
+    print(f"average state fidelity: {process['average_state_fidelity']:.6f}")
     print(f"wrote {out / 'chi.json'}, {out / 'process.json'}, {out / 'sphere_error.csv'}")
 
 

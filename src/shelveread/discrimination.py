@@ -137,7 +137,9 @@ def mean_error(
         raise ValueError(f"n_th must be a non-negative integer, got {n_th!r}")
     n_th = int(n_th)
     p_bright, p_dark, _, _ = _observed_pmfs(model, ZERO_ERRORS)
-    eps_b, eps_d = float(p_bright[: n_th + 1].sum()), float(p_dark[n_th + 1 :].sum())
+    # the bright pmf sums to 1 + O(1e-15), so past its peak eps_b rounds above 1
+    eps_b = min(float(p_bright[: n_th + 1].sum()), 1.0)
+    eps_d = float(p_dark[n_th + 1 :].sum())
     eps_mean = 0.5 * (eps_b + eps_d)
     extra = errors.mean if errors is not None else 0.0
     return ErrorReport(eps_b, eps_d, eps_mean, eps_mean + extra)

@@ -8,13 +8,13 @@ perfectly prepared |+z> state that never fluoresces gives p_z = +1.
 
 From the Bloch vectors the module reconstructs density matrices, computes
 state fidelities against the six cardinal pure states, and performs process
-tomography: the outputs for the four input states {+z, -z, +x, +y} give the
-channel's Choi matrix in closed form, and one constant change of basis
-turns it into the chi matrix in the fixed operator basis {I, sigma_x,
-i*sigma_y, sigma_z} (Nielsen & Chuang, Box 8.5).  Physicality of the raw
-chi is reported, not enforced; the supported correction is nulling the
-measured Bloch components orthogonal to each preparation axis before
-reconstruction.
+tomography: a least-squares fit of the affine Bloch map over every input
+present, turned into the chi matrix in the fixed operator basis {I, sigma_x,
+i*sigma_y, sigma_z} by one constant linear map.  The six cardinal states are
+a 2-design, so their fitted chi has the six-state average as its sphere
+average.  Physicality of the raw chi is reported, not enforced; the
+supported correction is nulling the measured Bloch components orthogonal to
+each preparation axis before reconstruction.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "state_fidelities",
     "average_fidelity",
     "null_orthogonal_projections",
-    "reconstruct_chi",
     "chi_from_projections",
     "apply_chi",
     "process_fidelity",
@@ -70,12 +69,12 @@ _SIGMA = (
 # Process-matrix operator basis: {I, sigma_x, i*sigma_y, sigma_z} (all real).
 CHI_BASIS_LABELS = ("I", "sigma_x", "i*sigma_y", "sigma_z")
 _CHI_BASIS = np.array((_I2, _SIGMA[0], 1j * _SIGMA[1], _SIGMA[2]))
-# V, whose column m is sum_i |i> (x) E_m|i>: the Choi matrix of the process
-# chi is V chi V^dag, and V^dag V = 2 I.
-_CHOI_FROM_CHI = _CHI_BASIS.transpose(2, 1, 0).reshape(4, 4)
 _PAULI = np.array((_I2, *_SIGMA))
-
-_CHI_INPUT_LABELS = ("+z", "-z", "+x", "+y")
+# T maps chi to the Pauli transfer matrix R_ij = Tr(sigma_i E(sigma_j))/2, with
+# sigma_0 = I: R.ravel() = T @ chi.ravel().  T^dag T = 4 I, so the inverse is T^dag / 4.
+_PTM_FROM_CHI = np.einsum(
+    "iab,mbc,jcd,nad->ijmn", _PAULI, _CHI_BASIS, _PAULI, _CHI_BASIS.conj()
+).reshape(16, 16) / 2
 
 
 @dataclass(frozen=True)
@@ -319,38 +318,31 @@ def trace_preservation_defect(chi: ChiMatrix) -> float:
     return _trace_preservation_defect(chi.matrix)
 
 
-def reconstruct_chi(outputs: Mapping[str, DensityMatrix]) -> ChiMatrix:
-    """Process matrix from the outputs for inputs {+z, -z, +x, +y}.
+def chi_from_projections(projections: Mapping[str, BlochVector]) -> ChiMatrix:
+    """Process matrix from the output Bloch vectors of the cardinal inputs.
 
-    The outputs give the Choi matrix J = sum_ij |i><j| (x) E(|i><j|) in
-    closed form: its diagonal blocks are the outputs for +z = |0><0| and
-    -z = |1><1|, and its off-diagonal block is E(|0><1|) =
-    rho'(+x) + i rho'(+y) - (1 + i)(rho'(+z) + rho'(-z))/2.  Then chi =
-    V^dag J V / 4 with V the constant Choi image of the operator basis
-    (Nielsen & Chuang, Box 8.5).  Those inputs span the Hermitian 2x2
-    matrices, so chi is unique; Hermiticity and trace preservation follow
-    from the outputs being valid states.
+    Fits p' = lam @ p + shift by least squares over every input present (it
+    interpolates four inputs) and maps the Pauli transfer matrix [[1, 0],
+    [shift, lam]] to chi.  Fewer than four affinely independent inputs raise.
     """
-    missing = [label for label in _CHI_INPUT_LABELS if label not in outputs]
-    if missing:
-        raise ValueError(f"missing outputs for input states: {missing}")
-
-    up, down, plus_x, plus_y = (outputs[label].matrix for label in _CHI_INPUT_LABELS)
-    coherence = plus_x + 1j * plus_y - 0.5 * (1 + 1j) * (up + down)  # E(|0><1|)
-    choi = np.block([[up, coherence], [coherence.conj().T, down]])
-    chi = _CHOI_FROM_CHI.conj().T @ choi @ _CHOI_FROM_CHI / 4
+    labels = [label for label in PREPARED_LABELS if label in projections]
+    design = np.zeros((len(labels), 4))
+    design[:, 0] = 1.0
+    for row, label in zip(design, labels):
+        index, sign = _axis_of(label)
+        row[1 + index] = sign
+    outputs = np.array([projections[label].as_array() for label in labels])
+    coef, _, rank, _ = np.linalg.lstsq(design, outputs, rcond=None)
+    if rank < 4:
+        raise ValueError(
+            f"input states {labels} do not determine the process: "
+            "need four affinely independent cardinal inputs"
+        )
+    ptm = np.eye(4)
+    ptm[1:] = coef.T  # columns: shift, then lam
+    chi = (_PTM_FROM_CHI.conj().T @ ptm.ravel()).reshape(4, 4) / 4
     chi = 0.5 * (chi + chi.conj().T)  # discard round-off asymmetry
     return ChiMatrix(chi)
-
-
-def chi_from_projections(projections: Mapping[str, BlochVector]) -> ChiMatrix:
-    """Convenience: reconstruct output states, then the process matrix."""
-    outputs = {
-        label: reconstruct_state(projections[label])
-        for label in _CHI_INPUT_LABELS
-        if label in projections
-    }
-    return reconstruct_chi(outputs)
 
 
 def apply_chi(chi: ChiMatrix, rho: DensityMatrix) -> DensityMatrix:
@@ -371,9 +363,7 @@ def _affine_from_chi(chi: ChiMatrix) -> tuple[np.ndarray, np.ndarray]:
     Both come from the Pauli transfer matrix R_ij = Tr(sigma_i E(sigma_j))/2,
     with sigma_0 = I: lam = R[1:, 1:] and shift = R[1:, 0].
     """
-    ptm = np.einsum(
-        "iab,mn,mbc,jcd,nad->ij", _PAULI, chi.matrix, _CHI_BASIS, _PAULI, _CHI_BASIS.conj()
-    ).real / 2
+    ptm = (_PTM_FROM_CHI @ chi.matrix.ravel()).real.reshape(4, 4)
     return ptm[1:, 1:], ptm[1:, 0]
 
 

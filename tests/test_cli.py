@@ -184,12 +184,12 @@ def test_tomo_process_small_grid(tmp_path, capsys):
     config = {"tomo": {"mode": "process", "theta_points": 19, "phi_points": 36}}
     path = _write_config(tmp_path, config)
     assert main(["tomo", "--config", path, "--out", str(tmp_path)]) == 0
-    assert "process fidelity: 0.996675" in capsys.readouterr().out
+    assert "process fidelity: 0.996900" in capsys.readouterr().out
 
     chi = read_chi_json(tmp_path / "chi.json")
     assert chi.is_physical()
     process = json.loads((tmp_path / "process.json").read_text())
-    assert process["process_fidelity"] == pytest.approx(0.996675, abs=1e-9)
+    assert process["process_fidelity"] == pytest.approx(0.9969, abs=1e-9)
     assert process["physical"] is True
     assert process["trace_preservation_defect"] < 1e-9
     theta, phi, error = read_surface_csv(tmp_path / "sphere_error.csv")
@@ -205,6 +205,43 @@ def test_tomo_process_raw_not_physical(tmp_path):
     process = json.loads((tmp_path / "process.json").read_text())
     assert process["physical"] is False
     assert process["min_eigenvalue"] < -1e-3
+
+
+@pytest.mark.parametrize("null_orthogonal", [True, False])
+def test_tomo_process_average_matches_state_mode(tmp_path, capsys, null_orthogonal):
+    # the six cardinal inputs are a 2-design: the sphere average of the fitted
+    # process is the six-state average of state mode
+    assert main(["tomo", "--out", str(tmp_path)]) == 0
+    state = json.loads((tmp_path / "state_fidelities.json").read_text())
+    capsys.readouterr()
+    config = {"tomo": {"mode": "process", "null_orthogonal": null_orthogonal,
+                       "theta_points": 3, "phi_points": 4}}
+    path = _write_config(tmp_path, config)
+    assert main(["tomo", "--config", path, "--out", str(tmp_path)]) == 0
+    assert "average state fidelity: 0.997933" in capsys.readouterr().out
+    process = json.loads((tmp_path / "process.json").read_text())
+    assert process["process_fidelity"] == pytest.approx(0.9969, abs=1e-9)
+    assert process["average_state_fidelity"] == pytest.approx(
+        state["average_fidelity"], abs=1e-12
+    )
+
+
+def test_tomo_process_undetermined_inputs(tmp_path, capsys):
+    # records for +-x and +-y only carry no z information: exit 2, naming the inputs
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "prepared,axis,shots,bright_count\n"
+        + "".join(
+            f"{label},{axis},1000,500\n" for label in ("+x", "-x", "+y", "-y") for axis in "xyz"
+        )
+    )
+    config = _write_config(tmp_path, {"tomo": {"mode": "process", "records": str(records)}})
+    assert main(["tomo", "--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: input states ['+x', '-x', '+y', '-y'] do not determine the process: "
+        "need four affinely independent cardinal inputs\n"
+    )
 
 
 def test_tomo_records_missing_an_axis(tmp_path, capsys):

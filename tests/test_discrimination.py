@@ -54,7 +54,8 @@ def test_classify_threshold_boundary():
 def test_mean_error_brute_force(measured_model):
     pb = bright_pdf(measured_model).probs
     pd = dark_pdf(measured_model).probs
-    for n_th in (0, 3, 6, 12):
+    # 65 and up: past the bright peak, where the pmf sums to just above 1
+    for n_th in (0, 3, 6, 12, 64, 65, 200):
         report = mean_error(measured_model, n_th)
         eps_bright = math.fsum(pb[: n_th + 1])  # bright read as dark
         eps_dark = math.fsum(pd[n_th + 1 :])  # dark read as bright

@@ -28,7 +28,6 @@ from shelveread.tomography import (
     read_chi_json,
     read_records_csv,
     read_surface_csv,
-    reconstruct_chi,
     reconstruct_state,
     state_fidelities,
     state_fidelity,
@@ -191,16 +190,25 @@ def test_depolarizing_process():
 
 
 def test_chi_forward_consistency(bundled_records):
-    # the reconstructed process must reproduce the states it was built from
+    # four inputs: the process interpolates, so it reproduces each output
     projections = null_orthogonal_projections(projections_from_records(bundled_records))
-    chi = chi_from_projections(projections)
-    for label in ("+z", "-z", "+x", "+y"):
+    four = {label: projections[label] for label in ("+z", "-z", "+x", "+y")}
+    chi = chi_from_projections(four)
+    for label, p in four.items():
         rho_out = apply_chi(chi, pure_state(label))
-        np.testing.assert_allclose(
-            bloch_from_state(rho_out).as_array(),
-            projections[label].as_array(),
-            atol=1e-9,
-        )
+        np.testing.assert_allclose(bloch_from_state(rho_out).as_array(), p.as_array(), atol=1e-9)
+
+    # six inputs are fitted: the residuals are orthogonal to the design [1, p]
+    chi = chi_from_projections(projections)
+    design = np.array([[1.0, *bloch_from_state(pure_state(label)).as_array()]
+                       for label in PREPARED_LABELS])
+    residuals = np.array([
+        projections[label].as_array()
+        - bloch_from_state(apply_chi(chi, pure_state(label))).as_array()
+        for label in PREPARED_LABELS
+    ])
+    assert np.abs(residuals).max() > 1e-5  # the six outputs are not exactly affine
+    np.testing.assert_allclose(design.T @ residuals, 0.0, atol=1e-9)
 
 
 def test_nulled_chi_is_physical(bundled_records):
@@ -214,7 +222,7 @@ def test_nulled_chi_is_physical(bundled_records):
     assert chi.is_physical()
     assert chi.min_eigenvalue > 1e-4
     assert trace_preservation_defect(chi) < 1e-9
-    assert process_fidelity(chi) == pytest.approx(0.996675, abs=1e-9)
+    assert process_fidelity(chi) == pytest.approx(0.9969, abs=1e-9)
     # chi is diagonal-dominant: identity term carries nearly all the weight
     assert chi.matrix[0, 0].real > 100 * np.abs(chi.matrix).max(
         initial=0.0, where=~np.eye(4, dtype=bool)
@@ -227,10 +235,19 @@ def test_null_orthogonal_keeps_parallel():
     np.testing.assert_array_equal(nulled.as_array(), [0.98, 0.0, 0.0])
 
 
-def test_reconstruct_chi_missing_input():
-    outputs = {"+z": pure_state("+z")}
-    with pytest.raises(ValueError, match="missing"):
-        reconstruct_chi(outputs)
+@pytest.mark.parametrize(
+    "labels",
+    [("+z",), ("+x", "-x", "+y", "-y"), ("+z", "-z", "+x"), ("+z", "-z", "+x", "-x")],
+    ids="".join,
+)
+def test_chi_from_projections_missing_input(labels):
+    # inputs that do not determine the affine map: a one-line error naming them
+    projections = {label: bloch_from_state(pure_state(label)) for label in labels}
+    with pytest.raises(ValueError) as info:
+        chi_from_projections(projections)
+    message = str(info.value)
+    assert message.startswith(f"input states {list(labels)} do not determine the process")
+    assert "\n" not in message
 
 
 _PAULI = (
@@ -271,19 +288,31 @@ def _kraus_chi(kraus):
     return chi
 
 
-def _exact_chi(kraus):
+_FOUR_INPUTS = ("+z", "-z", "+x", "+y")
+_INPUT_SETS = {"five": ("+z", "-z", "+x", "-x", "-y"), "six": PREPARED_LABELS}
+
+
+def _exact_chi(kraus, inputs=_FOUR_INPUTS):
     outputs = {
-        label: DensityMatrix(_kraus_apply(kraus, pure_state(label).matrix))
-        for label in ("+z", "-z", "+x", "+y")
+        label: bloch_from_state(DensityMatrix(_kraus_apply(kraus, pure_state(label).matrix)))
+        for label in inputs
     }
-    return reconstruct_chi(outputs)
+    return chi_from_projections(outputs)
 
 
-@pytest.mark.parametrize("name", sorted(KRAUS_CHANNELS))
-def test_chi_matches_kraus_oracle(name):
+@pytest.mark.parametrize(
+    "name,inputs",
+    [pytest.param(name, _FOUR_INPUTS, id=name) for name in sorted(KRAUS_CHANNELS)]
+    + [
+        pytest.param(name, inputs, id=f"{name}-{key}")
+        for key, inputs in _INPUT_SETS.items()
+        for name in sorted(KRAUS_CHANNELS)
+    ],
+)
+def test_chi_matches_kraus_oracle(name, inputs):
     # complex, off-diagonal chi: a conjugated or transposed basis change fails here
     kraus = KRAUS_CHANNELS[name]
-    chi = _exact_chi(kraus)
+    chi = _exact_chi(kraus, inputs)
     np.testing.assert_allclose(chi.matrix, _kraus_chi(kraus), rtol=0, atol=1e-12)
     assert trace_preservation_defect(chi) < 1e-12
 
@@ -313,6 +342,13 @@ def test_six_state_mean_fidelity_is_trace_of_affine_map(bundled_records):
         lam, _ = _affine_from_chi(chi)
         assert abs(mean - (0.5 + np.trace(lam) / 6)) < 1e-12
 
+    # the sin(theta)-weighted grid mean of the error surface is the sphere
+    # average 1 - (2 F_pro + 1)/3 (Nielsen 2002), up to quadrature error
+    theta, _, error = bloch_error_surface(chis[0])
+    weight = np.broadcast_to(np.sin(np.deg2rad(theta))[:, None], error.shape)
+    sphere_mean = np.average(error, weights=weight)
+    assert abs(sphere_mean - (1.0 - (2.0 * process_fidelity(chis[0]) + 1.0) / 3.0)) < 1e-6
+
 
 def test_error_surface_shapes_and_identity(bundled_records):
     ident = chi_from_projections(projections_from_records(_ideal_records()))
@@ -328,8 +364,12 @@ def test_error_surface_shapes_and_identity(bundled_records):
     polar = 0.5 * (error[0].mean() + error[-1].mean())
     equatorial = error[90].mean()
     assert polar == pytest.approx(0.00145, abs=1e-9)
-    assert equatorial == pytest.approx(0.0026, abs=1e-9)
-    assert np.all(np.abs(error[90] - equatorial) < 1e-9)  # azimuthally flat
+    assert equatorial == pytest.approx(0.002375, abs=1e-9)
+    # the fitted shift's equatorial part tilts the equator: error =
+    # equatorial - (shift_x cos(phi) + shift_y sin(phi))/2, with extremes on the grid
+    _, shift = _affine_from_chi(chi)
+    np.testing.assert_allclose(shift[:2], -0.00015, atol=1e-9)
+    assert np.ptp(error[90]) == pytest.approx(np.hypot(*shift[:2]), abs=1e-9)
     assert equatorial > polar  # oblate error surface
 
 
