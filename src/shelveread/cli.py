@@ -278,6 +278,7 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
     from ._files import write_json
     from .tomography import (
         PREPARED_LABELS,
+        _average_fidelity_se,
         average_fidelity,
         bloch_error_surface,
         chi_from_projections,
@@ -299,6 +300,7 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 
+    six_states = set(PREPARED_LABELS) <= projections.keys()
     if options["mode"] == "state":
         fidelities = state_fidelities(projections)
         payload = {
@@ -307,8 +309,9 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
             },
             "fidelities": fidelities,
         }
-        if all(label in fidelities for label in PREPARED_LABELS):
+        if six_states:
             payload["average_fidelity"] = average_fidelity(fidelities)
+            payload["average_fidelity_se"] = _average_fidelity_se(records)
             print(f"average state fidelity: {payload['average_fidelity']:.6f}")
         write_json(out / "state_fidelities.json", payload, metadata)
         print(f"wrote {out / 'state_fidelities.json'}")
@@ -321,6 +324,7 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
     process = {
         "process_fidelity": process_fidelity(chi),
         "average_state_fidelity": (2 * process_fidelity(chi) + 1) / 3,  # Nielsen 2002
+        "average_state_fidelity_se": _average_fidelity_se(records) if six_states else None,
         "min_eigenvalue": chi.min_eigenvalue,
         "trace_preservation_defect": trace_preservation_defect(chi),
         "physical": chi.is_physical(),

@@ -29,8 +29,8 @@ The count is the exact inverse CDF, the number of Poisson CDF values <= the
 shot's uniform.  Every shot of a chunk is drawn in one pass from a guide
 table (Chen & Asau 1974) of its prepared state's mean; the flipped shots are
 then redrawn from the other state's table, and the in-window decays, the
-only shots with a mean of their own, walk their own CDF in short blocks
-until it passes u.  The two tables are built once per ``simulate_*`` call.
+only shots with a mean of their own, walk their CDFs together, one block of
+counts by shots per step.  The tables are built once per ``simulate_*`` call.
 All paths read the same CDF floats, so no draw depends on the path, the
 chunking or the thread count.
 
@@ -82,6 +82,7 @@ from .photon_statistics import (
     ZERO_ERRORS,
     DetectionModel,
     ErrorRates,
+    _pmf_terms,
     count_support_max,
     poisson_pmf,
 )
@@ -124,7 +125,9 @@ _EVENT_GROUP = 1 << 11
 # at 8, 146 / 33 at 16 and 148 / 33 at 32.  An 8-group DOWN task holds
 # ~340k photons and ~6 MiB of temporaries.
 _PLACE_CHUNK = 8 * _EVENT_GROUP
-# CDF columns a decayed shot's row tabulates per step of its walk.
+# Counts per live row per step of the row walk.  One UP state's 151k decays
+# (t_det/tau 0.072, eps 0.3; 2-core Xeon) walk in 43, 34, 32, 33, 36, 44 ms at
+# 4, 8, 12, 16, 24, 32, peaking at 430, 585, 712, 777, 903, 1134 KiB a chunk.
 _ROW_BLOCK = 16
 
 
@@ -447,26 +450,27 @@ def _table_quantile(table: _InverseTable, u: np.ndarray) -> np.ndarray:
 def _poisson_quantile(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Exact inverse-CDF Poisson draw over 1-D ``(u, mean)``: the count of each row's CDF values <= u.
 
-    Columns are tabulated ``_ROW_BLOCK`` at a time.  Each block starts from
-    the previous block's last CDF value, added to its first element, so the
-    values are the same floats as one full-width cumsum, which the samplers'
-    guide tables compare too.  A row stops once its CDF passes u or its
-    support ends; the draw is clipped at ``count_support_max(mean) + 1``.
+    Each step fills one ``(_ROW_BLOCK, live)`` buffer in place with the next
+    counts' pmf, adds each row's carried CDF value to its first count and
+    cumsums down the counts, so a row's CDF values are the floats of one
+    full-width cumsum, which the guide tables compare too.  A row stops once
+    its CDF passes u or its support ends; the draw is clipped at
+    ``count_support_max(mean) + 1``.
     """
     top = count_support_max(mean)
     drawn = np.zeros(u.shape, dtype=np.int64)
-    live = np.arange(u.size)
-    carry = np.zeros(u.shape)
+    live = np.flatnonzero(mean > 0.0)  # a mean of 0 is a point mass: it draws 0
+    carry = np.zeros(live.size)
     lo = 0
     while live.size:
-        pmf = poisson_pmf(np.arange(lo, lo + _ROW_BLOCK), mean[live, None])
-        pmf[:, 0] += carry
-        cdf = np.cumsum(pmf, axis=1)
-        below = cdf <= u[live, None]
-        drawn[live] += below.sum(axis=1)
+        cdf = _pmf_terms(np.arange(lo, lo + _ROW_BLOCK)[:, None], mean[live], np.empty((_ROW_BLOCK, live.size)))
+        cdf[0] += carry
+        np.cumsum(cdf, axis=0, out=cdf)
+        below = cdf <= u[live]
+        drawn[live] += np.count_nonzero(below, axis=0)
         lo += _ROW_BLOCK
-        more = below[:, -1] & (top[live] >= lo)
-        carry = cdf[more, -1]
+        more = below[-1] & (top[live] >= lo)
+        carry = cdf[-1, more]
         live = live[more]
     return np.minimum(drawn, top + 1)
 

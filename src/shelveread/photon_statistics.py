@@ -175,6 +175,18 @@ def _log_factorial(size: int) -> np.ndarray:
     return table
 
 
+def _pmf_terms(k, mean, out: np.ndarray) -> np.ndarray:
+    """The Poisson pmf ``exp(k*log(mean) - mean - log k!)`` of counts ``k >= 0``, in place in ``out``.
+
+    ``poisson_pmf`` and the sampler's row walk both call it, so both get the
+    same floats.  A mean of 0 gives NaN at k = 0: callers handle it.
+    """
+    np.multiply(k, np.log(mean), out=out)
+    out -= mean
+    out -= _log_factorial(1 << int(k.max(initial=0)).bit_length())[k]
+    return np.exp(out, out=out)
+
+
 def poisson_pmf(n, mean):
     """Poisson probability mass, evaluated in log space for large means.
 
@@ -193,11 +205,9 @@ def poisson_pmf(n, mean):
     mean = np.asarray(mean, dtype=float)
     if (mean < 0.0).any():
         raise ValueError("Poisson mean must be non-negative")
-    log_factorial = _log_factorial(1 << int(k.max(initial=0)).bit_length())
-    valid = k >= 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = k * np.log(mean) - mean - log_factorial[np.maximum(k, 0)]
-        out = np.where(valid, np.exp(log_p), 0.0)
+        out = _pmf_terms(np.maximum(k, 0), mean, np.empty(np.broadcast_shapes(k.shape, mean.shape)))
+    out = np.where(k >= 0, out, 0.0)
     # mean == 0 makes n*log(mean) ill-defined; the limit is a point mass at 0.
     out = np.where(mean == 0.0, (k == 0).astype(float), out)
     if out.ndim == 0:

@@ -284,6 +284,15 @@ def average_fidelity(fidelities: Mapping[str, float]) -> float:
     return float(np.mean([fidelities[label] for label in PREPARED_LABELS]))
 
 
+def _average_fidelity_se(records: Iterable[TomographyRecord]) -> float:
+    """Binomial SE of the six-state average fidelity, ``sqrt(sum q(1 - q)/N) / 6``, over parallel-axis tallies."""
+    parallel = [r for r in records if r.axis == r.prepared[1]]
+    state = [PREPARED_LABELS.index(r.prepared) for r in parallel]
+    shots = np.bincount(state, [r.shots for r in parallel], len(PREPARED_LABELS))
+    q = np.bincount(state, [r.bright_count for r in parallel], len(PREPARED_LABELS)) / shots
+    return float(np.sqrt(np.sum(q * (1.0 - q) / shots))) / len(PREPARED_LABELS)
+
+
 def null_orthogonal_projections(
     projections: Mapping[str, BlochVector],
 ) -> dict[str, BlochVector]:

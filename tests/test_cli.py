@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -224,6 +225,30 @@ def test_tomo_process_average_matches_state_mode(tmp_path, capsys, null_orthogon
     assert process["average_state_fidelity"] == pytest.approx(
         state["average_fidelity"], abs=1e-12
     )
+    # the binomial SE of the six-state average by hand, from the bundled
+    # parallel-axis tallies (bright of 200000 shots): sqrt(sum q(1 - q)/N)/6
+    q = np.array([330, 199750, 520, 199570, 520, 199570]) / 200000
+    hand = math.sqrt(np.sum(q * (1.0 - q) / 200000)) / 6
+    assert hand == pytest.approx(4.1454e-5, rel=1e-4)
+    assert state["average_fidelity_se"] == pytest.approx(hand, rel=1e-12)
+    assert process["average_state_fidelity_se"] == pytest.approx(hand, rel=1e-12)
+
+
+def test_tomo_process_se_needs_six_states(tmp_path):
+    # five inputs determine the map, but not the six-state average's SE
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "prepared,axis,shots,bright_count\n"
+        + "".join(
+            f"{label},{axis},1000,{500 if axis != label[1] else 10 if label[0] == '+' else 990}\n"
+            for label in ("+z", "-z", "+x", "-x", "+y") for axis in "xyz"
+        )
+    )
+    config = _write_config(tmp_path, {"tomo": {"mode": "process", "records": str(records),
+                                               "theta_points": 3, "phi_points": 4}})
+    assert main(["tomo", "--config", config, "--out", str(tmp_path)]) == 0
+    process = json.loads((tmp_path / "process.json").read_text())
+    assert process["average_state_fidelity_se"] is None
 
 
 def test_tomo_process_undetermined_inputs(tmp_path, capsys):

@@ -105,18 +105,26 @@ def test_histogram_equals_histogram_of_counts(point, chunk, monkeypatch):
 
 
 def test_histogram_memory_is_bounded_by_chunks(measured_model):
-    # The bound was fixed before the first measurement.  The per-shot int64
-    # counts of 2e6 shots alone are 15.3 MiB; two threads' chunks hold far less.
-    config = _config(measured_model, shots=2_000_000, seed=3)
-    simulate_histogram(Prepared.DOWN, config, threads=2)  # warm the pmf caches
-    tracemalloc.start()
-    try:
-        hist = simulate_histogram(Prepared.DOWN, config, threads=2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert hist.total_shots == config.shots
-    assert peak < 10 * 2**20
+    # The bounds were fixed before the first measurement.  The per-shot int64
+    # counts of 2e6 shots alone are 15.3 MiB; two threads' chunks hold far
+    # less.  At the high-decay point about 5 % of UP shots walk their own
+    # CDF, in one in-place buffer per step: one thread peaked at 2.78 MiB
+    # when each step built row-major pmf temporaries, and at 2.13 MiB since.
+    model, errors = _HIGH_DECAY_POINT
+    cases = [
+        (Prepared.DOWN, _config(measured_model, shots=2_000_000, seed=3), 2, 10 * 2**20),
+        (Prepared.UP, SimConfig(model, errors, shots=2_000_000, seed=3), 1, 2.5 * 2**20),
+    ]
+    for prepared, config, threads, bound in cases:
+        simulate_histogram(prepared, config, threads=threads)  # warm the pmf caches
+        tracemalloc.start()
+        try:
+            hist = simulate_histogram(prepared, config, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hist.total_shots == config.shots
+        assert peak < bound, (prepared, peak)
 
 
 @pytest.mark.parametrize(
@@ -429,10 +437,28 @@ def test_up_traces_rear_loaded(optimum_model):
 
 
 def test_poisson_quantile_paths_agree():
+    # The row walk against each mean's guide table and against
+    # searchsorted on one full-width cumsum, clipped at the support: rows at
+    # mean 0 (a point mass at 0), rows at means 40 and 60 whose draws span
+    # three or more blocks, and u = 1 - 2**-53 on rows whose support ends
+    # before their CDF passes it (mean 0.4625's CDF ends at 1 - 2**-53).  The
+    # walk raises no float error, and an empty input draws nothing.
     rng = np.random.default_rng(0)
-    means = np.repeat(np.linspace(0.5, 21.0, 33), 10)
-    u = rng.random(means.size)
-    rows = _poisson_quantile(u, means)  # no table: a walk per row
+    deep = np.full(10, 40.0), np.full(10, 60.0)
+    means = np.concatenate([np.repeat(np.linspace(0.5, 21.0, 33), 10), np.zeros(10), *deep])
+    u = np.concatenate([rng.random(means.size - 20), rng.uniform(0.5, 1.0, 20)])
+    means = np.append(means, [0.4625, 0.0, 21.0, 60.0])
+    u = np.append(u, np.full(4, 1.0 - 2.0**-53))
+    with np.errstate(all="raise"):
+        rows = _poisson_quantile(u, means)  # no table: a walk per row
+        empty = _poisson_quantile(np.empty(0), np.empty(0))
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    assert rows[means >= 40.0].min() >= 2 * mc._ROW_BLOCK
+    top = count_support_max(means)
+    assert rows[-4] == top[-4] + 1  # the clip
+    full = np.cumsum(poisson_pmf(np.arange(top.max() + 2 * mc._ROW_BLOCK), means[:, None]), axis=1)
+    searched = [np.searchsorted(cdf, ui, side="right") for cdf, ui in zip(full, u)]
+    np.testing.assert_array_equal(rows, np.minimum(searched, top + 1))
     for mean in np.unique(means):
         sel = means == mean
         np.testing.assert_array_equal(mc._table_quantile(_inverse_table(mean), u[sel]), rows[sel])

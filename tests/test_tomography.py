@@ -16,6 +16,7 @@ from shelveread.tomography import (
     DensityMatrix,
     TomographyRecord,
     _affine_from_chi,
+    _average_fidelity_se,
     apply_chi,
     average_fidelity,
     bloch_error_surface,
@@ -157,6 +158,19 @@ def test_state_fidelity_requires_pure_target():
     with pytest.raises(ValueError, match="pure"):
         state_fidelity(mixed, mixed)
     assert state_fidelity(mixed, pure_state("+z")) == pytest.approx(0.5)
+
+
+def test_average_fidelity_se_reads_pooled_parallel_tallies(bundled_records):
+    # Splitting every record in two and changing every orthogonal tally
+    # leaves the SE as it is: it reads the pooled parallel-axis tallies only.
+    split = []
+    for r in bundled_records:
+        bright = r.bright_count if r.axis == r.prepared[1] else 0
+        split.append(TomographyRecord(r.prepared, r.axis, r.shots // 2, bright // 2))
+        split.append(TomographyRecord(r.prepared, r.axis, r.shots - r.shots // 2, bright - bright // 2))
+    expected = _average_fidelity_se(bundled_records)
+    assert _average_fidelity_se(split) == expected
+    assert expected == pytest.approx(4.1454e-5, rel=1e-4)
 
 
 def test_average_fidelity_requires_all_states():
