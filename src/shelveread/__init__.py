@@ -30,8 +30,7 @@ _EXPORTS = {
         "photon_statistics": """CountPMF DetectionModel ErrorRates ZERO_ERRORS bright_pdf
             dark_pdf observed_pdf_down observed_pdf_up poisson_pmf""",
         "discrimination": """ErrorReport OptimizationGrid OptimizationResult State
-            ThresholdPolicy classify classify_time_resolved classify_traces mean_error
-            optimize""",
+            classify classify_time_resolved classify_traces mean_error optimize""",
         "monte_carlo": """CountHistogram DecayTimeLaw PhotonTrace Prepared SimConfig
             TraceBatch simulate_counts simulate_histogram simulate_shot simulate_traces""",
         "mle_fit": "FitResult ReadoutParams fit log_likelihood",

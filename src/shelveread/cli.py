@@ -279,12 +279,13 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
     from .tomography import (
         PREPARED_LABELS,
         _average_fidelity_se,
+        _pooled_tallies,
+        _projections,
         average_fidelity,
         bloch_error_surface,
         chi_from_projections,
         null_orthogonal_projections,
         process_fidelity,
-        projections_from_records,
         read_records_csv,
         state_fidelities,
         trace_preservation_defect,
@@ -294,9 +295,9 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
 
     options = config["tomo"]
     source = options["records"] or _bundled("tomography_records.csv")
-    records = read_records_csv(source)
+    tallies = _pooled_tallies(read_records_csv(source))
     try:
-        projections = projections_from_records(records)
+        projections = _projections(tallies)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 
@@ -311,7 +312,7 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
         }
         if six_states:
             payload["average_fidelity"] = average_fidelity(fidelities)
-            payload["average_fidelity_se"] = _average_fidelity_se(records)
+            payload["average_fidelity_se"] = _average_fidelity_se(tallies)
             print(f"average state fidelity: {payload['average_fidelity']:.6f}")
         write_json(out / "state_fidelities.json", payload, metadata)
         print(f"wrote {out / 'state_fidelities.json'}")
@@ -324,7 +325,7 @@ def cmd_tomo(config: dict, out: Path, metadata: dict) -> None:
     process = {
         "process_fidelity": process_fidelity(chi),
         "average_state_fidelity": (2 * process_fidelity(chi) + 1) / 3,  # Nielsen 2002
-        "average_state_fidelity_se": _average_fidelity_se(records) if six_states else None,
+        "average_state_fidelity_se": _average_fidelity_se(tallies) if six_states else None,
         "min_eigenvalue": chi.min_eigenvalue,
         "trace_preservation_defect": trace_preservation_defect(chi),
         "physical": chi.is_physical(),

@@ -3,7 +3,8 @@
 Two classifiers are provided.  The simple one compares the photon count of a
 window against an integer threshold ``n_th`` (counts above the threshold are
 called bright).  Its readout error is the average of the two misclassification
-probabilities and can be minimized over the (window length, threshold) grid.
+probabilities, which ``mean_error`` and ``optimize`` take from one rule, and
+can be minimized over the (window length, threshold) grid.
 
 The time-resolved classifier uses the full list of photon arrival times.  It
 compares the likelihood of the record under (a) fluorescence at the bright
@@ -13,7 +14,8 @@ count model instead takes T uniform in the window, to first order in
 ``t_det/lifetime``).  Between consecutive arrivals the likelihood ratio is a
 pure exponential in T, and the segment integrals telescope into one
 closed-form sum with one term per photon, so the marginalization needs no
-quadrature and a batch of traces is a single segmented sum over its photons.
+quadrature and a batch of traces, recorded in the model's window, is a single
+segmented sum over its photons.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from enum import Enum
 import numpy as np
 
 from ._files import _is_int, read_grid_csv, write_grid_csv
-from .monte_carlo import _validate_trace_times
+from .monte_carlo import TraceBatch, _validate_trace_times
 from .photon_statistics import ZERO_ERRORS, DetectionModel, ErrorRates, _observed_pmfs
 
 __all__ = [
     "State",
-    "ThresholdPolicy",
     "ErrorReport",
     "OptimizationGrid",
     "OptimizationResult",
@@ -51,40 +52,32 @@ class State(Enum):
 
 
 @dataclass(frozen=True)
-class ThresholdPolicy:
-    """A count threshold together with the window it was chosen for."""
-
-    n_th: int
-    t_det: float
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.n_th) or self.n_th < 0:
-            raise ValueError(f"n_th must be a non-negative integer, got {self.n_th}")
-        if not self.t_det > 0.0:
-            raise ValueError(f"t_det must be positive, got {self.t_det}")
-
-
-@dataclass(frozen=True)
 class ErrorReport:
-    """Misclassification probabilities of a threshold policy.
+    """Misclassification probabilities of a count threshold.
 
     ``eps_bright`` is the probability a bright qubit is read as dark,
-    ``eps_dark`` the reverse; ``eps_mean`` their average.  ``eps_total_mean``
-    adds the mean state-preparation/shelving error on top.
+    ``eps_dark`` the reverse; ``eps_mean`` is their average.  ``eps_prep``
+    is the mean state-preparation/shelving error, which ``eps_total_mean``
+    adds on top.
     """
 
     eps_bright: float
     eps_dark: float
-    eps_mean: float
-    eps_total_mean: float
+    eps_prep: float
 
     def __post_init__(self) -> None:
-        for name in ("eps_bright", "eps_dark", "eps_mean", "eps_total_mean"):
+        for name in ("eps_bright", "eps_dark", "eps_prep"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.eps_mean != 0.5 * (self.eps_bright + self.eps_dark):
-            raise ValueError("eps_mean must equal (eps_bright + eps_dark)/2")
+
+    @property
+    def eps_mean(self) -> float:
+        return 0.5 * (self.eps_bright + self.eps_dark)
+
+    @property
+    def eps_total_mean(self) -> float:
+        return self.eps_mean + self.eps_prep
 
 
 @dataclass(frozen=True)
@@ -116,16 +109,37 @@ class OptimizationGrid:
         return cls(np.arange(50, 601, 5) * 1e-6, np.arange(0, 31))
 
 
-def classify(count: int, policy: ThresholdPolicy) -> State:
+def _threshold(n_th) -> int:
+    if not _is_int(n_th) or n_th < 0:
+        raise ValueError(f"n_th must be a non-negative integer, got {n_th!r}")
+    return int(n_th)
+
+
+def classify(count: int, n_th: int) -> State:
     """Threshold classification: counts above ``n_th`` are bright."""
+    n_th = _threshold(n_th)
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    return State.BRIGHT if count > policy.n_th else State.DARK
+    return State.BRIGHT if count > n_th else State.DARK
 
 
-def mean_error(
-    model: DetectionModel, n_th: int, errors: ErrorRates | None = None
-) -> ErrorReport:
+def _threshold_errors(pmfs, n_th) -> tuple[np.ndarray, np.ndarray]:
+    """Bright and dark errors at thresholds ``n_th`` from one ``_observed_pmfs`` result.
+
+    The bright error P(n <= n_th) is a forward cumsum of the bright pmf; the
+    dark error P(n > n_th) is the dark pmf's tail summed down from the top of
+    the support (positive terms, no 1 - CDF cancellation), and 0 past it.
+    """
+    p_bright, p_dark = pmfs[:2]
+    # a threshold at or past the top of the support reads every count as dark
+    n = np.minimum(n_th, p_bright.size - 1).astype(np.int64)
+    tail = np.append(np.cumsum(p_dark[::-1])[::-1], 0.0)
+    eps_b, eps_d = np.cumsum(p_bright)[n], tail[n + 1]
+    # a pmf sums to 1 + O(1e-15) on its support, so a sum over most of it can round above 1
+    return np.minimum(eps_b, 1.0), np.minimum(eps_d, 1.0)
+
+
+def mean_error(model: DetectionModel, n_th: int, errors: ErrorRates | None = None) -> ErrorReport:
     """Average readout error of threshold ``n_th`` under ``model``.
 
     Uses the ideal-preparation count distributions; if ``errors`` is given,
@@ -133,16 +147,9 @@ def mean_error(
     (preparation mistakes flip the qubit before the window, so they add to
     the detection error to first order).
     """
-    if not _is_int(n_th) or n_th < 0:
-        raise ValueError(f"n_th must be a non-negative integer, got {n_th!r}")
-    n_th = int(n_th)
-    p_bright, p_dark, _, _ = _observed_pmfs(model, ZERO_ERRORS)
-    # the bright pmf sums to 1 + O(1e-15), so past its peak eps_b rounds above 1
-    eps_b = min(float(p_bright[: n_th + 1].sum()), 1.0)
-    eps_d = float(p_dark[n_th + 1 :].sum())
-    eps_mean = 0.5 * (eps_b + eps_d)
-    extra = errors.mean if errors is not None else 0.0
-    return ErrorReport(eps_b, eps_d, eps_mean, eps_mean + extra)
+    n_th = _threshold(n_th)
+    eps_b, eps_d = _threshold_errors(_observed_pmfs(model, ZERO_ERRORS), [n_th])
+    return ErrorReport(float(eps_b[0]), float(eps_d[0]), 0.0 if errors is None else errors.mean)
 
 
 @dataclass(frozen=True)
@@ -150,9 +157,9 @@ class OptimizationResult:
     """Grid minimum of the mean readout error.
 
     ``surface[i, j]`` is the mean error at window ``grid.t_values[i]`` and
-    threshold ``grid.n_values[j]``; (``t_det``, ``n_th``) is the grid argmin
-    with ties broken toward the smallest window, then the smallest
-    threshold.
+    threshold ``grid.n_values[j]``, as ``mean_error`` gives it; (``t_det``,
+    ``n_th``) is the grid argmin with ties broken toward the smallest
+    window, then the smallest threshold.
     """
 
     t_det: float
@@ -161,16 +168,9 @@ class OptimizationResult:
     grid: OptimizationGrid
     surface: np.ndarray
 
-    @property
-    def policy(self) -> ThresholdPolicy:
-        return ThresholdPolicy(self.n_th, self.t_det)
-
 
 def optimize(
-    rate_bright: float,
-    rate_dark: float,
-    lifetime: float,
-    grid: OptimizationGrid | None = None,
+    rate_bright: float, rate_dark: float, lifetime: float, grid: OptimizationGrid | None = None
 ) -> OptimizationResult:
     """Minimize the mean threshold-readout error over a (t_det, n_th) grid.
 
@@ -184,23 +184,14 @@ def optimize(
     surface = np.empty((t_values.size, n_values.size))
     for i, t in enumerate(t_values):
         model = DetectionModel(rate_bright, rate_dark, lifetime, float(t))
-        # the bright and dark count pmfs of this window from one model evaluation
-        p_bright, p_dark, _, _ = _observed_pmfs(model, ZERO_ERRORS)
-        cdf_b, cdf_d = np.cumsum(p_bright), np.cumsum(p_dark)
-        idx = np.minimum(n_values, cdf_b.size - 1)
-        surface[i] = 0.5 * (cdf_b[idx] + (1.0 - cdf_d[idx]))
+        eps_b, eps_d = _threshold_errors(_observed_pmfs(model, ZERO_ERRORS), n_values)
+        surface[i] = 0.5 * (eps_b + eps_d)
 
     # Row-major argmin: first minimum in t-then-n order implements the
     # smallest-t, then smallest-n tie break.
     flat = int(np.argmin(surface))
     i, j = divmod(flat, n_values.size)
-    return OptimizationResult(
-        t_det=float(t_values[i]),
-        n_th=int(n_values[j]),
-        eps_mean=float(surface[i, j]),
-        grid=grid,
-        surface=surface,
-    )
+    return OptimizationResult(float(t_values[i]), int(n_values[j]), float(surface[i, j]), grid, surface)
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +263,14 @@ def _log_ratio_dark_bright(
 def classify_time_resolved(trace, model: DetectionModel) -> State:
     """Maximum-likelihood state call from the photon arrival times.
 
-    ``trace`` is anything with ``timestamps`` (sorted arrival times in
-    seconds) -- a ``PhotonTrace`` -- or a bare array of times.  The record is
-    called dark when the decay-marginalized shelved likelihood is at least
-    the bright likelihood.
-
-    Preparation errors mix the same two likelihoods into both hypotheses
-    with weights (1-eps) and eps, so they cancel from the equal-prior ratio
-    and never change the decision.
+    ``trace`` is a ``PhotonTrace``, whose window must be the model's, or a
+    bare array of sorted arrival times in seconds, which takes the model's
+    window.  The decision is that of ``classify_traces`` on a batch of this
+    one trace.
     """
     times = np.asarray(getattr(trace, "timestamps", trace), dtype=float)
-    times, offsets = _validate_trace_times(times, [0, times.size], model.t_det)
-    log_ratio = _log_ratio_dark_bright(times, offsets, model)[0]
-    return State.DARK if log_ratio >= 0.0 else State.BRIGHT
+    batch = TraceBatch(times, [0, times.size], getattr(trace, "t_det", model.t_det))
+    return State.BRIGHT if classify_traces(batch, model)[0] else State.DARK
 
 
 def _trace_slices(offsets: np.ndarray, budget: int):
@@ -306,11 +292,13 @@ def _trace_slices(offsets: np.ndarray, budget: int):
 
 
 def classify_traces(batch, model: DetectionModel) -> np.ndarray:
-    """Vectorized ``classify_time_resolved`` over a ``TraceBatch``.
+    """Maximum-likelihood state calls for a ``TraceBatch`` recorded in the model's window.
 
-    Returns a boolean array, True where the trace is called bright.  The
-    decisions are identical to calling ``classify_time_resolved`` on each
-    trace individually, and the same inputs are rejected.
+    Returns a boolean array, True where the trace is called bright.  A trace
+    is called dark when the decay-marginalized shelved likelihood is at
+    least the bright likelihood.  Preparation errors mix the same two
+    likelihoods into both hypotheses with weights (1-eps) and eps, so they
+    cancel from the equal-prior ratio and never change the decision.
 
     The log ratios are evaluated over slices of whole traces, each holding
     at most ``_SLICE`` traces plus photons (a longer trace alone;
@@ -319,6 +307,8 @@ def classify_traces(batch, model: DetectionModel) -> np.ndarray:
     photon.  Each trace is its own segment of the sum, so every log ratio
     equals that of one whole-batch evaluation.
     """
+    if batch.t_det != model.t_det:
+        raise ValueError(f"traces of a {batch.t_det} s window given a model of a {model.t_det} s window")
     flat, offsets = _validate_trace_times(batch.timestamps, batch.offsets, model.t_det)
     bright = np.empty(offsets.size - 1, dtype=bool)
     for lo, hi in _trace_slices(offsets, _SLICE):

@@ -209,6 +209,15 @@ def pure_state(label: str) -> DensityMatrix:
 # Projections and states
 
 
+def _pooled_tallies(records: Iterable[TomographyRecord]) -> dict[tuple[str, str], tuple[int, int]]:
+    """(shots, bright count) per (prepared, axis) pair, records sharing a pair pooled."""
+    tallies: dict[tuple[str, str], tuple[int, int]] = {}
+    for r in records:
+        shots, bright = tallies.get((r.prepared, r.axis), (0, 0))
+        tallies[r.prepared, r.axis] = (shots + r.shots, bright + r.bright_count)
+    return tallies
+
+
 def projections_from_records(records: Iterable[TomographyRecord]) -> dict[str, BlochVector]:
     """Bloch vectors per prepared state from projection tallies.
 
@@ -216,16 +225,13 @@ def projections_from_records(records: Iterable[TomographyRecord]) -> dict[str, B
     state present must come with all three axes; a missing parallel axis is
     named as such.
     """
-    shots: dict[tuple[str, str], int] = {}
-    bright: dict[tuple[str, str], int] = {}
-    for record in records:
-        key = (record.prepared, record.axis)
-        shots[key] = shots.get(key, 0) + record.shots
-        bright[key] = bright.get(key, 0) + record.bright_count
+    return _projections(_pooled_tallies(records))
 
+
+def _projections(tallies: Mapping[tuple[str, str], tuple[int, int]]) -> dict[str, BlochVector]:
     out: dict[str, BlochVector] = {}
     for label in PREPARED_LABELS:
-        measured = {axis: (label, axis) in shots for axis in AXES}
+        measured = {axis: (label, axis) in tallies for axis in AXES}
         if not any(measured.values()):
             continue
         parallel_axis = label[1]
@@ -237,9 +243,9 @@ def projections_from_records(records: Iterable[TomographyRecord]) -> dict[str, B
         for axis in AXES:
             if not measured[axis]:
                 raise ValueError(f"state {label}: axis {axis!r} missing")
-            key = (label, axis)
+            shots, bright = tallies[(label, axis)]
             # Dark (shelved) is the +1 outcome on every mapped axis.
-            p[_AXIS_INDEX[axis]] = 1.0 - 2.0 * bright[key] / shots[key]
+            p[_AXIS_INDEX[axis]] = 1.0 - 2.0 * bright / shots
         out[label] = BlochVector(*p)
     return out
 
@@ -284,12 +290,10 @@ def average_fidelity(fidelities: Mapping[str, float]) -> float:
     return float(np.mean([fidelities[label] for label in PREPARED_LABELS]))
 
 
-def _average_fidelity_se(records: Iterable[TomographyRecord]) -> float:
+def _average_fidelity_se(tallies: Mapping[tuple[str, str], tuple[int, int]]) -> float:
     """Binomial SE of the six-state average fidelity, ``sqrt(sum q(1 - q)/N) / 6``, over parallel-axis tallies."""
-    parallel = [r for r in records if r.axis == r.prepared[1]]
-    state = [PREPARED_LABELS.index(r.prepared) for r in parallel]
-    shots = np.bincount(state, [r.shots for r in parallel], len(PREPARED_LABELS))
-    q = np.bincount(state, [r.bright_count for r in parallel], len(PREPARED_LABELS)) / shots
+    shots, bright = np.array([tallies[(label, label[1])] for label in PREPARED_LABELS], dtype=float).T
+    q = bright / shots
     return float(np.sqrt(np.sum(q * (1.0 - q) / shots))) / len(PREPARED_LABELS)
 
 

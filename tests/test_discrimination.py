@@ -15,7 +15,6 @@ from shelveread.discrimination import (
     ErrorReport,
     OptimizationGrid,
     State,
-    ThresholdPolicy,
     classify,
     classify_time_resolved,
     classify_traces,
@@ -26,29 +25,26 @@ from shelveread.discrimination import (
 )
 import shelveread.discrimination as dc
 from shelveread.discrimination import _log_ratio_dark_bright
-from shelveread.monte_carlo import Prepared, SimConfig, TraceBatch, simulate_traces
+from shelveread.monte_carlo import PhotonTrace, Prepared, SimConfig, TraceBatch, simulate_traces
 from shelveread.photon_statistics import (
     DetectionModel,
     ErrorRates,
     bright_pdf,
+    count_support_max,
     dark_pdf,
 )
 
 
 def test_classify_threshold_boundary():
-    policy = ThresholdPolicy(n_th=5, t_det=285e-6)
-    assert classify(5, policy) is State.DARK  # bright strictly above threshold
-    assert classify(6, policy) is State.BRIGHT
-    assert classify(0, policy) is State.DARK
-    with pytest.raises(ValueError):
-        ThresholdPolicy(n_th=-1, t_det=285e-6)
-    with pytest.raises(ValueError):
-        ThresholdPolicy(n_th=3, t_det=0.0)
-    for n_th in (True, 4.5, 5.0):
+    assert classify(5, 5) is State.DARK  # bright strictly above threshold
+    assert classify(6, 5) is State.BRIGHT
+    assert classify(0, 5) is State.DARK
+    assert classify(6, np.int64(5)) is State.BRIGHT
+    for n_th in (-1, True, 4.5, 5.0):
         with pytest.raises(ValueError, match="n_th must be a non-negative integer"):
-            ThresholdPolicy(n_th=n_th, t_det=285e-6)
+            classify(3, n_th)
     with pytest.raises(ValueError, match="count must be non-negative"):
-        classify(-1, policy)
+        classify(-1, 5)
 
 
 def test_mean_error_brute_force(measured_model):
@@ -79,10 +75,15 @@ def test_mean_error_frozen_values(measured_model):
 
 
 def test_error_report_mean_invariant():
-    with pytest.raises(ValueError):
-        ErrorReport(eps_bright=0.1, eps_dark=0.3, eps_mean=0.21, eps_total_mean=0.21)
-    report = ErrorReport(eps_bright=0.1, eps_dark=0.3, eps_mean=0.2, eps_total_mean=0.2)
-    assert report.eps_mean == 0.2
+    # the means are computed from the stored errors, never stored beside them
+    report = ErrorReport(eps_bright=0.1, eps_dark=0.3, eps_prep=0.25)
+    assert report.eps_mean == 0.5 * (0.1 + 0.3)
+    assert report.eps_total_mean == report.eps_mean + 0.25
+    for name in ("eps_bright", "eps_dark", "eps_prep"):
+        values = dict(eps_bright=0.1, eps_dark=0.3, eps_prep=0.0)
+        for bad in (-1e-300, 1.0000000000000002, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must lie in"):
+                ErrorReport(**{**values, name: bad})
 
 
 def test_total_error(measured_model):
@@ -98,24 +99,52 @@ def test_optimize_paper_grid():
     result = optimize(rate_bright=73.5e3, rate_dark=1.75e3, lifetime=0.390)
     assert result.t_det == pytest.approx(280e-6, abs=1e-12)
     assert result.n_th == 5
-    assert result.eps_mean == pytest.approx(2.898811280094431e-4, abs=1e-15)
+    assert result.eps_mean == pytest.approx(2.8988112800945473e-4, abs=1e-15)
     # default grid bounds: 50..600 us step 5, thresholds 0..30
     assert result.grid.t_values.size == 111
     assert result.grid.n_values.size == 31
     assert result.surface.shape == (111, 31)
-    assert result.policy == ThresholdPolicy(5, result.t_det)
+    assert result.surface.max() <= 0.5
 
 
 def test_optimize_surface_matches_mean_error():
-    grid = OptimizationGrid(
-        t_values=np.array([100e-6, 200e-6, 300e-6]), n_values=np.arange(0, 9)
-    )
+    # the 100 / 285 / 300 us supports end at counts 71 / 115 / 118; the
+    # thresholds straddle each top, and 200 lies past all three
+    n_values = np.array([*range(0, 9), 30, 70, 71, 72, 114, 115, 116, 117, 118, 119, 200])
+    grid = OptimizationGrid(t_values=np.array([100e-6, 285e-6, 300e-6]), n_values=n_values)
     result = optimize(rate_bright=73.5e3, rate_dark=1.75e3, lifetime=0.390, grid=grid)
     for i, t in enumerate(grid.t_values):
         model = DetectionModel(73.5e3, 1.75e3, 0.390, t)
         for j, n_th in enumerate(grid.n_values):
-            expected = mean_error(model, int(n_th)).eps_mean
-            assert result.surface[i, j] == pytest.approx(expected, rel=1e-10)
+            assert result.surface[i, j] == mean_error(model, int(n_th)).eps_mean
+    # past the bright peak every count reads dark: exactly 1/2, never above
+    assert result.surface.max() == 0.5
+    window = OptimizationGrid(t_values=np.array([285e-6]), n_values=np.arange(0, 201))
+    surface = optimize(73.5e3, 1.75e3, 0.390, grid=window).surface
+    assert surface.max() == 0.5
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    mean_bright=st.floats(3.0, 200.0),
+    dark_share=st.floats(0.05, 0.95),
+    decay_fraction=st.floats(1e-6, 0.099),
+    t_det=st.floats(1e-5, 1e-3),
+)
+# means 100 and 40: the dark pmf's mass above 0 sums to 1 + 1.8e-15, which
+# 1 - CDF and an uncapped sum both turned into eps_dark above 1
+@example(mean_bright=100.0, dark_share=0.4, decay_fraction=0.01, t_det=1e-4)
+def test_threshold_errors_over_the_region(mean_bright, dark_share, decay_fraction, t_det):
+    rate_bright = mean_bright / t_det
+    model = DetectionModel(rate_bright, dark_share * rate_bright, t_det / decay_fraction, t_det)
+    n_values = np.arange(int(count_support_max(mean_bright)) + 2)
+    reports = [mean_error(model, int(n_th)) for n_th in n_values]
+    for report in reports:
+        assert 0.0 <= report.eps_bright <= 1.0 and 0.0 <= report.eps_dark <= 1.0
+    grid = OptimizationGrid(np.array([t_det]), n_values)
+    surface = optimize(model.rate_bright, model.rate_dark, model.lifetime, grid=grid).surface[0]
+    expected = np.array([report.eps_mean for report in reports])
+    np.testing.assert_array_equal(surface.view(np.uint64), expected.view(np.uint64))
 
 
 def test_optimize_picks_first_flat_minimum():
@@ -271,8 +300,7 @@ def test_time_resolved_uses_arrival_times(optimum_model):
     late = optimum_model.t_det * (1.0 - np.linspace(0.05, 0.0, 6))
     assert classify_time_resolved(early, optimum_model) is State.BRIGHT
     assert classify_time_resolved(late, optimum_model) is State.DARK
-    policy = ThresholdPolicy(5, optimum_model.t_det)
-    assert classify(6, policy) is State.BRIGHT  # counts alone cannot tell
+    assert classify(6, 5) is State.BRIGHT  # counts alone cannot tell
 
 
 def test_time_resolved_validation(optimum_model):
@@ -301,9 +329,23 @@ def test_classify_traces_rejects_nan_time(optimum_model):
 )
 def test_classify_traces_rejects_bad_offsets(optimum_model, offsets):
     # a duck-typed batch skips TraceBatch's own checks
-    batch = SimpleNamespace(timestamps=np.array([1e-5, 2e-5]), offsets=offsets)
+    batch = SimpleNamespace(timestamps=np.array([1e-5, 2e-5]), offsets=offsets, t_det=optimum_model.t_det)
     with pytest.raises(ValueError, match="offsets"):
         classify_traces(batch, optimum_model)
+
+
+def test_classifiers_refuse_another_window(measured_model, measured_errors):
+    model_200us = DetectionModel(73.5e3, 1.75e3, 0.390, 200e-6)
+    batch = simulate_traces(Prepared.DOWN, SimConfig(model_200us, measured_errors, shots=20_000, seed=1))
+    with pytest.raises(ValueError, match="window"):
+        classify_traces(batch, measured_model)
+    with pytest.raises(ValueError, match="window"):
+        classify_time_resolved(batch.trace(0), measured_model)
+    # a bare array takes the model's window, as a trace of that window does
+    times = batch.trace(0).timestamps
+    same_window = PhotonTrace(times, measured_model.t_det)
+    assert classify_time_resolved(times, measured_model) is classify_time_resolved(same_window, measured_model)
+    assert classify_traces(batch, model_200us).mean() > 0.99
 
 
 def test_classify_traces_rejects_unsorted_trace(optimum_model):

@@ -17,6 +17,7 @@ from shelveread.tomography import (
     TomographyRecord,
     _affine_from_chi,
     _average_fidelity_se,
+    _pooled_tallies,
     apply_chi,
     average_fidelity,
     bloch_error_surface,
@@ -168,8 +169,12 @@ def test_average_fidelity_se_reads_pooled_parallel_tallies(bundled_records):
         bright = r.bright_count if r.axis == r.prepared[1] else 0
         split.append(TomographyRecord(r.prepared, r.axis, r.shots // 2, bright // 2))
         split.append(TomographyRecord(r.prepared, r.axis, r.shots - r.shots // 2, bright - bright // 2))
-    expected = _average_fidelity_se(bundled_records)
-    assert _average_fidelity_se(split) == expected
+    tallies = _pooled_tallies(split)
+    assert {key: tallies[key] for key in tallies if key[1] == key[0][1]} == {
+        key: value for key, value in _pooled_tallies(bundled_records).items() if key[1] == key[0][1]
+    }
+    expected = _average_fidelity_se(_pooled_tallies(bundled_records))
+    assert _average_fidelity_se(tallies) == expected
     assert expected == pytest.approx(4.1454e-5, rel=1e-4)
 
 
