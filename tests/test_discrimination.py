@@ -131,8 +131,8 @@ def test_optimize_surface_matches_mean_error():
     decay_fraction=st.floats(1e-6, 0.099),
     t_det=st.floats(1e-5, 1e-3),
 )
-# means 100 and 40: the dark pmf's mass above 0 sums to 1 + 1.8e-15, which
-# 1 - CDF and an uncapped sum both turned into eps_dark above 1
+# means 100 and 40: the dark pmf's mass above 0 sums to 1 + 1.8e-15, so an
+# uncapped tail sum made eps_dark at n_th = 0 exceed 1
 @example(mean_bright=100.0, dark_share=0.4, decay_fraction=0.01, t_det=1e-4)
 def test_threshold_errors_over_the_region(mean_bright, dark_share, decay_fraction, t_det):
     rate_bright = mean_bright / t_det
