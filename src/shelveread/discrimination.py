@@ -14,8 +14,8 @@ count model instead takes T uniform in the window, to first order in
 ``t_det/lifetime``).  Between consecutive arrivals the likelihood ratio is a
 pure exponential in T, and the segment integrals telescope into one
 closed-form sum with one term per photon, so the marginalization needs no
-quadrature and a batch of traces, recorded in the model's window, is a single
-segmented sum over its photons.
+quadrature.  A count or a bound from the first photons decides most traces;
+the rest of a batch is one segmented sum over their photons.
 """
 
 from __future__ import annotations
@@ -197,12 +197,20 @@ def optimize(
 # ---------------------------------------------------------------------------
 # Time-resolved classification
 
-# Traces plus photons per slice of ``classify_traces``; a slice's
-# temporaries are about ten arrays of that length.  Classifying 3e5
-# optimum-point DOWN / UP traces (2-core Xeon, medians of 9) took 113 / 21
-# ms at 2**15 to 2**17, 125 / 23 ms at 2**18 and 208 / 27 ms at 2**19,
-# against 234 / 27 ms for one whole-batch evaluation.
+# Traces plus photons per slice of ``classify_traces``, and photons per trace
+# in its bound.  3e5 optimum-point DOWN / UP traces (2-core Xeon) took 52 / 9,
+# 42 / 7, 33 / 6, 30 / 6 and 31 / 6 ms at 2**14 to 2**18; and 135 / 6, 27 / 6,
+# 29 / 7 and 34 / 7 ms at 2, 3, 4 and 8 photons, which left 299816 / 448,
+# 14 / 53, 12 / 50 and 12 / 50 traces to the exact sum.
 _SLICE = 1 << 16
+_FIRST = 4
+
+
+def _log_no_decay(lens: np.ndarray, model: DetectionModel) -> np.ndarray:
+    """log[L(shelved, no decay) / L(bright)] = -f + n log rr + (rate_bright - rate_dark) T, n = ``lens``."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # rr^0 = 1 even when rr = 0
+        n_log_rr = np.where(lens > 0, lens * np.log(model.rate_dark / model.rate_bright), 0.0)
+    return -model.decay_fraction + n_log_rr + (model.rate_bright - model.rate_dark) * model.t_det
 
 
 def _log_ratio_dark_bright(
@@ -248,16 +256,9 @@ def _log_ratio_dark_bright(
         nonempty = lens > 0
         integral[nonempty] += (1.0 - rr) * np.add.reduceat(weights, offsets[:-1][nonempty])
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         log_in_window = max(a, 0.0) * t_det - np.log(model.lifetime) + np.log(integral)
-        # "Shelved, no decay" relative to all-bright: exp(-T/lifetime) times
-        # rr^n e^((rate_bright - rate_dark) T); rr^0 = 1 even when rr = 0.
-        log_no_decay = (
-            -model.decay_fraction
-            + np.where(lens > 0, lens * np.log(rr), 0.0)
-            + (model.rate_bright - model.rate_dark) * t_det
-        )
-    return np.logaddexp(log_no_decay, log_in_window)
+    return np.logaddexp(_log_no_decay(lens, model), log_in_window)
 
 
 def classify_time_resolved(trace, model: DetectionModel) -> State:
@@ -291,6 +292,24 @@ def _trace_slices(offsets: np.ndarray, budget: int):
         lo = hi
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # infinite bounds: see classify_traces
+def _log_ratio_bound(times, starts, lens, log_no_decay, model: DetectionModel) -> np.ndarray:
+    """The bound of ``classify_traces`` on traces ``times[starts[i]:][:lens[i]]``, margin included."""
+    t_det, rr = model.t_det, model.rate_dark / model.rate_bright
+    a = model.rate_bright - model.rate_dark - 1.0 / model.lifetime
+    # row j: photon j of each trace, or T past its end, where with rr^K E(T) it sums to the k = n bound
+    ranks = np.arange(_FIRST)
+    t = times.take(np.add.outer(ranks, starts), mode="clip") if times.size else np.empty((_FIRST, lens.size))
+    np.copyto(t, t_det, where=ranks[:, None] >= lens)
+    e_bar, e_end, scale = t, t_det, model.lifetime  # a <= 0: E(t) = expm1(a t)/a <= t
+    if a > 0.0:  # E(t) = expm1(a t)/a <= e^(a t)/a
+        e_bar, e_end, scale = np.exp(np.multiply(t, a, out=t), out=t), np.exp(a * t_det), a * model.lifetime
+    ratio = np.exp(log_no_decay) + (np.dot((1.0 - rr) * np.power(rr, ranks), e_bar) + rr**_FIRST * e_end) / scale
+    bound = np.log(ratio)
+    terms = 16.0 + abs(a) * t_det + abs(np.log(model.lifetime)) + abs(np.log(scale))
+    return np.fmax(bound + 2.0**-40 * (np.abs(bound) + lens + terms), bound)
+
+
 def classify_traces(batch, model: DetectionModel) -> np.ndarray:
     """Maximum-likelihood state calls for a ``TraceBatch`` recorded in the model's window.
 
@@ -300,20 +319,41 @@ def classify_traces(batch, model: DetectionModel) -> np.ndarray:
     likelihoods into both hypotheses with weights (1-eps) and eps, so they
     cancel from the equal-prior ratio and never change the decision.
 
-    The log ratios are evaluated over slices of whole traces, each holding
-    at most ``_SLICE`` traces plus photons (a longer trace alone;
-    ``_trace_slices``), so their temporaries are bounded by the slice for
-    any batch size and brightness; the input check alone takes one byte per
-    photon.  Each trace is its own segment of the sum, so every log ratio
-    equals that of one whole-batch evaluation.
+    The log ratio is logaddexp(L0, log(I/lifetime)) (``_log_no_decay``,
+    ``_log_ratio_dark_bright``).  A trace is dark if L0 >= 0, as a float
+    logaddexp is at least its larger argument; bright if ``_log_ratio_bound``
+    < 0; else its exact ratio decides.  As E >= 0 increases and is at most
+    B(t) = e^(a t)/a if a > 0, else t, I <= J = (1 - rr) sum_(j<=k) rr^(j-1)
+    B(t_j) + rr^k B(T) for k = min(n, _FIRST).  The bound is log(e^L0 +
+    J/lifetime) + 2^-40 (|bound| + n + 16 + |a| T + |log lifetime| + |log s|),
+    s = a lifetime if a > 0, else lifetime.  With u = 2^-53, each term of I
+    or J is within (3 + 2|a| T + |log s|) u, a sum of m terms within m u
+    more; a log, offset or logaddexp adds u (its magnitudes + 3), weighted in
+    logaddexp by e^(argument - result), and as x + u|x| increases the float
+    ratio's magnitudes count as the bound's.  So the two differ by < 8u times
+    the bracket, 2^-10 of the margin, unless a term is subnormal; an overflow
+    (a T > 709) makes the bound inf, and a zero sum -inf.
+
+    The rules run on slices of whole traces, at most ``_SLICE`` traces plus
+    photons each (``_trace_slices``), so temporaries are bounded by the slice,
+    and an exact ratio, its own segment of the sum, is the whole batch's.
     """
     if batch.t_det != model.t_det:
         raise ValueError(f"traces of a {batch.t_det} s window given a model of a {model.t_det} s window")
     flat, offsets = _validate_trace_times(batch.timestamps, batch.offsets, model.t_det)
-    bright = np.empty(offsets.size - 1, dtype=bool)
+    bright = np.zeros(offsets.size - 1, dtype=bool)
     for lo, hi in _trace_slices(offsets, _SLICE):
-        ends = offsets[lo : hi + 1]
-        bright[lo:hi] = _log_ratio_dark_bright(flat[ends[0] : ends[-1]], ends - ends[0], model) < 0.0
+        ends = offsets[lo : hi + 1] - offsets[lo]
+        times, lens = flat[offsets[lo] : offsets[hi]], np.diff(ends)
+        log_no_decay = _log_no_decay(lens, model)
+        open_ = np.flatnonzero(log_no_decay < 0.0)
+        bound = _log_ratio_bound(times, ends[open_], lens[open_], log_no_decay[open_], model)
+        bright[lo + open_] = bound < 0.0
+        rest = open_[~(bound < 0.0)]
+        if rest.size:
+            sub = np.concatenate([[0], np.cumsum(lens[rest])])
+            photons = np.repeat(ends[rest] - sub[:-1], lens[rest]) + np.arange(sub[-1])
+            bright[lo + rest] = _log_ratio_dark_bright(times[photons], sub, model) < 0.0
     return bright
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -591,6 +592,57 @@ def test_artifacts_share_one_format(tmp_path):
             for block in blocks
         ), command
     assert not readers  # every CSV was written and read back
+
+
+# SHA-256 of every artifact of the five subcommands, on the bundled config
+# and on a copy of it in process mode with traces and 5 bootstrap fits.  A
+# change that moves an artifact re-pins its digest here and says in its
+# changelog entry which file moved, why, and by how much at most.
+ARTIFACT_DIGESTS = {
+    "bundled": {
+        "budget_report.json": "352cdad8177adb08382bb20ee411a374d5fdf2212308b90d468b6fc8dd95faf9",
+        "error_surface.csv": "3bc2a420f0b02e78605f042dcd6cb0ec579dbaba46655382cc63d2720c9136cd",
+        "fit.json": "578046a8e5530694577f590dd311291f24059e2b77380c42fbe0ef022e97d185",
+        "hist_down.csv": "db537e49df0f2eb482204ed81d3aec65f2157b453c98fa73117bf1a5cebdf219",
+        "hist_up.csv": "d3ee231a7a4214eaccb0d041e4eb7b45a0f1956cd7b42080ee4214b7bde4df0f",
+        "optimum.json": "9ed76e5b48397e2e6d43e8c31d8175adb33719af31041c636e59619321e37c62",
+        "state_fidelities.json": "02f8631df68be8d82a78ae8eb0416211a7c5cb034757601cbb12314fda294604",
+    },
+    "process": {
+        "budget_report.json": "d853bf1d3bb13f46308f72fba4af1f3b208511fbef54e178049c8a76115249ba",
+        "chi.json": "301b8ae5baf248078a2aae7b5de4e26fee9b97b325e0cc946d1c19fedafef446",
+        "error_surface.csv": "a725b8c35b3fb10c4476f48002e1197c9ff91532fe434bff83759234820ca910",
+        "fit.json": "03f8591c4150af456fab15d0500d80454270a64a3407c96b3ca4333646076bf0",
+        "hist_down.csv": "73c4e57aefb227f5c62c3566b574c58b291c7fadee70ea8dbcf45076f7436b0d",
+        "hist_up.csv": "1836e1500a75b9671e97ae8fb68b662e1a428a9e881d543c08ca69806244ba75",
+        "optimum.json": "01b389491924bc13da1698c98d45b5288c65b21648ba0f8b0147254a42de81c9",
+        "process.json": "0fab76fbc0edb0159123737ad9fd61eb92bb4e362b451aafb8735ca4aab2506e",
+        "sphere_error.csv": "2f5099ce7f184ea50e43836a088937dd9458c01555fd20b83eb8e719e2f068e9",
+        "traces_down.npz": "efc5636484d0ca5070b0d6de1e7ef86ff90f7cc6f0c67dd83bcd289443704af9",
+        "traces_up.npz": "2c00f510dcad74bb1f472b9fc96a0e32977cd78f7c10950c7f65404962f10424",
+    },
+}
+
+
+def test_artifacts_match_pinned_digests(tmp_path):
+    bundled = json.loads(
+        resources.files("shelveread").joinpath("data", "default_config.json").read_text()
+    )
+    process = dict(bundled, tomo=dict(bundled["tomo"], mode="process"))
+    process["simulate"] = dict(bundled["simulate"], traces=True)
+    process["fit"] = dict(bundled["fit"], bootstrap=5)
+    configs = {"bundled": [], "process": ["--config", _write_config(tmp_path, process)]}
+    digests = {}
+    for name, config in configs.items():
+        out = tmp_path / name
+        for command in ("optimize", "simulate", "fit", "tomo", "budget"):
+            assert main([command, *config, "--out", str(out)]) == 0, (name, command)
+        digests[name] = {}
+        for artifact in sorted(out.iterdir()):
+            digests[name][artifact.name] = hashlib.sha256(artifact.read_bytes()).hexdigest()
+            # the process run's traces are ~56 MB
+            artifact.unlink()
+    assert digests == ARTIFACT_DIGESTS
 
 
 def test_module_runs_as_subprocess(tmp_path):

@@ -24,7 +24,12 @@ from shelveread.discrimination import (
     write_error_surface_csv,
 )
 import shelveread.discrimination as dc
-from shelveread.discrimination import _log_ratio_dark_bright
+from shelveread.discrimination import (
+    _log_no_decay,
+    _log_ratio_bound,
+    _log_ratio_dark_bright,
+    _trace_slices,
+)
 from shelveread.monte_carlo import PhotonTrace, Prepared, SimConfig, TraceBatch, simulate_traces
 from shelveread.photon_statistics import (
     DetectionModel,
@@ -372,38 +377,153 @@ def test_classify_traces_matches_single(optimum_model, big_ensembles):
         assert bright_mask[i] == (single is State.BRIGHT)
 
 
+def _exact_path_ratios(monkeypatch, batch, model):
+    """``classify_traces`` on ``batch``, and ``(trace, log ratio)`` for each trace of its exact sum.
+
+    A trace is found by its photons; traces with equal photons have equal
+    ratios, so which of them is named does not matter.
+    """
+    ends = batch.offsets
+    index = {batch.timestamps[lo:hi].tobytes(): i for i, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))}
+    exact = []
+
+    def spy(times, offsets, model):
+        ratios = _log_ratio_dark_bright(times, offsets, model)
+        exact.extend((index[times[lo:hi].tobytes()], r) for lo, hi, r in zip(offsets[:-1], offsets[1:], ratios))
+        return ratios
+
+    monkeypatch.setattr(dc, "_log_ratio_dark_bright", spy)
+    bright = classify_traces(batch, model)
+    monkeypatch.setattr(dc, "_log_ratio_dark_bright", _log_ratio_dark_bright)
+    return bright, exact
+
+
+def _assert_bits_equal(exact, whole):
+    got = np.array([r for _, r in exact])
+    np.testing.assert_array_equal(got.view(np.uint64), whole[[i for i, _ in exact]].view(np.uint64))
+
+
 def test_classify_traces_slices_match_whole_batch(optimum_model, monkeypatch):
     # Slices of 8 traces plus photons over 17 traces: a slice ending in an
     # empty trace before one of 8 empty traces (no photons at all), a
-    # 12-photon trace alone, then two more slices
+    # 12-photon trace alone, then two more slices.  The 12 photons crowd the
+    # last tenth of the window, as after a late decay, so neither the count
+    # nor the bound decides that trace.
     counts = [3, 2, 0, *[0] * 8, 12, 1, 0, 4, 2, 1]
     rng = np.random.default_rng(3)
-    flat = np.concatenate([np.sort(rng.uniform(0.0, optimum_model.t_det, n)) for n in counts])
-    batch = TraceBatch(flat, np.concatenate([[0], np.cumsum(counts)]), optimum_model.t_det)
+    traces = [np.sort(rng.uniform(0.0, optimum_model.t_det, n)) for n in counts]
+    traces[11] = np.sort(rng.uniform(0.9, 1.0, 12)) * optimum_model.t_det
+    batch = TraceBatch(np.concatenate(traces), np.concatenate([[0], np.cumsum(counts)]), optimum_model.t_det)
     whole = _log_ratio_dark_bright(batch.timestamps, batch.offsets, optimum_model)
     slices = []
 
-    def spy(times, offsets, model):
-        slices.append((np.diff(offsets), _log_ratio_dark_bright(times, offsets, model)))
-        return slices[-1][1]
+    def spy(offsets, budget):
+        for lo, hi in _trace_slices(offsets, budget):
+            slices.append(np.diff(offsets[lo : hi + 1]).tolist())
+            yield lo, hi
 
     monkeypatch.setattr(dc, "_SLICE", 8)
-    monkeypatch.setattr(dc, "_log_ratio_dark_bright", spy)
-    bright = classify_traces(batch, optimum_model)
+    monkeypatch.setattr(dc, "_trace_slices", spy)
+    bright, exact = _exact_path_ratios(monkeypatch, batch, optimum_model)
     np.testing.assert_array_equal(bright, whole < 0.0)
-    got = np.concatenate([log_ratio for _, log_ratio in slices])
-    np.testing.assert_array_equal(got.view(np.uint64), whole.view(np.uint64))
-    lens = [n.tolist() for n, _ in slices]
-    assert lens == [[3, 2, 0], [0] * 8, [12], [1, 0, 4], [2, 1]]
+    assert slices == [[3, 2, 0], [0] * 8, [12], [1, 0, 4], [2, 1]]
+    assert [i for i, _ in exact] == [11]
+    _assert_bits_equal(exact, whole)
 
-    # simulated batches, with slices of a few dozen traces
+    # simulated batches, with slices of a few dozen traces; one UP trace
+    # reaches the exact sum
     monkeypatch.setattr(dc, "_SLICE", 257)
-    monkeypatch.setattr(dc, "_log_ratio_dark_bright", _log_ratio_dark_bright)
+    monkeypatch.setattr(dc, "_trace_slices", _trace_slices)
+    reached = 0
     for prepared, seed in ((Prepared.DOWN, 1), (Prepared.UP, 2)):
         config = SimConfig(optimum_model, ErrorRates(0.05, 0.05), shots=3001, seed=seed)
         batch = simulate_traces(prepared, config)
         whole = _log_ratio_dark_bright(batch.timestamps, batch.offsets, optimum_model)
-        np.testing.assert_array_equal(classify_traces(batch, optimum_model), whole < 0.0)
+        bright, exact = _exact_path_ratios(monkeypatch, batch, optimum_model)
+        np.testing.assert_array_equal(bright, whole < 0.0)
+        _assert_bits_equal(exact, whole)
+        reached += len(exact)
+    assert reached > 0
+
+
+def test_classify_traces_exact_sum_is_rare(measured_model, measured_errors, monkeypatch):
+    # At the paper's point the count and the bound decide all but a few
+    # bright traces; a bound that stopped deciding would send every trace
+    # to the exact sum and still give the same calls.
+    config = SimConfig(measured_model, measured_errors, shots=3001, seed=5)
+    batch = simulate_traces(Prepared.DOWN, config)
+    bright, exact = _exact_path_ratios(monkeypatch, batch, measured_model)
+    assert len(exact) <= 0.01 * len(batch)
+    whole = _log_ratio_dark_bright(batch.timestamps, batch.offsets, measured_model)
+    np.testing.assert_array_equal(bright, whole < 0.0)
+
+
+def test_classify_traces_at_the_decision_boundary(optimum_model):
+    # The family of test_time_resolved_uses_arrival_times: six photons over
+    # 5 % of the window from a start s, bright at s = 0 and dark at s = 0.9 T.
+    # Bisect s until the exact ratio is within 1e-12 of 0.
+    spread = np.linspace(0.0, 0.05, 6) * optimum_model.t_det
+
+    def ratio(start):
+        return _log_ratio_dark_bright(start + spread, np.array([0, 6]), optimum_model)[0]
+
+    lo, hi = 0.0, 0.9 * optimum_model.t_det
+    assert ratio(lo) < 0.0 < ratio(hi)
+    for _ in range(200):
+        start = 0.5 * (lo + hi)
+        if abs(ratio(start)) <= 1e-12:
+            break
+        lo, hi = (start, hi) if ratio(start) < 0.0 else (lo, start)
+    assert abs(ratio(start)) <= 1e-12
+    for shift in (start, np.nextafter(start, 0.0), np.nextafter(start, 1.0)):
+        bright = classify_time_resolved(shift + spread, optimum_model) is State.BRIGHT
+        assert bright == (ratio(shift) < 0.0)
+
+
+_POSITION = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t_det=st.floats(1e-5, 1e-3),
+    mean_bright=st.floats(0.1, 60.0),
+    rr=st.one_of(st.just(0.0), st.floats(1e-3, 0.9)),
+    decay_fraction=st.floats(1e-4, 0.099),
+    zero_a=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+    traces=st.lists(st.lists(_POSITION, max_size=12), max_size=8),
+)
+# a > 0 at the optimum's means, a < 0 (mean gap 0.05 < f = 0.09, where
+# even a trace with no photons is open), a = 0 with a dark rate and with none
+@example(t_det=280e-6, mean_bright=20.58, rr=0.0238, decay_fraction=7.2e-4, zero_a=False, seed=1,
+         traces=[[0.0, 0.5, 1.0], [0.95, 0.96, 0.97, 0.98, 0.99, 1.0]])
+@example(t_det=1e-3, mean_bright=0.1, rr=0.5, decay_fraction=0.09, zero_a=False, seed=2, traces=[[], []])
+@example(t_det=1e-4, mean_bright=1.0, rr=0.5, decay_fraction=0.05, zero_a=True, seed=3, traces=[[0.2, 0.9]])
+@example(t_det=1e-4, mean_bright=1.0, rr=0.0, decay_fraction=0.05, zero_a=True, seed=4, traces=[[0.0], [0.3]])
+def test_classify_traces_decides_as_the_exact_ratio(t_det, mean_bright, rr, decay_fraction, zero_a, seed, traces):
+    if zero_a:
+        # a = rate_bright - rate_dark - 1/lifetime is 0 exactly: a gap of
+        # 2^k Hz, a lifetime of 2^-k s and a dark rate in steps of 2^(k-6) Hz
+        gap = 2.0 ** math.floor(math.log2(decay_fraction / t_det))
+        rate_dark = gap * round(64 * rr / (1.0 - rr)) / 64
+        model = DetectionModel(rate_dark + gap, rate_dark, 1.0 / gap, t_det)
+        assert model.rate_bright - model.rate_dark - 1.0 / model.lifetime == 0.0
+    else:
+        rate_bright = mean_bright / t_det
+        model = DetectionModel(rate_bright, rr * rate_bright, t_det / decay_fraction, t_det)
+    batches = [
+        simulate_traces(prepared, SimConfig(model, ErrorRates(0.05, 0.05), shots=200, seed=seed))
+        for prepared in Prepared
+    ]
+    times = [np.sort(np.array(p, dtype=float)) * t_det for p in traces]
+    offsets = np.cumsum([0, *(t.size for t in times)])
+    batches.append(TraceBatch(np.concatenate([np.empty(0), *times]), offsets, t_det))
+    for batch in batches:
+        whole = _log_ratio_dark_bright(batch.timestamps, batch.offsets, model)
+        lens = np.diff(batch.offsets)
+        bound = _log_ratio_bound(batch.timestamps, batch.offsets[:-1], lens, _log_no_decay(lens, model), model)
+        assert np.all(bound >= whole)
+        np.testing.assert_array_equal(classify_traces(batch, model), whole < 0.0)
 
 
 def test_surface_csv_round_trip(tmp_path):
