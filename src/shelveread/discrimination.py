@@ -27,7 +27,9 @@ import numpy as np
 
 from ._files import _is_int, read_grid_csv, write_grid_csv
 from .monte_carlo import TraceBatch, _validate_trace_times
-from .photon_statistics import ZERO_ERRORS, DetectionModel, ErrorRates, _observed_pmfs
+from .photon_statistics import (
+    ZERO_ERRORS, DetectionModel, ErrorRates, _observed_pmfs, _readout_pmfs, count_support_max,
+)
 
 __all__ = [
     "State",
@@ -124,17 +126,18 @@ def classify(count: int, n_th: int) -> State:
 
 
 def _threshold_errors(pmfs, n_th) -> tuple[np.ndarray, np.ndarray]:
-    """Bright and dark errors at thresholds ``n_th`` from one ``_observed_pmfs`` result.
+    """Bright and dark errors at thresholds ``n_th`` from one or a row per window of readout pmfs.
 
     The bright error P(n <= n_th) is a forward cumsum of the bright pmf; the
-    dark error P(n > n_th) is the dark pmf's tail summed down from the top of
-    the support (positive terms, no 1 - CDF cancellation), and 0 past it.
+    dark error P(n > n_th) is the dark pmf's tail summed down from the last
+    count (positive terms, no 1 - CDF cancellation), and 0 past it.
     """
     p_bright, p_dark = pmfs[:2]
     # a threshold at or past the top of the support reads every count as dark
-    n = np.minimum(n_th, p_bright.size - 1).astype(np.int64)
-    tail = np.append(np.cumsum(p_dark[::-1])[::-1], 0.0)
-    eps_b, eps_d = np.cumsum(p_bright)[n], tail[n + 1]
+    n = np.minimum(n_th, p_bright.shape[-1] - 1).astype(np.int64)
+    tail = np.cumsum(p_dark[..., ::-1], axis=-1)[..., ::-1]
+    tail = np.concatenate([tail, np.zeros_like(tail[..., :1])], axis=-1)
+    eps_b, eps_d = np.cumsum(p_bright, axis=-1)[..., n], tail[..., n + 1]
     # a pmf sums to 1 + O(1e-15) on its support, so a sum over most of it can round above 1
     return np.minimum(eps_b, 1.0), np.minimum(eps_d, 1.0)
 
@@ -181,11 +184,14 @@ def optimize(
     """
     grid = OptimizationGrid.default() if grid is None else grid
     t_values, n_values = grid.t_values, grid.n_values
-    surface = np.empty((t_values.size, n_values.size))
-    for i, t in enumerate(t_values):
-        model = DetectionModel(rate_bright, rate_dark, lifetime, float(t))
-        eps_b, eps_d = _threshold_errors(_observed_pmfs(model, ZERO_ERRORS), n_values)
-        surface[i] = 0.5 * (eps_b + eps_d)
+    # the longest window checks every window: the rates do not depend on it, the decay fraction grows with it
+    DetectionModel(rate_bright, rate_dark, lifetime, float(t_values[-1]))
+    mean_bright = rate_bright * t_values
+    n = np.arange(count_support_max(mean_bright[-1]) + 1)
+    pmfs = _readout_pmfs(n, mean_bright, rate_dark * t_values, 0.0, 0.0, t_values / lifetime)
+    # each window keeps its own support, so its dark tail sums down from its own top
+    eps_b, eps_d = _threshold_errors(np.where(n <= count_support_max(mean_bright)[:, None], pmfs, 0.0), n_values)
+    surface = 0.5 * (eps_b + eps_d)
 
     # Row-major argmin: first minimum in t-then-n order implements the
     # smallest-t, then smallest-n tie break.

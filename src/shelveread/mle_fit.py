@@ -11,9 +11,11 @@ their ratio enters, as the in-window decay weight.
 The maximum is found by projected, damped Fisher scoring (Osborne, Int.
 Stat. Rev. 60, 99 (1992)) against the closed-form expected information,
 directly in the four parameters: the means are held at 0 or above and in
-order, the error rates in [0, 0.5).  Uncertainties come from the inverse of
-the same information at the estimate, with an optional multinomial
-bootstrap.
+order, the error rates in [0, 0.5).  One loop fits a batch of rows, one
+model call per step for all of them, and each row stops on its own rule:
+the point fit is one row, the bootstrap one per resample.  Uncertainties
+come from the inverse of the same information at the estimate, with an
+optional multinomial bootstrap.
 """
 
 from __future__ import annotations
@@ -146,35 +148,44 @@ class FitResult:
 # Likelihood
 
 
-def _bins(hist: CountHistogram) -> np.ndarray:
-    return np.asarray(hist.counts_per_bin, dtype=float)
+def _pair(hist_down: CountHistogram, hist_up: CountHistogram, rng=None) -> np.ndarray:
+    """The two histograms as one float array, (2, bins), the shorter padded
+    with zeros; with ``rng``, a multinomial resample of each, down first."""
+    pair = np.zeros((2, max(hist_down.counts_per_bin.size, hist_up.counts_per_bin.size)))
+    for row, hist in zip(pair, (hist_down, hist_up)):
+        counts = hist.counts_per_bin if rng is None else rng.multinomial(hist.total_shots, hist.frequencies)
+        row[: counts.size] = counts
+    return pair
 
 
-def _ll_score_info(
-    theta: np.ndarray, h_down: np.ndarray | None, h_up: np.ndarray | None, f: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood, its gradient and the expected (Fisher) information.
+def _ll_score_info(theta: np.ndarray, h: np.ndarray, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-likelihood, its gradient and the expected (Fisher) information, per row.
 
-    All three in the natural parameters, from one model call over the
-    histogram bins and the model's count support.  A zero-probability bin
+    ``theta`` holds a parameter set per row, (B, 4), and ``h`` its two
+    histograms, (B, 2, bins); returns (B,), (B, 4) and (B, 4, 4), in the
+    natural parameters.  A row is evaluated over the histogram bins and the
+    count support of its own bright mean, one model call for all rows of a
+    length, so it gets the same floats in any batch.  A zero-probability bin
     holding counts makes the log-likelihood -inf; the gradient then clips
     that probability at 1e-300.  The information is ``sum_s N_s sum_n dp
     dp^T / p``; a parameter the histograms do not constrain (the error rate
-    of an absent state) has a zero row and column.
+    of a state whose histogram is all zeros) has a zero row and column.
     """
-    sizes = [h.size for h in (h_down, h_up) if h is not None]
-    n = np.arange(max(count_support_max(theta[0]) + 1, *sizes), dtype=float)
-    p_down, p_up, grad_down, grad_up = _readout_pmfs(n, *theta, f)
-    ll, score, info = 0.0, np.zeros(4), np.zeros((4, 4))
-    for h, p, grad in ((h_down, p_down, grad_down), (h_up, p_up, grad_up)):
-        if h is None:
-            continue
-        idx = np.flatnonzero(h)
-        p_act = p[idx]
-        ll = -np.inf if np.any(p_act <= 0.0) else ll + float(h[idx] @ np.log(p_act))
-        score += grad[:, idx] @ (h[idx] / np.clip(p_act, 1e-300, None))
-        keep = p > 0.0
-        info += h.sum() * (grad[:, keep] / p[keep]) @ grad[:, keep].T
+    sizes, bins = np.maximum(count_support_max(theta[:, 0]) + 1, h.shape[2]), h.shape[2]
+    ll, score, info = np.empty(len(h)), np.empty((len(h), 4)), np.empty((len(h), 4, 4))
+    for size in set(sizes.tolist()):  # np.unique's first call in a process costs ~15 ms
+        rows = sizes == size
+        *pmfs, grad_down, grad_up = _readout_pmfs(np.arange(size, dtype=float), *theta[rows].T, f, grad=True)
+        p, grad = np.stack(pmfs, axis=1), np.stack([grad_down, grad_up], axis=1)  # (R, 2, N), (R, 2, 4, N)
+        hist, p_obs = h[rows], p[..., :bins]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_p = np.einsum("bsn,bsn->b", hist, np.log(np.where(hist > 0.0, p_obs, 1.0)))
+        ll[rows] = np.where(np.any((hist > 0.0) & (p_obs <= 0.0), axis=(1, 2)), -np.inf, log_p)
+        score[rows] = np.einsum("bskn,bsn->bk", grad[..., :bins], hist / np.clip(p_obs, 1e-300, None))
+        # a state whose histogram is all zeros adds nothing, whatever its model
+        shots, p = hist.sum(axis=2)[..., None, None], p[:, :, None]
+        weighted = np.divide(grad, p, out=np.zeros_like(grad), where=(p > 0.0) & (shots > 0.0))
+        info[rows] = (shots * (weighted @ grad.swapaxes(2, 3))).sum(axis=1)
     return ll, score, info
 
 
@@ -191,7 +202,7 @@ def log_likelihood(
     not raised): the parameter point is simply impossible.
     """
     f = _decay_fraction(t_det, lifetime)
-    return _ll_score_info(params.as_array(), _bins(hist_down), _bins(hist_up), f)[0]
+    return float(_ll_score_info(params.as_array()[None], _pair(hist_down, hist_up)[None], f)[0][0])
 
 
 def log_likelihood_grad(
@@ -207,7 +218,7 @@ def log_likelihood_grad(
     ``mean_dark == 0`` the dark-mean entry is the right derivative.
     """
     f = _decay_fraction(t_det, lifetime)
-    return _ll_score_info(params.as_array(), _bins(hist_down), _bins(hist_up), f)[1]
+    return _ll_score_info(params.as_array()[None], _pair(hist_down, hist_up)[None], f)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +261,16 @@ def _standard_errors(info: np.ndarray) -> np.ndarray:
     return se
 
 
-def _maximize(
-    h_down: np.ndarray | None, h_up: np.ndarray | None, f: float, theta: np.ndarray
-):
-    """Projected, damped Fisher scoring of the log-likelihood from ``theta``.
+def _maximize(h: np.ndarray, f: float, theta: np.ndarray, mode: str):
+    """Projected, damped Fisher scoring of the log-likelihood, one row per histogram pair.
 
-    The loop runs in the natural parameters, in the box from 0 to
+    ``h`` holds B histogram pairs, (B, 2, bins), and ``theta`` their starts,
+    (B, 4).  A joint fit is one row per pair, an independent fit a down-only
+    and an up-only row (the other histogram zeroed).  Each model call
+    evaluates the rows still stepping or halving; each row keeps its own
+    ridge and stops on its own reason, as a loop over it alone would.
+
+    Per row, the loop runs in the natural parameters, in the box from 0 to
     ``_UPPER``.  Each step solves the expected information, plus a
     Levenberg ridge on its diagonal (so a parameter with little information
     is not swamped by one with much), against the score over the free
@@ -266,8 +281,8 @@ def _maximize(
     at a bound whose score points out of it (its KKT condition), such as a
     dark mean or an error rate at 0.
 
-    It stops when the largest per-shot score over the free parameters falls
-    below ``_SCORE_TOL``, or when the last step could not show: its
+    A row stops when the largest per-shot score over its free parameters
+    falls below ``_SCORE_TOL``, or when its last step could not show: its
     predicted gain, half the score times the step (the Newton decrement,
     Boyd & Vandenberghe, *Convex Optimization* 9.5.1), was below the
     log-likelihood's rounding, and it neither changed which parameters are
@@ -275,61 +290,65 @@ def _maximize(
     a direction the data do not identify, such as a bright-only fit's dark
     mean when eps_down is near 0.
 
-    Returns ``(theta, ll, converged, n_iterations, reason, std_errors)``.
+    Returns ``(theta, ll, converged, n_iterations, reasons, info)``, each
+    shaped (runs, B, ...) with runs 1 for a joint fit and 2 (down, up) for
+    an independent one; ``info`` is the expected information at the estimate.
     """
-    n_total = sum(h.sum() for h in (h_down, h_up) if h is not None)
-    ll, score, info = _ll_score_info(theta, h_down, h_up, f)
-    reason, ridge = "iteration limit", _RIDGE
-    # the last step's predicted gain, the parameters it moved and their largest score before it
-    gain, moved, before = np.inf, None, np.inf
+    runs = 2 if mode == "independent" else 1
+    h = np.concatenate([h * [[1.0], [0.0]], h * [[0.0], [1.0]]]) if runs == 2 else h
+    theta, eye, n_total = np.tile(theta, (runs, 1)), np.eye(4), h.sum(axis=(1, 2))
+    size = len(theta)
+    ll, score, info = _ll_score_info(theta, h, f)
+    reasons = np.full(size, "iteration limit", dtype=object)
+    iterations, ridge = np.full(size, _MAX_ITERATIONS), np.full(size, _RIDGE)
+    # each row's last predicted gain, the parameters it moved and their largest score before it
+    gain, moved, before = np.full(size, np.inf), np.zeros((size, 4), dtype=bool), np.full(size, np.inf)
+    active = np.arange(size)
     for iteration in range(_MAX_ITERATIONS + 1):
-        held = ((theta == 0.0) & (score < 0.0)) | ((theta == _UPPER) & (score > 0.0))
-        free = np.flatnonzero((np.diag(info) > 0.0) & ~held)
-        largest = np.max(np.abs(score[free]))
-        if largest < _SCORE_TOL * n_total:
-            reason = "score below tolerance"
+        row_theta, row_score, row_info = theta[active], score[active], info[active]
+        held = ((row_theta == 0.0) & (row_score < 0.0)) | ((row_theta == _UPPER) & (row_score > 0.0))
+        free = (np.diagonal(row_info, axis1=1, axis2=2) > 0.0) & ~held
+        largest = np.max(np.abs(row_score), axis=1, where=free, initial=0.0)
+        small = largest < _SCORE_TOL * n_total[active]
+        flat = (gain[active] < _LL_ROUNDING * np.abs(ll[active])) & (largest >= before[active])
+        flat &= np.all(free == moved[active], axis=1)
+        reasons[active[flat]] = "predicted gain below rounding"
+        reasons[active[small]] = "score below tolerance"
+        go = ~(small | flat | (iteration == _MAX_ITERATIONS))
+        iterations[active[~go]] = iteration
+        active, free, row_score, row_info = active[go], free[go], row_score[go], row_info[go]
+        if not active.size:
             break
-        if gain < _LL_ROUNDING * abs(ll) and np.array_equal(free, moved) and largest >= before:
-            reason = "predicted gain below rounding"
-            break
-        if iteration == _MAX_ITERATIONS:
-            break
-        moved, before = free, largest
-        info_free = info[np.ix_(free, free)]
-        step = np.zeros(4)
-        step[free] = np.linalg.solve(info_free + ridge * np.diag(np.diag(info_free)), score[free])
-        gain = 0.5 * score @ step
+        moved[active], before[active] = free, largest[go]
+        ridged = row_info + ridge[active, None, None] * (row_info * eye)
+        # a parameter that is not free has an identity row and column and a zero score: no step
+        ridged = np.where(free[:, :, None] & free[:, None, :], ridged, eye)
+        step = np.linalg.solve(ridged, np.where(free, row_score, 0.0)[..., None])[..., 0]
+        gain[active] = 0.5 * np.einsum("bk,bk->b", row_score, step)
+        todo = np.arange(active.size)  # rows of ``active`` still halving
         for halvings in range(_MAX_HALVINGS):
-            trial = np.clip(theta + step, 0.0, _UPPER)
-            if trial[0] > trial[1]:
-                ll_trial, score_trial, info_trial = _ll_score_info(trial, h_down, h_up, f)
-                if ll_trial >= ll - _LL_ROUNDING * abs(ll):
-                    break
-            step *= 0.5
-        else:
-            reason = "no ascent step"
-            break
-        theta, ll, score, info = trial, ll_trial, score_trial, info_trial
-        ridge = 10.0 * ridge if halvings else max(0.1 * ridge, _RIDGE)
-    return theta, ll, reason in _CONVERGED, iteration, reason, _standard_errors(info)
+            trial = np.clip(theta[active[todo]] + step[todo], 0.0, _UPPER)
+            ordered = np.flatnonzero(trial[:, 0] > trial[:, 1])
+            rows = active[todo[ordered]]
+            ll_trial, score_trial, info_trial = _ll_score_info(trial[ordered], h[rows], f)
+            ok = ll_trial >= ll[rows] - _LL_ROUNDING * np.abs(ll[rows])
+            rows, ordered = rows[ok], ordered[ok]
+            theta[rows], ll[rows] = trial[ordered], ll_trial[ok]
+            score[rows], info[rows] = score_trial[ok], info_trial[ok]
+            ridge[rows] = 10.0 * ridge[rows] if halvings else np.maximum(0.1 * ridge[rows], _RIDGE)
+            todo = np.delete(todo, ordered)
+            if not todo.size:
+                break
+            step[todo] *= 0.5
+        reasons[active[todo]], iterations[active[todo]] = "no ascent step", iteration
+        active = np.delete(active, todo)
+    converged = np.isin(reasons, _CONVERGED)
+    return tuple(a.reshape(runs, -1, *a.shape[1:]) for a in (theta, ll, converged, iterations, reasons, info))
 
 
 # Independent mode reports the means and error rates each from the
 # ensemble that constrains them: these from the down fit, the rest from up.
 _FROM_DOWN = np.array([True, False, True, False])
-
-
-def _fits(h_down, h_up, f: float, theta0: np.ndarray, mode: str):
-    """The estimate and the ``_maximize`` results of a joint or a down-and-up fit."""
-    if mode == "joint":
-        runs = [_maximize(h_down, h_up, f, theta0)]
-    else:
-        runs = [_maximize(h_down, None, f, theta0), _maximize(None, h_up, f, theta0)]
-    return np.where(_FROM_DOWN, runs[0][0], runs[-1][0]), runs
-
-
-def _resample(hist: CountHistogram, rng: np.random.Generator) -> np.ndarray:
-    return rng.multinomial(hist.total_shots, hist.frequencies).astype(float)
 
 
 def fit(
@@ -355,6 +374,8 @@ def fit(
     multinomial resamples (``details["bootstrap"]``), as a cross-check on
     the expected-information standard errors; ``unconverged`` counts the
     resamples whose fit did not converge, which still enter the spread.
+    The resamples run as one batch of rows from the point estimate, each
+    stopping on its own rule, as it would alone.
     """
     f = _decay_fraction(t_det, lifetime)
     if mode not in ("joint", "independent"):
@@ -367,37 +388,35 @@ def fit(
         if np.count_nonzero(hist.counts_per_bin) < 2:
             raise ValueError(f"{name} is degenerate: all counts in a single bin")
 
-    h_down, h_up = _bins(hist_down), _bins(hist_up)
-    theta0 = init.as_array() if init is not None else _initial_guess(h_down, h_up, f)
-    theta, runs = _fits(h_down, h_up, f, theta0, mode)
-    thetas, lls, oks, iterations, reasons, ses = zip(*runs)
-    se = np.where(_FROM_DOWN, ses[0], ses[-1])
-    details: dict = {"optimizer": reasons[0]}
+    h = _pair(hist_down, hist_up)
+    theta0 = init.as_array() if init is not None else _initial_guess(*h, f)
+    thetas, lls, oks, iterations, reasons, info = _maximize(h[None], f, theta0[None], mode)
+    theta = np.where(_FROM_DOWN, thetas[0, 0], thetas[-1, 0])
+    se = np.where(_FROM_DOWN, _standard_errors(info[0, 0]), _standard_errors(info[-1, 0]))
+    details: dict = {"optimizer": reasons[0, 0]}
     if mode == "independent":
-        details["optimizer"] = dict(zip(("down", "up"), reasons))
+        details["optimizer"] = dict(zip(("down", "up"), reasons[:, 0]))
         details["per_state"] = {
-            tag: dict(zip(_PARAM_NAMES, th.tolist())) for tag, th in zip(("down", "up"), thetas)
+            tag: dict(zip(_PARAM_NAMES, th.tolist())) for tag, th in zip(("down", "up"), thetas[:, 0])
         }
 
     if bootstrap:
         rng = np.random.default_rng(bootstrap_seed)
-        resamples = [
-            _fits(_resample(hist_down, rng), _resample(hist_up, rng), f, theta, mode)
-            for _ in range(bootstrap)
-        ]
-        spread = np.std(np.array([sample for sample, _ in resamples]), axis=0, ddof=1)
+        pairs = np.array([_pair(hist_down, hist_up, rng) for _ in range(bootstrap)])
+        samples, _, fits_ok, *_ = _maximize(pairs, f, np.tile(theta, (bootstrap, 1)), mode)
+        spread = np.std(np.where(_FROM_DOWN, samples[0], samples[-1]), axis=0, ddof=1)
         details["bootstrap"] = {
             "samples": bootstrap,
             "std_errors": dict(zip(_PARAM_NAMES, spread.tolist())),
-            "unconverged": sum(not all(ok for _, _, ok, *_ in fits) for _, fits in resamples),
+            "unconverged": int(np.sum(~np.all(fits_ok, axis=0))),
         }
 
     return FitResult(
         params=ReadoutParams(*theta.tolist()),
         std_errors=dict(zip(_PARAM_NAMES, se.tolist())),
-        log_likelihood=sum(lls),
-        converged=all(oks),
-        n_iterations=sum(iterations),
+        log_likelihood=float(lls.sum()),
+        converged=bool(oks.all()),
+        n_iterations=int(iterations.sum()),
         t_det=t_det,
         lifetime=lifetime,
         mode=mode,

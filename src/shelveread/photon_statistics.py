@@ -255,12 +255,8 @@ def decay_mixture_pmf(model: DetectionModel) -> np.ndarray:
     cancels catastrophically, and the average is taken by Gauss-Legendre
     quadrature over the line of means instead.
     """
-    return _decay_mixture_from_means(_support(model), model.mean_bright, model.mean_dark)
-
-
-def _decay_mixture_from_means(n, mean_bright: float, mean_dark: float):
     # A shelved qubit that surely decays (f = 1) counts as the mixture itself.
-    return _readout_pmfs(n, mean_bright, mean_dark, 0.0, 0.0, 1.0)[1]
+    return _readout_pmfs(_support(model), model.mean_bright, model.mean_dark, 0.0, 0.0, 1.0)[1]
 
 
 def bright_pdf(model: DetectionModel) -> CountPMF:
@@ -310,8 +306,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 
 
-def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
-    """The observed-count model of both prepared states, with its gradient.
+def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f, grad=False):
+    """The observed-count model of both prepared states, and its gradient if ``grad``.
 
     A shot whose effective state is dark counts as
     ``dark = (1 - f)*Poisson(mean_dark) + f*g`` (``g`` the in-window decay
@@ -320,55 +316,59 @@ def _readout_pmfs(n, mean_bright, mean_dark, eps_down, eps_up, f):
     bright-prepared shots and ``1 - eps_up`` of dark-prepared shots are
     effectively dark.  The Monte Carlo sampler draws from exactly this model.
 
-    Returns ``(p_down, p_up, grad_down, grad_up)`` on the counts ``n = 0..N``;
-    the gradients have shape ``(4, N + 1)`` and are taken with respect to
-    (mean_bright, mean_dark, eps_down, eps_up).  At ``mean_dark == 0`` the
-    dark-mean derivatives are the right derivatives.
+    The means are scalars or (B,) arrays, one parameter set per row; the
+    rest broadcast against them.  Returns ``(p_down, p_up)`` on the counts
+    ``n = 0..N``, of shape (N + 1,) or (B, N + 1); with ``grad``, also
+    ``(grad_down, grad_up)``, of shape (4, N + 1) or (B, 4, N + 1), taken
+    with respect to (mean_bright, mean_dark, eps_down, eps_up).  At
+    ``mean_dark == 0`` the dark-mean derivatives are the right derivatives.
+    All rows pad to the support of the largest mean (or of N + 1), so on
+    the same ``n`` a row gets the floats of its single-set call.
     """
-    n = np.asarray(n)
-    padded = np.arange(count_support_max(max(mean_bright, n.size)) + 1)
-    pb_padded, pd_padded = poisson_pmf(padded, np.array([[mean_bright], [mean_dark]]))
-    pb, pd = pb_padded[: n.size], pd_padded[: n.size]
-    # d Poisson(n, mu)/d mu = Poisson * (n/mu - 1); safe at small mu because
-    # the Poisson factor carries mu^n.
-    dpb = pb * (n / mean_bright - 1.0)
-    # At mu = 0 the right derivative is Poisson(n - 1, 0) - Poisson(n, 0).
-    dpd = pd * (n / mean_dark - 1.0) if mean_dark > 0.0 else (n == 1).astype(float) - (n == 0)
-    gap = mean_bright - mean_dark
-    if gap < 1.0:
+    n, shape = np.asarray(n), np.shape(mean_bright)
+    eps_down, eps_up, f = (np.reshape(x, (-1, 1)) for x in (eps_down, eps_up, f))
+    mean_bright, mean_dark = means = np.reshape([mean_bright, mean_dark], (2, -1, 1))
+    padded = np.arange(count_support_max(max(mean_bright.max(), n.size)) + 1)
+    pb_padded, pd_padded = poisson_pmf(padded, means)
+    pb, pd = pb_padded[:, : n.size], pd_padded[:, : n.size]
+    gap, shelved = mean_bright - mean_dark, mean_dark > 0.0
+    # g sums pd - pb from 0 up below the count where the PMFs cross, and
+    # pb - pd from the padded end down above it: positive terms only, each
+    # kept exact near the crossing as pd*expm1(x) or -pb*expm1(-x), x = log(pb/pd).
+    # A zero dark mean has no crossing: every count lies above it.
+    some_dark = np.where(shelved, mean_dark, 1.0)
+    log_ratio = np.log1p(gap / some_dark)
+    x = padded * log_ratio - gap
+    excess = np.expm1(-np.abs(x)) * np.where(x < 0.0, pd_padded, -pb_padded)
+    excess = np.where(shelved, excess, pb_padded - pd_padded)
+    crossing = np.where(shelved, gap / log_ratio, 0.0)
+    above = np.cumsum(excess[:, :0:-1], axis=1)[:, ::-1][:, : n.size]
+    g = np.where(n < crossing, -np.cumsum(excess, axis=1)[:, : n.size], above) / gap
+    dg_db, dg_dd = (pb - g) / gap, (g - pd) / gap
+    quadrature = gap[:, 0] < 1.0
+    if quadrature.any():
         # g = int_0^1 Poisson(mean_dark + u*gap) du, and its mean derivatives
         # are the same average of the Poisson slope weighted by u and 1 - u.
-        # The CDF difference below would cancel catastrophically here
+        # The CDF difference above would cancel catastrophically here
         # (derivative error ~1e-16/gap**2).
-        mu = (mean_dark + gap * _GL_NODES)[:, None]
+        mu = (mean_dark[quadrature] + gap[quadrature] * _GL_NODES)[..., None]
         p = poisson_pmf(n, mu)
         slope = p * (n / mu - 1.0)
-        g = _GL_WEIGHTS @ p
-        dg_db = (_GL_WEIGHTS * _GL_NODES) @ slope
-        dg_dd = (_GL_WEIGHTS * (1.0 - _GL_NODES)) @ slope
-    else:
-        # g sums pd - pb from 0 up below the count where the PMFs cross, and
-        # pb - pd from the padded end down above it: positive terms only, each
-        # kept exact near the crossing as pd*expm1(x) or -pb*expm1(-x), x = log(pb/pd).
-        crossing, excess = 0.0, pb_padded - pd_padded
-        if mean_dark > 0.0:
-            log_ratio = np.log1p(gap / mean_dark)
-            crossing, x = gap / log_ratio, padded * log_ratio - gap
-            excess = np.expm1(-np.abs(x)) * np.where(x < 0.0, pd_padded, -pb_padded)
-        above = np.cumsum(excess[:0:-1])[::-1][: n.size]
-        g = np.where(n < crossing, -np.cumsum(excess)[: n.size], above) / gap
-        dg_db, dg_dd = (pb - g) / gap, (g - pd) / gap
+        g[quadrature] = _GL_WEIGHTS @ p
+        dg_db[quadrature] = (_GL_WEIGHTS * _GL_NODES) @ slope
+        dg_dd[quadrature] = (_GL_WEIGHTS * (1.0 - _GL_NODES)) @ slope
     dark = (1.0 - f) * pd + f * g
-    ddark_db = f * dg_db
-    ddark_dd = (1.0 - f) * dpd + f * dg_dd
-
     p_down = (1.0 - eps_down) * pb + eps_down * dark
     p_up = (1.0 - eps_up) * dark + eps_up * pb
-    zero = np.zeros_like(pb)
-    grad_down = np.stack(
-        [(1.0 - eps_down) * dpb + eps_down * ddark_db, eps_down * ddark_dd, dark - pb, zero]
-    )
-    grad_up = np.stack(
-        [(1.0 - eps_up) * ddark_db + eps_up * dpb, (1.0 - eps_up) * ddark_dd, zero, pb - dark]
-    )
-    return p_down, p_up, grad_down, grad_up
+    out = [p_down, p_up]
+    if grad:
+        # d Poisson(n, mu)/d mu = Poisson * (n/mu - 1); safe at small mu because
+        # the Poisson factor carries mu^n.  At mu = 0 the right derivative is
+        # Poisson(n - 1, 0) - Poisson(n, 0): the first term over 1, plus (n == 1).
+        dpb = pb * (n / mean_bright - 1.0)
+        dpd = pd * (n / some_dark - 1.0) + ((n == 1) & ~shelved)
+        dark_b, dark_d = f * dg_db, (1.0 - f) * dpd + f * dg_dd  # d dark / d (mean_bright, mean_dark)
+        zero = np.zeros_like(pb)
+        out.append(np.stack([(1.0 - eps_down) * dpb + eps_down * dark_b, eps_down * dark_d, dark - pb, zero], 1))
+        out.append(np.stack([(1.0 - eps_up) * dark_b + eps_up * dpb, (1.0 - eps_up) * dark_d, zero, pb - dark], 1))
+    return tuple(a.reshape(shape + a.shape[1:]) for a in out)

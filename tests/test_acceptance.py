@@ -34,7 +34,7 @@ from shelveread.photon_statistics import (
     observed_pdf_down,
     observed_pdf_up,
 )
-from shelveread.photon_statistics import _decay_mixture_from_means
+from shelveread.photon_statistics import _readout_pmfs
 from shelveread.tomography import (
     BlochVector,
     average_fidelity,
@@ -305,7 +305,7 @@ def test_criterion_9_invariant_battery(
     for mean_bright in means:
         for mean_dark in (m for m in means if m < mean_bright):
             gap = mean_bright - mean_dark
-            g = _decay_mixture_from_means(np.arange(21), mean_bright, mean_dark)
+            g = _readout_pmfs(np.arange(21), mean_bright, mean_dark, 0.0, 0.0, 1.0)[1]  # f = 1: the mixture
             for n in (0, 6, 20):
                 numeric = integrate.quad(
                     lambda mu: mu**n * math.exp(-mu) / math.factorial(n),

@@ -602,7 +602,7 @@ ARTIFACT_DIGESTS = {
     "bundled": {
         "budget_report.json": "352cdad8177adb08382bb20ee411a374d5fdf2212308b90d468b6fc8dd95faf9",
         "error_surface.csv": "3bc2a420f0b02e78605f042dcd6cb0ec579dbaba46655382cc63d2720c9136cd",
-        "fit.json": "578046a8e5530694577f590dd311291f24059e2b77380c42fbe0ef022e97d185",
+        "fit.json": "1af8c2739b3f81d7c3f94568244270ccf773367a7409d035ed36508b48851318",
         "hist_down.csv": "db537e49df0f2eb482204ed81d3aec65f2157b453c98fa73117bf1a5cebdf219",
         "hist_up.csv": "d3ee231a7a4214eaccb0d041e4eb7b45a0f1956cd7b42080ee4214b7bde4df0f",
         "optimum.json": "9ed76e5b48397e2e6d43e8c31d8175adb33719af31041c636e59619321e37c62",
@@ -612,7 +612,7 @@ ARTIFACT_DIGESTS = {
         "budget_report.json": "d853bf1d3bb13f46308f72fba4af1f3b208511fbef54e178049c8a76115249ba",
         "chi.json": "301b8ae5baf248078a2aae7b5de4e26fee9b97b325e0cc946d1c19fedafef446",
         "error_surface.csv": "a725b8c35b3fb10c4476f48002e1197c9ff91532fe434bff83759234820ca910",
-        "fit.json": "03f8591c4150af456fab15d0500d80454270a64a3407c96b3ca4333646076bf0",
+        "fit.json": "65468afb497303a7e7981f7484fe1fe7c4e921f40ec343d561381fb8b761fc26",
         "hist_down.csv": "73c4e57aefb227f5c62c3566b574c58b291c7fadee70ea8dbcf45076f7436b0d",
         "hist_up.csv": "1836e1500a75b9671e97ae8fb68b662e1a428a9e881d543c08ca69806244ba75",
         "optimum.json": "01b389491924bc13da1698c98d45b5288c65b21648ba0f8b0147254a42de81c9",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -307,6 +308,91 @@ def test_joint_fit_converges_over_the_validated_region(
     result = fit(h_down, h_up, f, 1.0)  # t_det/lifetime = f exactly
     assert result.converged, result.details
     assert np.all(np.abs(_projected_score(result, h_down, h_up)) < 1e-11)
+
+
+def _assert_rows_run_alone(h, f, theta0, mode):
+    """One batched ``_maximize`` run against a one-row run per row: the same
+    steps and stop reasons, and estimates, log-likelihoods and information
+    within 1e-12 relative.  Returns the batch's steps and reasons, (runs, B)."""
+    theta, ll, converged, iterations, reasons, info = mle_fit._maximize(h, f, theta0, mode)
+    for i in range(len(h)):
+        alone = mle_fit._maximize(h[i : i + 1], f, theta0[i : i + 1], mode)
+        assert alone[3][:, 0].tolist() == iterations[:, i].tolist(), i
+        assert alone[4][:, 0].tolist() == reasons[:, i].tolist(), i
+        assert alone[2][:, 0].tolist() == converged[:, i].tolist(), i
+        np.testing.assert_allclose(theta[:, i], alone[0][:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ll[:, i], alone[1][:, 0], rtol=1e-12, atol=0)
+        for run in range(len(info)):
+            scale = np.abs(alone[5][run, 0]).max()
+            assert np.abs(info[run, i] - alone[5][run, 0]).max() <= 1e-12 * scale, i
+    return iterations, reasons
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    mean_bright=st.floats(3.0, 60.0),
+    dark_share=st.floats(1e-3, 0.9),
+    eps_down=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True)),
+    eps_up=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True)),
+    f=st.floats(1e-6, 0.1, exclude_max=True),
+    log_shots=st.integers(3, 9),
+    mode=st.sampled_from(["joint", "independent"]),
+)
+@example(21.0, 2**-8, 0.0, 0.0, 0.0625, 9, "independent")
+@example(3.0, 0.8125, 0.4999999999999999, 0.4999999999999999, 0.03125, 9, "joint")
+def test_batched_rows_run_as_alone(mean_bright, dark_share, eps_down, eps_up, f, log_shots, mode):
+    """The region test's draws, in both modes: every row of one batched loop
+    runs as it would alone: the exact histograms from the truth and from the
+    initial guess, and two multinomial resamples from the point estimate;
+    then again with the step limit one below the most steps any row took, or
+    at 20."""
+    n = np.arange(count_support_max(mean_bright) + 1)
+    pmfs = _readout_pmfs(n, mean_bright, dark_share * mean_bright, eps_down, eps_up, f)
+    exact = np.array([np.rint(p * 10.0**log_shots) for p in pmfs])
+    rng = np.random.default_rng(log_shots)
+    resamples = [np.array([rng.multinomial(int(b.sum()), b / b.sum()) for b in exact], float) for _ in "ab"]
+    truth = np.array([mean_bright, dark_share * mean_bright, eps_down, eps_up])
+    guess = mle_fit._initial_guess(*exact, f)
+    # the resamples start from the point estimate, as the bootstrap's do
+    estimate = mle_fit._maximize(exact[None], f, guess[None], mode)[0][:, 0]
+    estimate = np.where(mle_fit._FROM_DOWN, estimate[0], estimate[-1])
+    h = np.array([exact, exact, *resamples])
+    theta0 = np.array([truth, guess, estimate, estimate])
+    iterations, _ = _assert_rows_run_alone(h, f, theta0, mode)
+    # rows that stop at different steps; then the rows that took the most
+    # steps (or more than 20) stop at a limit just below, the others as before
+    limit = min(iterations.max() - 1, 20)
+    if limit < 0:
+        return
+    with patch.object(mle_fit, "_MAX_ITERATIONS", limit):
+        limited, reasons = _assert_rows_run_alone(h, f, theta0, mode)
+    at_limit = iterations > limit
+    assert np.all(reasons[at_limit] == "iteration limit")
+    assert np.all(limited[at_limit] == limit)
+    assert np.array_equal(limited[~at_limit], iterations[~at_limit])
+
+
+def test_batched_rows_stop_on_their_own():
+    # Exact histograms at 10^6 shots: from the truth, the initial guess and a
+    # far start the rows need different numbers of steps, and with the limit
+    # just below the far row's steps that row alone stops at it.
+    mean_bright, dark_share, eps_down, eps_up, f = 20.0, 0.05, 1e-3, 2e-3, 1e-3
+    n = np.arange(count_support_max(mean_bright) + 1)
+    pmfs = _readout_pmfs(n, mean_bright, dark_share * mean_bright, eps_down, eps_up, f)
+    exact = np.array([np.rint(p * 1e6) for p in pmfs])
+    truth = np.array([mean_bright, dark_share * mean_bright, eps_down, eps_up])
+    theta0 = np.array([truth, mle_fit._initial_guess(*exact, f), [40.0, 5.0, 0.3, 0.3]])
+    h = np.array([exact] * 3)
+    for mode in ("joint", "independent"):
+        iterations, reasons = _assert_rows_run_alone(h, f, theta0, mode)
+        assert len(set(iterations.ravel().tolist())) > 1, iterations
+        assert set(reasons.ravel()) <= set(mle_fit._CONVERGED)
+        most = iterations.max()
+        assert (iterations == most).sum() == 1, iterations
+        with patch.object(mle_fit, "_MAX_ITERATIONS", most - 1):
+            limited, limited_reasons = _assert_rows_run_alone(h, f, theta0, mode)
+        assert (limited_reasons == "iteration limit").sum() == 1
+        assert set(limited_reasons[iterations < most]) <= set(mle_fit._CONVERGED)
 
 
 def test_independent_fit_stops_on_an_unidentified_dark_mean():

@@ -25,7 +25,12 @@ from shelveread.photon_statistics import (
     observed_pdf_up,
     poisson_pmf,
 )
-from shelveread.photon_statistics import _decay_mixture_from_means, _readout_pmfs
+from shelveread.photon_statistics import _readout_pmfs
+
+
+def _decay_mixture(n, mean_bright, mean_dark):
+    """The decay mixture on counts ``n``: a shelved qubit that surely decays (f = 1)."""
+    return _readout_pmfs(n, mean_bright, mean_dark, 0.0, 0.0, 1.0)[1]
 
 
 def poisson_reference(n: int, mean: float) -> float:
@@ -59,7 +64,7 @@ def test_decay_mixture_quadrature_oracle():
     for mean_bright in means:
         for mean_dark in (m for m in means if m < mean_bright):
             gap = mean_bright - mean_dark
-            g = _decay_mixture_from_means(np.arange(40), mean_bright, mean_dark)
+            g = _decay_mixture(np.arange(40), mean_bright, mean_dark)
             for n in (0, 1, 10, 20, 39):
                 integral, abserr = quad(
                     lambda mu: poisson_reference(n, mu), mean_dark, mean_bright,
@@ -178,8 +183,8 @@ def test_dark_pdf_long_lifetime_limit():
 def test_decay_mixture_near_equal_means():
     n = np.arange(0, 40)
     mid = poisson_pmf(n, 10.0)
-    tiny_gap = _decay_mixture_from_means(n, 10.0 + 5e-9, 10.0 - 5e-9)
-    small_gap = _decay_mixture_from_means(n, 10.0 + 5e-4, 10.0 - 5e-4)
+    tiny_gap = _decay_mixture(n, 10.0 + 5e-9, 10.0 - 5e-9)
+    small_gap = _decay_mixture(n, 10.0 + 5e-4, 10.0 - 5e-4)
     assert np.allclose(tiny_gap, mid, atol=1e-12)
     assert np.allclose(small_gap, mid, atol=1e-6)  # continuity across the switch
 
@@ -196,7 +201,7 @@ def test_decay_mixture_matches_two_sided_oracle(mean_bright, gap, dark_is_zero):
     """Every bin above 1e-300 within 1e-12 relative, whichever tail it lies in."""
     mean_dark = 0.0 if dark_is_zero else max(mean_bright - gap, 0.0)
     n = np.arange(count_support_max(mean_bright) + 1)
-    g = _decay_mixture_from_means(n, mean_bright, mean_dark)
+    g = _decay_mixture(n, mean_bright, mean_dark)
     # the CDF difference from the upper regularized gamma (the Poisson CDF) where
     # the bright CDF is below 1/2, and from the lower one (its complement) above
     lower_tail = special.gammaincc(n + 1, mean_bright) < 0.5
@@ -215,7 +220,7 @@ def test_observed_pdfs_mixture_identity(measured_model):
     n = np.arange(count_support_max(measured_model.mean_bright) + 1)
     pb = poisson_pmf(n, measured_model.mean_bright)
     pd = poisson_pmf(n, measured_model.mean_dark)
-    g = _decay_mixture_from_means(n, measured_model.mean_bright, measured_model.mean_dark)
+    g = _decay_mixture(n, measured_model.mean_bright, measured_model.mean_dark)
 
     # a shot that is effectively dark (shelved by mistake, or shelved as
     # intended) decays in-window with probability f; every other shot is bright
@@ -264,10 +269,13 @@ def test_observed_pdf_up_weight_validation(measured_model):
 def test_readout_model_normalized_with_exact_gradient(
     mean_bright, dark_share, eps_down, eps_up, f
 ):
-    """Over the constructors' region: unit mass and gradient == finite differences."""
+    """Over the constructors' region: unit mass and gradient == finite differences.
+
+    One batch also holds this draw: each of its rows equals its single-set call.
+    """
     theta = np.array([mean_bright, dark_share * mean_bright, eps_down, eps_up])
     n = np.arange(count_support_max(mean_bright) + 1)
-    p_down, p_up, grad_down, grad_up = _readout_pmfs(n, *theta, f)
+    p_down, p_up, grad_down, grad_up = _readout_pmfs(n, *theta, f, grad=True)
     assert abs(p_down.sum() - 1.0) < 1e-12
     assert abs(p_up.sum() - 1.0) < 1e-12
 
@@ -282,6 +290,18 @@ def test_readout_model_normalized_with_exact_gradient(
         for state, grad in ((0, grad_down), (1, grad_up)):
             difference = (up[state] - down[state]) / (plus[k] - minus[k])
             assert np.abs(difference - grad[k]).max() <= 1e-5 * np.abs(grad).max()
+
+    # the draw, a gap below one count, a zero dark mean and two ordinary rows
+    batch = np.array([
+        [*theta, f], [0.7, 0.2, 0.1, 0.3, 0.05], [30.0, 0.0, 0.2, 0.0, 0.01],
+        [5.0, 1.0, 0.0, 0.4, 0.09], [150.0, 3.0, 0.3, 0.1, 0.0],
+    ])
+    n = np.arange(count_support_max(batch[:, 0].max()) + 1)
+    rows = _readout_pmfs(n, *batch.T, grad=True)
+    for i, params in enumerate(batch):
+        for batched, single in zip(rows, _readout_pmfs(n, *params, grad=True)):
+            assert batched.shape[1:] == single.shape
+            assert np.array_equal(batched[i], single), i
 
 
 def test_support_covers_sixteen_sigma(measured_model):
